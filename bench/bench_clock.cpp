@@ -1,21 +1,23 @@
-// Clock-engine bench (the ISSUE-6 tentpole): epoch stamps + interned clocks
-// vs the PR-1 full-vector baseline.
+// Clock-engine bench: epoch stamps + interned clocks.
 //
-// Three experiments, each one JSON row per sweep point (stdout and
+// Four experiments, each one JSON row per sweep point (stdout and
 // --json-out, default BENCH_clock.json):
 //   clock_micro     join/leq/== ns/op on vector clocks at 2..128 threads
 //   clock_sweep     end-to-end frontier detection over the barrier-phased
 //                   race-free trace (the NPB long-clean-trace shape) at 64
-//                   threads, epoch vs vector engine
-//   clock_resident  streamed frontier resident clock-bytes at 64 threads,
-//                   epoch vs vector, on both the clean and the racy trace
+//                   threads, with the shared HB build timed out
+//   clock_resident  streamed frontier resident clock-bytes at 64 threads on
+//                   both the clean and the racy trace
+//   clock_hb_index  interned vs dense post-mortem HbIndex stamp bytes
+//
+// Gates, in both modes: the engine's verdicts equal the pairwise oracle's
+// (tests/oracle/) on the clean and the racy trace, the clean trace leaves
+// 0 resident frontier clock-bytes (no record ever promotes), and interned
+// HbIndex stamps are >= 2x smaller than dense ones.
 //
 // Modes:
-//   bench_clock            full sweep (acceptance: >= 3x sweep speedup and
-//                          >= 5x lower resident clock-bytes at 64 threads)
-//   bench_clock --smoke    fast functional gate: engines verdict-identical,
-//                          epoch path no slower than vector, resident
-//                          clock-bytes >= 5x smaller; ctest runs this
+//   bench_clock            full sweep
+//   bench_clock --smoke    the same gates at CI-friendly size; ctest runs this
 //
 // Knobs: --threads (default 64), --vars, --phases, --reps, --json-out.
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "src/util/flags.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
+#include "tests/oracle/pairwise_oracle.hpp"
 
 namespace {
 
@@ -76,32 +79,15 @@ MicroTimes micro(int threads, int reps) {
 
 // -------------------------------------------- end-to-end frontier sweep
 
-using SeqPair = std::pair<trace::Seq, trace::Seq>;
-
-std::map<trace::ObjId, std::vector<SeqPair>> report_pairs(
-    const detect::ConcurrencyReport& report) {
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    auto& pairs = out[var];
-    for (const detect::ConcurrentPair& p : verdict.pairs) {
-      pairs.emplace_back(report.hb().events()[p.first].seq,
-                         report.hb().events()[p.second].seq);
-    }
-  }
-  return out;
-}
-
 struct SweepRun {
   double seconds = 0;
   std::size_t pairs_checked = 0;
   std::size_t epoch_hits = 0;
-  std::map<trace::ObjId, std::vector<SeqPair>> pairs;
+  std::map<trace::ObjId, bool> verdicts;
 };
 
-SweepRun run_sweep(const std::vector<trace::Event>& events,
-                   detect::ClockEngine engine) {
+SweepRun run_sweep(const std::vector<trace::Event>& events) {
   detect::RaceDetectorConfig cfg;
-  cfg.clock = engine;
   cfg.analysis_threads = 1;  // serial: measure the engine, not the pool.
   util::Stopwatch timer;
   const detect::ConcurrencyReport report =
@@ -111,9 +97,15 @@ SweepRun run_sweep(const std::vector<trace::Event>& events,
   for (const auto& [var, verdict] : report.verdicts()) {
     run.pairs_checked += verdict.pairs_checked;
     run.epoch_hits += verdict.epoch_hits;
+    run.verdicts[var] = verdict.concurrent;
   }
-  run.pairs = report_pairs(report);
   return run;
+}
+
+/// The engine's hybrid-mode verdicts equal the pairwise oracle's.
+bool matches_oracle(const std::vector<trace::Event>& events) {
+  return run_sweep(events).verdicts ==
+         oracle::PairwiseOracle(events, oracle::Mode::kHybrid).verdicts();
 }
 
 // ---------------------------------------- streamed resident clock-bytes
@@ -126,13 +118,10 @@ struct ResidentRun {
 };
 
 ResidentRun run_resident(const std::vector<trace::Event>& events, int threads,
-                         detect::ClockEngine engine,
                          std::size_t retire_every) {
   detect::IncrementalHb hb;
   for (int t = 0; t < threads; ++t) hb.declare_thread(static_cast<trace::Tid>(t));
-  detect::RaceDetectorConfig cfg;
-  cfg.clock = engine;
-  detect::IncrementalFrontier frontier(cfg);
+  detect::IncrementalFrontier frontier(detect::RaceDetectorConfig{});
   ResidentRun run;
   std::vector<detect::IncrementalFrontier::PairHit> hits;
   std::size_t since_retire = 0;
@@ -200,93 +189,82 @@ void micro_rows(const Output& out, int reps) {
   }
 }
 
-/// Emits the sweep + resident rows; returns vector_seconds / epoch_seconds
-/// (0 on verdict mismatch, which also fails the caller's gate).
-double engine_rows(const Output& out, int threads, int vars,
-                   std::size_t phases, int reps, bool* verdicts_equal,
-                   std::size_t* epoch_bytes, std::size_t* vector_bytes) {
+/// Emits the sweep + resident rows and returns whether the gates hold: the
+/// engine's verdicts match the oracle's on both traces, and the clean trace
+/// leaves no resident frontier clock-bytes.
+bool engine_rows(const Output& out, int threads, int vars, std::size_t phases,
+                 int reps) {
   const std::vector<trace::Event> clean =
       bench::phased_trace(phases, threads, vars);
+  const std::vector<trace::Event> racy =
+      bench::racy_trace(phases, threads, vars, /*seed=*/11);
 
-  SweepRun epoch;
-  SweepRun vector;
-  epoch.seconds = vector.seconds = 1e100;
-  // The HB index build (advance + stamp materialization) is identical under
-  // both engines; timing it separately isolates the sweep the acceptance
-  // gate is about.  analyze() under kHybrid uses the default HB config.
+  SweepRun best;
+  best.seconds = 1e100;
+  // The HB index build is timed separately so the row isolates the sweep.
+  // analyze() under kHybrid uses the default HB config.
   double hb_seconds = 1e100;
   for (int r = 0; r < reps; ++r) {
-    const SweepRun e = run_sweep(clean, detect::ClockEngine::kEpoch);
-    if (e.seconds < epoch.seconds) epoch = e;
-    const SweepRun v = run_sweep(clean, detect::ClockEngine::kVector);
-    if (v.seconds < vector.seconds) vector = v;
+    const SweepRun run = run_sweep(clean);
+    if (run.seconds < best.seconds) best = run;
     util::Stopwatch timer;
     const detect::HbIndex hb =
         detect::HappensBeforeAnalysis().run(std::vector<trace::Event>(clean));
     hb_seconds = std::min(hb_seconds, timer.elapsed_seconds());
   }
-  *verdicts_equal = epoch.pairs == vector.pairs;
-  const double floor = 1e-9;  // clamp: subtraction can go sub-noise.
-  const double epoch_sweep = std::max(epoch.seconds - hb_seconds, floor);
-  const double vector_sweep = std::max(vector.seconds - hb_seconds, floor);
-  const double speedup = vector_sweep / epoch_sweep;
+  const bool clean_ok = matches_oracle(clean);
+  const bool racy_ok = matches_oracle(racy);
   {
     bench::JsonRow row("clock_sweep");
     row.field("threads", threads)
         .field("vars", vars)
         .field("events", clean.size())
-        .field("epoch_seconds", epoch.seconds)
-        .field("vector_seconds", vector.seconds)
+        .field("seconds", best.seconds)
         .field("hb_seconds", hb_seconds)
-        .field("epoch_sweep_seconds", epoch_sweep)
-        .field("vector_sweep_seconds", vector_sweep)
-        .field("total_speedup", vector.seconds / epoch.seconds)
-        .field("sweep_speedup", speedup)
-        .field("pairs_checked", epoch.pairs_checked)
-        .field("epoch_hits", epoch.epoch_hits)
-        .field("verdicts_equal", *verdicts_equal ? 1 : 0);
+        .field("sweep_seconds", std::max(best.seconds - hb_seconds, 0.0))
+        .field("pairs_checked", best.pairs_checked)
+        .field("epoch_hits", best.epoch_hits)
+        .field("verdicts_match_oracle", clean_ok && racy_ok ? 1 : 0);
     out.emit(row);
   }
+  if (!clean_ok || !racy_ok) {
+    std::fprintf(stderr, "bench_clock: verdicts differ from the oracle on the "
+                         "%s trace\n", clean_ok ? "racy" : "clean");
+  }
 
-  // Resident clock bytes: the clean stream is the headline (epoch keeps
-  // 16-byte stamps; vector pins a full private clock per record), the racy
-  // stream shows promotions + arena sharing under real concurrency.
-  const ResidentRun clean_epoch =
-      run_resident(clean, threads, detect::ClockEngine::kEpoch, 256);
-  const ResidentRun clean_vector =
-      run_resident(clean, threads, detect::ClockEngine::kVector, 256);
-  *epoch_bytes = clean_epoch.peak_frontier_clock_bytes;
-  *vector_bytes = clean_vector.peak_frontier_clock_bytes;
+  // Resident clock bytes: the clean stream is the headline (every record
+  // stays a 16-byte epoch), the racy stream shows promotions + arena
+  // sharing under real concurrency.
+  const ResidentRun clean_run = run_resident(clean, threads, 256);
   {
     bench::JsonRow row("clock_resident");
     row.field("workload", "phased")
         .field("threads", threads)
         .field("events", clean.size())
-        .field("epoch_clock_bytes", clean_epoch.peak_frontier_clock_bytes)
-        .field("vector_clock_bytes", clean_vector.peak_frontier_clock_bytes)
-        .field("hb_clock_bytes", clean_epoch.peak_hb_clock_bytes)
-        .field("promotions", clean_epoch.promotions);
+        .field("clock_bytes", clean_run.peak_frontier_clock_bytes)
+        .field("hb_clock_bytes", clean_run.peak_hb_clock_bytes)
+        .field("promotions", clean_run.promotions);
     out.emit(row);
   }
-  const std::vector<trace::Event> racy =
-      bench::racy_trace(phases, threads, vars, /*seed=*/11);
-  const ResidentRun racy_epoch =
-      run_resident(racy, threads, detect::ClockEngine::kEpoch, 256);
-  const ResidentRun racy_vector =
-      run_resident(racy, threads, detect::ClockEngine::kVector, 256);
+  const ResidentRun racy_run = run_resident(racy, threads, 256);
   {
     bench::JsonRow row("clock_resident");
     row.field("workload", "racy")
         .field("threads", threads)
         .field("events", racy.size())
-        .field("epoch_clock_bytes", racy_epoch.peak_frontier_clock_bytes)
-        .field("vector_clock_bytes", racy_vector.peak_frontier_clock_bytes)
-        .field("hb_clock_bytes", racy_epoch.peak_hb_clock_bytes)
-        .field("promotions", racy_epoch.promotions)
-        .field("racy_pairs", racy_epoch.racy_pairs);
+        .field("clock_bytes", racy_run.peak_frontier_clock_bytes)
+        .field("hb_clock_bytes", racy_run.peak_hb_clock_bytes)
+        .field("promotions", racy_run.promotions)
+        .field("racy_pairs", racy_run.racy_pairs);
     out.emit(row);
   }
-  return speedup;
+  if (clean_run.peak_frontier_clock_bytes != 0) {
+    std::fprintf(stderr,
+                 "bench_clock: clean trace pinned %zu resident frontier "
+                 "clock-bytes (expected 0)\n",
+                 clean_run.peak_frontier_clock_bytes);
+  }
+  return clean_ok && racy_ok && clean_run.peak_frontier_clock_bytes == 0;
 }
 
 /// Post-mortem HbIndex stamp store (ROADMAP clock follow-on (c)): frames
@@ -316,47 +294,26 @@ double hb_index_row(const Output& out, int threads) {
   return ratio;
 }
 
-int smoke(const Output& out) {
-  // Small but still 64-wide: the acceptance shape at CI-friendly size.
-  bool verdicts_equal = false;
-  std::size_t epoch_bytes = 0;
-  std::size_t vector_bytes = 0;
-  const double speedup = engine_rows(out, /*threads=*/64, /*vars=*/8,
-                                     /*phases=*/64, /*reps=*/3,
-                                     &verdicts_equal, &epoch_bytes,
-                                     &vector_bytes);
-  if (!verdicts_equal) {
-    std::fprintf(stderr, "smoke: engines reported different pair lists\n");
-    return 1;
-  }
-  // Regression gate (satellite e): the epoch path must never be slower than
-  // the vector baseline.  The 3x acceptance number is asserted on the full
-  // run where timing noise is amortized; here we allow 10% jitter.
-  if (speedup < 0.9) {
-    std::fprintf(stderr, "smoke: epoch sweep regressed vs vector (%.2fx)\n",
-                 speedup);
-    return 1;
-  }
-  if (epoch_bytes * 5 > vector_bytes) {
-    std::fprintf(stderr,
-                 "smoke: epoch resident clock-bytes not 5x smaller "
-                 "(%zu vs %zu)\n",
-                 epoch_bytes, vector_bytes);
-    return 1;
-  }
-  const double hb_ratio = hb_index_row(out, /*threads=*/16);
+/// The gates at one size (`hb_threads` sizes the HbIndex row); returns the
+/// process status.
+int run_gates(const Output& out, int threads, int vars, std::size_t phases,
+              int reps, int hb_threads) {
+  int status = engine_rows(out, threads, vars, phases, reps) ? 0 : 1;
+  const double hb_ratio = hb_index_row(out, hb_threads);
   if (hb_ratio < 2.0) {
     std::fprintf(stderr,
-                 "smoke: interned HbIndex stamps not 2x smaller than dense "
-                 "(%.2fx)\n",
+                 "bench_clock: interned HbIndex stamps not 2x smaller than "
+                 "dense (%.2fx)\n",
                  hb_ratio);
-    return 1;
+    status = 1;
   }
-  std::printf(
-      "bench_clock --smoke: OK (sweep %.2fx, resident %zu vs %zu bytes, "
-      "hb index %.1fx smaller interned)\n",
-      speedup, epoch_bytes, vector_bytes, hb_ratio);
-  return 0;
+  if (status == 0) {
+    std::printf("bench_clock: OK (verdicts match the oracle, 0 resident "
+                "clock-bytes on the clean trace, hb index %.1fx smaller "
+                "interned)\n",
+                hb_ratio);
+  }
+  return status;
 }
 
 }  // namespace
@@ -374,35 +331,16 @@ int main(int argc, char** argv) {
 
   int status = 0;
   if (flags.get_bool("smoke", false)) {
-    status = smoke(out);
+    // Small but still 64-wide: the acceptance shape at CI-friendly size.
+    status = run_gates(out, /*threads=*/64, /*vars=*/8, /*phases=*/64,
+                       /*reps=*/3, /*hb_threads=*/16);
   } else {
     out.echo = true;
     micro_rows(out, flags.get_int("reps", 200000));
-    bool verdicts_equal = false;
-    std::size_t epoch_bytes = 0;
-    std::size_t vector_bytes = 0;
-    const double speedup = engine_rows(
-        out, flags.get_int("threads", 64), flags.get_int("vars", 8),
-        static_cast<std::size_t>(flags.get_int("phases", 256)),
-        flags.get_int("reps-sweep", 3), &verdicts_equal, &epoch_bytes,
-        &vector_bytes);
-    if (!verdicts_equal) {
-      std::fprintf(stderr, "bench_clock: engines disagree\n");
-      status = 1;
-    }
-    // ISSUE-6 acceptance: >= 3x sweep speedup, >= 5x lower clock-bytes.
-    if (speedup < 3.0) {
-      std::fprintf(stderr, "bench_clock: sweep speedup %.2fx < 3x\n", speedup);
-      status = 1;
-    }
-    if (epoch_bytes * 5 > vector_bytes) {
-      std::fprintf(stderr, "bench_clock: clock-bytes ratio below 5x\n");
-      status = 1;
-    }
-    if (hb_index_row(out, flags.get_int("threads", 64)) < 2.0) {
-      std::fprintf(stderr, "bench_clock: interned HbIndex ratio below 2x\n");
-      status = 1;
-    }
+    const int threads = flags.get_int("threads", 64);
+    status = run_gates(out, threads, flags.get_int("vars", 8),
+                       static_cast<std::size_t>(flags.get_int("phases", 256)),
+                       flags.get_int("reps-sweep", 3), threads);
   }
   std::fclose(json);
   return status;

@@ -1,6 +1,7 @@
-// Scaling bench for the detection pipeline (the ISSUE-1 tentpole): frontier
-// vs pairwise per-variable analysis over an events x threads x vars sweep,
-// plus multi-threaded TraceLog emission throughput (sharded ingest).
+// Scaling bench for the detection pipeline: the frontier engine vs the
+// O(k^2) pairwise oracle (tests/oracle/, its own vector-clock replay plus an
+// exhaustive pair check) over an events x threads x vars sweep, plus
+// multi-threaded TraceLog emission throughput (sharded ingest).
 //
 // Modes:
 //   bench_detect_scaling                  google-benchmark suite, then the
@@ -8,7 +9,7 @@
 //                                         per line via bench::JsonRow)
 //   bench_detect_scaling --summary-only   skip the google-benchmark suite
 //   bench_detect_scaling --smoke          fast functional check of the perf
-//                                         path (frontier == pairwise verdicts,
+//                                         path (engine == oracle verdicts,
 //                                         sharded emit integrity); ctest runs
 //                                         this at build time
 //
@@ -26,6 +27,8 @@
 #include "src/trace/trace_log.hpp"
 #include "src/util/flags.hpp"
 #include "src/util/stats.hpp"
+#include "tests/oracle/fixtures.hpp"
+#include "tests/oracle/pairwise_oracle.hpp"
 
 namespace {
 
@@ -35,36 +38,43 @@ using namespace home;
 using bench::phased_trace;
 using bench::racy_trace;
 
-detect::RaceDetectorConfig algo_config(detect::DetectorAlgo algo,
-                                       std::size_t analysis_threads = 1) {
+detect::RaceDetectorConfig engine_config(std::size_t analysis_threads = 1) {
   detect::RaceDetectorConfig cfg;
-  cfg.algo = algo;
   cfg.analysis_threads = analysis_threads;
   return cfg;
 }
 
+/// Per-variable verdicts of one detection pass: the engine (`workers` > 0)
+/// or the pairwise oracle (`workers` == 0).
+std::map<trace::ObjId, bool> detect_verdicts(
+    const std::vector<trace::Event>& events, std::size_t workers,
+    detect::DetectorMode mode = detect::DetectorMode::kHybrid) {
+  if (workers == 0) {
+    return oracle::PairwiseOracle(events, oracle::oracle_mode(mode))
+        .verdicts();
+  }
+  detect::RaceDetectorConfig cfg = engine_config(workers);
+  cfg.mode = mode;
+  return oracle::engine_verdicts(detect::RaceDetector(cfg).analyze(events));
+}
+
 // ------------------------------------------------- google-benchmark suite
 
-void BM_DetectPhased(benchmark::State& state, detect::DetectorAlgo algo) {
+void BM_DetectPhased(benchmark::State& state, std::size_t workers) {
   const auto events_per_var = static_cast<std::size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   const int vars = static_cast<int>(state.range(2));
   const auto events = phased_trace(events_per_var, threads, vars);
-  const detect::RaceDetectorConfig cfg = algo_config(algo);
   for (auto _ : state) {
-    auto report = detect::RaceDetector(cfg).analyze(events);
-    benchmark::DoNotOptimize(report.total_pairs());
+    auto verdicts = detect_verdicts(events, workers);
+    benchmark::DoNotOptimize(verdicts.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events.size()));
 }
 
-void BM_DetectFrontier(benchmark::State& state) {
-  BM_DetectPhased(state, detect::DetectorAlgo::kFrontier);
-}
-void BM_DetectPairwise(benchmark::State& state) {
-  BM_DetectPhased(state, detect::DetectorAlgo::kPairwise);
-}
+void BM_DetectFrontier(benchmark::State& state) { BM_DetectPhased(state, 1); }
+void BM_DetectPairwise(benchmark::State& state) { BM_DetectPhased(state, 0); }
 // events-per-var x threads x vars.
 BENCHMARK(BM_DetectFrontier)
     ->ArgsProduct({{1000, 4000, 16000}, {2, 8}, {4}})
@@ -74,13 +84,12 @@ BENCHMARK(BM_DetectPairwise)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DetectParallelVars(benchmark::State& state) {
-  // Parallel per-variable fan-out, worker count = range(0).  Measured on the
-  // pairwise engine, where per-variable work is heavy enough to fan out; the
-  // frontier engine leaves the (serial) HB pass dominant, so extra workers
-  // barely move it — see the frontier vs frontier-par rows in the summary.
+  // Parallel per-variable fan-out, worker count = range(0).  The (serial) HB
+  // pass is part of every iteration, so extra workers move only the sweep —
+  // see the frontier vs frontier-par rows in the summary.
   const auto events = phased_trace(1500, 4, 16);
-  const detect::RaceDetectorConfig cfg = algo_config(
-      detect::DetectorAlgo::kPairwise, static_cast<std::size_t>(state.range(0)));
+  const detect::RaceDetectorConfig cfg =
+      engine_config(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     auto report = detect::RaceDetector(cfg).analyze(events);
     benchmark::DoNotOptimize(report.total_pairs());
@@ -117,12 +126,12 @@ BENCHMARK(BM_ShardedEmitContended)->Threads(1)->Threads(2)->Threads(4)->Threads(
 // --------------------------------------------------------- JSON summary mode
 
 double measure_detect_seconds(const std::vector<trace::Event>& events,
-                              const detect::RaceDetectorConfig& cfg, int reps) {
+                              std::size_t workers, int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch timer;
-    auto report = detect::RaceDetector(cfg).analyze(events);
-    benchmark::DoNotOptimize(report.total_pairs());
+    auto verdicts = detect_verdicts(events, workers);
+    benchmark::DoNotOptimize(verdicts.size());
     const double seconds = timer.elapsed_seconds();
     if (r == 0 || seconds < best) best = seconds;
   }
@@ -154,25 +163,20 @@ void run_json_summary(const util::Flags& flags) {
   std::map<std::size_t, double> frontier_s, pairwise_s;
   struct Row {
     const char* name;
-    detect::DetectorAlgo algo;
-    std::size_t workers;
+    std::size_t workers;  ///< 0 = the pairwise oracle.
   };
   const Row rows[] = {
-      {"frontier", detect::DetectorAlgo::kFrontier, 1},
-      {"frontier-par", detect::DetectorAlgo::kFrontier, 0},
-      {"pairwise", detect::DetectorAlgo::kPairwise, 1},
+      {"frontier", 1},
+      {"frontier-par", std::max(1u, std::thread::hardware_concurrency())},
+      {"pairwise", 0},
   };
   for (const Row& row : rows) {
     std::printf("%-22s", row.name);
     for (std::size_t n : sweep) {
       const auto events = phased_trace(n, threads, vars);
-      const double seconds =
-          measure_detect_seconds(events, algo_config(row.algo, row.workers),
-                                 reps);
-      if (row.algo == detect::DetectorAlgo::kFrontier && row.workers == 1) {
-        frontier_s[n] = seconds;
-      }
-      if (row.algo == detect::DetectorAlgo::kPairwise) pairwise_s[n] = seconds;
+      const double seconds = measure_detect_seconds(events, row.workers, reps);
+      if (row.workers == 1) frontier_s[n] = seconds;
+      if (row.workers == 0) pairwise_s[n] = seconds;
       std::printf("%12.5f", seconds);
       bench::JsonRow("detect_scaling")
           .field("algo", row.name)
@@ -207,8 +211,9 @@ void run_json_summary(const util::Flags& flags) {
 // ----------------------------------------------------------------- smoke mode
 
 /// Fast functional check of the perf path, run by ctest at build time: the
-/// two algorithms must agree on phased and racy traces in every mode, and
-/// the sharded log must survive contended emission intact.
+/// engine (with two workers) must agree with the pairwise oracle on phased
+/// and racy traces in every mode, and the sharded log must survive
+/// contended emission intact.
 int run_smoke() {
   int failures = 0;
   auto expect = [&failures](bool ok, const char* what) {
@@ -224,21 +229,9 @@ int run_smoke() {
     for (const detect::DetectorMode mode :
          {detect::DetectorMode::kHybrid, detect::DetectorMode::kLocksetOnly,
           detect::DetectorMode::kHbOnly}) {
-      detect::RaceDetectorConfig frontier = algo_config(
-          detect::DetectorAlgo::kFrontier, 2);
-      frontier.mode = mode;
-      detect::RaceDetectorConfig pairwise = algo_config(
-          detect::DetectorAlgo::kPairwise, 1);
-      pairwise.mode = mode;
-      const auto fr = detect::RaceDetector(frontier).analyze(events);
-      const auto pw = detect::RaceDetector(pairwise).analyze(events);
-      expect(fr.verdicts().size() == pw.verdicts().size(),
-             "verdict counts differ");
-      for (const auto& [var, verdict] : fr.verdicts()) {
-        const detect::VariableVerdict* other = pw.verdict(var);
-        expect(other != nullptr && other->concurrent == verdict.concurrent,
-               "frontier/pairwise verdict mismatch");
-      }
+      expect(detect_verdicts(events, 2, mode) ==
+                 detect_verdicts(events, 0, mode),
+             "engine/oracle verdict mismatch");
     }
   }
 

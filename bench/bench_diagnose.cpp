@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   build_workload(log, phases, threads, vars, clusters);
   const std::vector<trace::Event> events = log.sorted_events();
 
-  detect::HappensBeforeConfig hb_cfg;  // kHybrid detector: strong edges only.
-  hb_cfg.lock_edges = false;
+  const detect::HappensBeforeConfig hb_cfg =
+      detect::happens_before_config(detect::DetectorMode::kHybrid);
   diagnose::Options dopts;
   dopts.enabled = true;
   dopts.emit_flows = false;  // price the engine, not the telemetry ring.

@@ -33,7 +33,6 @@ using namespace home;
 
 detect::RaceDetectorConfig detect_config() {
   detect::RaceDetectorConfig cfg;
-  cfg.algo = detect::DetectorAlgo::kFrontier;
   cfg.analysis_threads = 1;  // serial: no scheduler noise in the comparison.
   return cfg;
 }

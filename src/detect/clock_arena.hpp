@@ -2,8 +2,8 @@
 //
 // The epoch clock engine keeps most stamps as 16-byte (tid, value) epochs;
 // the residue that does need a full clock — stamps promoted on true
-// concurrency, kVector-engine baselines — lives here as immutable
-// `InternedClock`s shared by refcount.  Interning is content-addressed over
+// concurrency, the post-mortem HbIndex's stamp frames — lives here as
+// immutable `InternedClock`s shared by refcount.  Interning is content-addressed over
 // the *normalized* clock (trailing zeros stripped), so two stamps that are
 // equal as functions Tid -> value share one allocation regardless of how
 // much zero padding their producers carried.

@@ -1,35 +1,6 @@
 #include "src/detect/incremental.hpp"
 
-#include <algorithm>
-
 namespace home::detect {
-
-bool online_accesses_racy(DetectorMode mode, ClockEngine engine,
-                          const OnlineAccess& a, const OnlineAccess& b,
-                          const StampView& bv) {
-  if (a.tid == b.tid) return false;
-  if (!a.write && !b.write) return false;
-  if (mode == DetectorMode::kLocksetOnly) {
-    return trace::locksets_disjoint(a.locks, b.locks);
-  }
-  // b was stamped at-or-after a and on another thread, so b <= a is
-  // impossible (b's own component already exceeds a's view of it) and
-  // concurrency reduces to !(a <= b).  Under kEpoch that is the O(1) epoch
-  // test; under kVector we keep the full two-sided arithmetic of the PR-1
-  // baseline (same verdict, measured as the ablation).
-  const bool unordered = engine == ClockEngine::kEpoch
-                             ? !a.stamp.leq_later(bv)
-                             : stamp_concurrent_full(a.stamp, bv);
-  switch (mode) {
-    case DetectorMode::kHybrid:
-      return unordered && trace::locksets_disjoint(a.locks, b.locks);
-    case DetectorMode::kHbOnly:
-      return unordered;
-    case DetectorMode::kLocksetOnly:
-      break;  // handled above.
-  }
-  return false;
-}
 
 // ------------------------------------------------------------- IncrementalHb
 
@@ -212,156 +183,63 @@ const VectorClock* IncrementalHb::clock(trace::Tid tid) const {
 
 // ------------------------------------------------------- IncrementalFrontier
 
-namespace {
-
-bool same_class(const OnlineAccess& a, const OnlineAccess& b) {
-  return a.write == b.write && a.locks == b.locks;
-}
-
-}  // namespace
-
 void IncrementalFrontier::on_access(trace::ObjId var,
                                     std::shared_ptr<OnlineAccess> rec,
                                     const StampView& view,
                                     std::vector<PairHit>* hits) {
-  VarMeta& meta = meta_[var];
-  if (meta.saturated) return;  // pair budget spent: the sweep has stopped.
-  VarFrontier& vf = vars_[var];
-
-  // Retained representation per the clock engine: a 16-byte epoch that is
-  // promoted below on the first racy hit, or the baseline private full copy.
-  if (cfg_.clock == ClockEngine::kEpoch) {
-    rec->stamp = Stamp::epoch(view);
-  } else {
-    rec->stamp = Stamp::full_copy(view);
-    ++clock_allocs_;
-  }
-
-  // Candidates: the other threads' frontier entries, seq-sorted and
-  // deduplicated — the exact candidate order of frontier_sweep_variable.
-  candidates_.clear();
-  for (const auto& [tid, frontier] : vf.threads) {
-    if (tid == rec->tid) continue;
-    for (const auto& c : frontier.keyed) candidates_.push_back(c);
-    for (const auto& c : frontier.recent) candidates_.push_back(c);
-  }
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const auto& a, const auto& b) { return a->seq < b->seq; });
-  candidates_.erase(std::unique(candidates_.begin(), candidates_.end(),
-                                [](const auto& a, const auto& b) {
-                                  return a->seq == b->seq;
-                                }),
-                    candidates_.end());
-
-  if (cfg_.clock == ClockEngine::kEpoch &&
-      cfg_.mode != DetectorMode::kLocksetOnly) {
-    epoch_hits_ += candidates_.size();
-  }
-  for (const auto& cand : candidates_) {
-    if (!online_accesses_racy(cfg_.mode, cfg_.clock, *cand, *rec, view)) {
-      continue;
-    }
-    meta.concurrent = true;
-    if (cfg_.max_pairs_per_var != 0 && meta.pairs >= cfg_.max_pairs_per_var) {
-      // Mirror the post-mortem early return: the budget-overflow pair is
-      // dropped and the variable is never processed again, so its frontier
-      // state can be reclaimed immediately.
-      meta.saturated = true;
-      vars_.erase(var);
-      return;
-    }
-    ++meta.pairs;
-    if (cfg_.clock == ClockEngine::kEpoch && !rec->stamp.has_clock()) {
-      // True concurrency: this record may matter downstream, so it earns a
-      // full (interned, shared) clock.  Non-racy records — the overwhelming
-      // majority — stay epoch-only forever.
-      rec->stamp = Stamp::interned(view, ClockArena::global());
-      ++promotions_;
-    }
-    if (hits) hits->push_back(PairHit{cand, rec});
-  }
-
-  // Advance this thread's frontier.
-  ThreadFrontier& mine = vf.threads[rec->tid];
-  bool replaced = false;
-  for (auto& k : mine.keyed) {
-    if (same_class(*k, *rec)) {
-      k = rec;
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) mine.keyed.push_back(rec);
-  if (cfg_.frontier_history > 0) {
-    if (mine.recent.size() < cfg_.frontier_history) {
-      mine.recent.push_back(std::move(rec));
-    } else {
-      mine.recent[mine.recent_next] = std::move(rec);
-      mine.recent_next = (mine.recent_next + 1) % cfg_.frontier_history;
-    }
-  }
+  rec->stamp = Stamp::epoch(view);
+  const FrontierAccess access{rec->seq, view.value, rec->tid, rec->write,
+                              &rec->locks};
+  vars_[var].on_access(
+      cfg_, access, rec, [&view](trace::Tid t) { return view.get(t); },
+      [&](const std::shared_ptr<const OnlineAccess>& older) {
+        if (!rec->stamp.has_clock()) {
+          // True concurrency: this record may matter downstream, so it
+          // earns a full (interned, shared) clock.  Non-racy records — the
+          // overwhelming majority — stay epoch-only forever.
+          rec->stamp = Stamp::interned(view, ClockArena::global());
+          ++promotions_;
+        }
+        if (hits) hits->push_back(PairHit{older, rec});
+      });
 }
 
 std::size_t IncrementalFrontier::retire(const VectorClock& watermark) {
   std::size_t reclaimed = 0;
-  auto dominated = [&watermark](const std::shared_ptr<const OnlineAccess>& r) {
-    return r->stamp.leq(watermark);
-  };
-  vars_.erase_if([&](trace::ObjId, VarFrontier& vf) {
-    for (auto tit = vf.threads.begin(); tit != vf.threads.end();) {
-      ThreadFrontier& tf = tit->second;
-      const std::size_t before = tf.keyed.size() + tf.recent.size();
-      tf.keyed.erase(std::remove_if(tf.keyed.begin(), tf.keyed.end(), dominated),
-                     tf.keyed.end());
-      const std::size_t recent_before = tf.recent.size();
-      tf.recent.erase(
-          std::remove_if(tf.recent.begin(), tf.recent.end(), dominated),
-          tf.recent.end());
-      if (tf.recent.size() != recent_before) {
-        // Survivors back to seq order with the overwrite cursor at the
-        // oldest slot: the ring keeps holding the most recent accesses in
-        // cyclic order, exactly like the post-mortem ring minus the retired
-        // (forever HB-ordered) entries.
-        std::sort(tf.recent.begin(), tf.recent.end(),
-                  [](const auto& a, const auto& b) { return a->seq < b->seq; });
-        tf.recent_next = 0;
-      }
-      reclaimed += before - (tf.keyed.size() + tf.recent.size());
-      if (tf.keyed.empty() && tf.recent.empty()) {
-        tit = vf.threads.erase(tit);
-      } else {
-        ++tit;
-      }
-    }
-    return vf.threads.empty();
+  vars_.for_each_mutable([&](trace::ObjId, Frontier& frontier) {
+    reclaimed += frontier.retire(watermark);
   });
   return reclaimed;
 }
 
 bool IncrementalFrontier::concurrent(trace::ObjId var) const {
-  auto it = meta_.find(var);
-  return it != meta_.end() && it->second.concurrent;
+  const Frontier* frontier = vars_.find(var);
+  return frontier != nullptr && frontier->concurrent();
 }
 
 std::size_t IncrementalFrontier::resident_records() const {
   std::size_t n = 0;
-  vars_.for_each([&n](trace::ObjId, const VarFrontier& vf) {
-    for (const auto& [tid, tf] : vf.threads) {
-      (void)tid;
-      n += tf.keyed.size() + tf.recent.size();
-    }
+  vars_.for_each([&n](trace::ObjId, const Frontier& frontier) {
+    n += frontier.resident_records();
   });
   return n;
 }
 
 std::size_t IncrementalFrontier::resident_clock_bytes() const {
   std::size_t n = 0;
-  vars_.for_each([&n](trace::ObjId, const VarFrontier& vf) {
-    for (const auto& [tid, tf] : vf.threads) {
-      (void)tid;
-      for (const auto& r : tf.keyed) n += r->stamp.clock_bytes();
-      for (const auto& r : tf.recent) n += r->stamp.clock_bytes();
-    }
+  vars_.for_each([&n](trace::ObjId, const Frontier& frontier) {
+    frontier.for_each_record(
+        [&n](const std::shared_ptr<const OnlineAccess>& r, std::size_t slots) {
+          n += slots * r->stamp.clock_bytes();
+        });
+  });
+  return n;
+}
+
+std::size_t IncrementalFrontier::epoch_hits() const {
+  std::size_t n = 0;
+  vars_.for_each([&n](trace::ObjId, const Frontier& frontier) {
+    n += frontier.epoch_hits();
   });
   return n;
 }

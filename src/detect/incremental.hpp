@@ -15,18 +15,15 @@
 //     tracks which threads may still emit (declared minus joined), which
 //     yields the retirement watermark below.
 //
-//   * IncrementalFrontier — the streaming form of frontier_sweep_variable:
-//     per-variable, per-thread frontiers of maximal (kind, lockset) classes
-//     plus the recent-access ring, fed one access at a time.  New racy pairs
-//     are surfaced immediately instead of collected in a verdict.
+//   * IncrementalFrontier — one VarFrontier (frontier.hpp, the same type
+//     the post-mortem detector sweeps) per variable, fed one access at a
+//     time.  New racy pairs are surfaced immediately instead of collected
+//     in a verdict.
 //
-// Clock engine (ISSUE-6): advance() returns an allocation-free StampView
-// (epoch + clock span); what each *retained* record stores is chosen by
-// RaceDetectorConfig::clock.  Under ClockEngine::kEpoch records keep 16-byte
-// epochs and promote to interned full clocks only on true concurrency; under
-// ClockEngine::kVector every record keeps a private full copy (the PR-1
-// baseline).  All retained-vs-incoming and retained-vs-watermark checks are
-// epoch-exact (see stamp.hpp), so both engines produce identical verdicts.
+// advance() returns an allocation-free StampView (epoch + clock span).
+// Retained records keep 16-byte epochs and promote to interned full clocks
+// only on true concurrency; every retained-vs-incoming and
+// retained-vs-watermark check is epoch-exact (see stamp.hpp).
 //
 // Epoch-based retirement: a retained record with stamp V can never race any
 // future event once every thread that may still emit has a clock >= V —
@@ -42,11 +39,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "src/detect/flat_map.hpp"
+#include "src/detect/frontier.hpp"
 #include "src/detect/happens_before.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/detect/stamp.hpp"
@@ -57,8 +54,9 @@ namespace home::detect {
 
 /// One access retained by the streaming frontier: the slice of the original
 /// Event the race predicate and the violation matcher need, plus the HB
-/// stamp (epoch or full, per the clock engine), plus the aux-linked MPI call
-/// event (shared so the record can outlive the analyzer's call table).
+/// stamp (an epoch, promoted to a full clock once racy), plus the aux-linked
+/// MPI call event (shared so the record can outlive the analyzer's call
+/// table).
 struct OnlineAccess {
   trace::Seq seq = 0;
   trace::Tid tid = trace::kNoTid;
@@ -67,13 +65,6 @@ struct OnlineAccess {
   Stamp stamp;
   std::shared_ptr<const trace::Event> call;  ///< may be null (unlinked access).
 };
-
-/// The pairwise racy-access predicate over a retained record `a` and the
-/// *incoming* record `b` whose stamp view is `bv` (b was stamped at-or-after
-/// a, which makes the epoch test exact; see stamp.hpp).
-bool online_accesses_racy(DetectorMode mode, ClockEngine engine,
-                          const OnlineAccess& a, const OnlineAccess& b,
-                          const StampView& bv);
 
 class IncrementalHb {
  public:
@@ -140,16 +131,6 @@ class IncrementalHb {
   VectorClock scratch_;
 };
 
-/// Per-variable verdict metadata that must survive frontier retirement (the
-/// verdict and the pair budget are cumulative over the whole run).
-struct VarMeta {
-  bool concurrent = false;
-  std::size_t pairs = 0;
-  /// Pair budget spent: the post-mortem sweep stops processing the variable
-  /// entirely at this point, so the streaming engine does too.
-  bool saturated = false;
-};
-
 class IncrementalFrontier {
  public:
   explicit IncrementalFrontier(const RaceDetectorConfig& cfg) : cfg_(cfg) {}
@@ -162,53 +143,47 @@ class IncrementalFrontier {
 
   /// Feed one access of `var` (records must arrive in seq order across the
   /// whole stream).  `view` is the access's stamp view from the same
-  /// advance() call; on_access fills rec->stamp per the configured clock
-  /// engine — a 16-byte epoch that is promoted to an interned full clock the
-  /// first time the record proves racy (kEpoch), or a private full copy
-  /// (kVector).  New racy pairs are appended to `hits` in the same order the
-  /// post-mortem frontier sweep reports them.
+  /// advance() call; on_access sets rec->stamp to its 16-byte epoch and
+  /// promotes it to an interned full clock the first time the record proves
+  /// racy.  New racy pairs are appended to `hits` in the order the
+  /// post-mortem detector reports them.
   void on_access(trace::ObjId var, std::shared_ptr<OnlineAccess> rec,
                  const StampView& view, std::vector<PairHit>* hits);
 
   /// Drop frontier records at or below the watermark.  Sound for HB-based
   /// modes only; the caller must not retire under kLocksetOnly.
-  /// Returns the number of records reclaimed.
+  /// Returns the number of frontier slots reclaimed.
   std::size_t retire(const VectorClock& watermark);
 
   bool concurrent(trace::ObjId var) const;
-  const std::map<trace::ObjId, VarMeta>& meta() const { return meta_; }
 
-  /// Access records currently resident across all variables.
+  /// Visit every variable fed so far as fn(var, frontier), unspecified order.
+  template <class Fn>
+  void for_each_var(Fn&& fn) const {
+    vars_.for_each(fn);
+  }
+
+  /// Frontier slots currently in use across all variables.
   std::size_t resident_records() const;
 
   /// Heap bytes pinned by resident records' clock payloads (epoch-only
-  /// records pin none; a shared interned clock is charged to every holder).
+  /// records pin none; a shared interned clock is charged to every slot
+  /// holding it).
   std::size_t resident_clock_bytes() const;
 
-  /// Cumulative clock-engine tallies, kept thread-local to the analysis
-  /// loop; the analyzer folds deltas into obs::Registry at checkpoints.
-  std::size_t epoch_hits() const { return epoch_hits_; }
+  /// Cumulative epoch-test tallies; the analyzer folds deltas into
+  /// obs::Registry at checkpoints.
+  std::size_t epoch_hits() const;
   std::size_t epoch_promotions() const { return promotions_; }
-  std::size_t clock_allocs() const { return clock_allocs_; }
 
  private:
-  struct ThreadFrontier {
-    std::vector<std::shared_ptr<const OnlineAccess>> keyed;
-    std::vector<std::shared_ptr<const OnlineAccess>> recent;
-    std::size_t recent_next = 0;
-  };
-  struct VarFrontier {
-    /// tid-ordered so candidate gathering stays deterministic.
-    std::map<trace::Tid, ThreadFrontier> threads;
-  };
+  using Frontier = VarFrontier<std::shared_ptr<const OnlineAccess>>;
 
   RaceDetectorConfig cfg_;
-  FlatMap<VarFrontier> vars_;
-  std::map<trace::ObjId, VarMeta> meta_;
-  std::vector<std::shared_ptr<const OnlineAccess>> candidates_;  ///< scratch.
-  std::size_t epoch_hits_ = 0;    ///< checks answered on the O(1) epoch path.
-  std::size_t promotions_ = 0;    ///< records promoted epoch -> full clock.
-  std::size_t clock_allocs_ = 0;  ///< private full-clock copies (kVector).
+  /// Kept after retirement empties them: the verdict and the pair budget
+  /// are cumulative over the whole run.
+  FlatMap<Frontier> vars_;
+  std::size_t promotions_ = 0;  ///< records promoted epoch -> full clock.
 };
 
 }  // namespace home::detect

@@ -14,7 +14,7 @@ namespace {
 
 // Detector telemetry (DESIGN.md §9).  Pair counts are accumulated locally in
 // each VariableVerdict and folded in ONE add per analyze() call — a per-pair
-// atomic would serialize the O(k²)/frontier inner loops across workers.
+// atomic would serialize the frontier inner loops across workers.
 struct DetectMetrics {
   obs::Counter& vars = obs::Registry::global().counter("detect.vars_swept");
   obs::Counter& checked =
@@ -32,6 +32,32 @@ DetectMetrics& detect_metrics() {
   return m;
 }
 
+VariableVerdict sweep_variable(const HbIndex& hb, const RaceDetectorConfig& cfg,
+                               trace::ObjId var,
+                               const std::vector<std::size_t>& indices) {
+  VariableVerdict verdict;
+  verdict.var = var;
+  // Event indices are the handles and the feed order (ascending in seq).
+  VarFrontier<std::size_t> frontier;
+  for (const std::size_t i : indices) {
+    const trace::Event& e = hb.events()[i];
+    const FrontierAccess access{i, hb.stamp_get(i, e.tid), e.tid, e.is_write(),
+                                &e.locks_held};
+    frontier.on_access(
+        cfg, access, i, [&hb, i](trace::Tid t) { return hb.stamp_get(i, t); },
+        [&](std::size_t j) {
+          verdict.pairs.push_back(
+              ConcurrentPair{j, i, hb.events()[j].tid, e.tid});
+        });
+    // Saturated: nothing about this variable can change any more.
+    if (frontier.saturated()) break;
+  }
+  verdict.concurrent = frontier.concurrent();
+  verdict.pairs_checked = frontier.pairs_checked();
+  verdict.epoch_hits = frontier.epoch_hits();
+  return verdict;
+}
+
 }  // namespace
 
 const char* detector_mode_name(DetectorMode mode) {
@@ -43,20 +69,10 @@ const char* detector_mode_name(DetectorMode mode) {
   return "?";
 }
 
-const char* detector_algo_name(DetectorAlgo algo) {
-  switch (algo) {
-    case DetectorAlgo::kFrontier: return "frontier";
-    case DetectorAlgo::kPairwise: return "pairwise";
-  }
-  return "?";
-}
-
-const char* clock_engine_name(ClockEngine engine) {
-  switch (engine) {
-    case ClockEngine::kEpoch: return "epoch";
-    case ClockEngine::kVector: return "vector";
-  }
-  return "?";
+HappensBeforeConfig happens_before_config(DetectorMode mode) {
+  HappensBeforeConfig cfg;
+  cfg.lock_edges = (mode == DetectorMode::kHbOnly);
+  return cfg;
 }
 
 std::size_t ConcurrencyReport::total_pairs() const {
@@ -77,106 +93,11 @@ std::string ConcurrencyReport::summary() const {
   return os.str();
 }
 
-bool accesses_racy(DetectorMode mode, const HbIndex& hb, std::size_t i,
-                   std::size_t j) {
-  const trace::Event& ei = hb.events()[i];
-  const trace::Event& ej = hb.events()[j];
-  if (ei.tid == ej.tid) return false;
-  if (!ei.is_write() && !ej.is_write()) return false;
-  switch (mode) {
-    case DetectorMode::kHybrid:
-      return hb.concurrent(i, j) &&
-             trace::locksets_disjoint(ei.locks_held, ej.locks_held);
-    case DetectorMode::kLocksetOnly:
-      return trace::locksets_disjoint(ei.locks_held, ej.locks_held);
-    case DetectorMode::kHbOnly:
-      return hb.concurrent(i, j);
-  }
-  return false;
-}
-
-bool accesses_racy_ordered(const RaceDetectorConfig& cfg, const HbIndex& hb,
-                           std::size_t j, std::size_t i,
-                           std::size_t* epoch_hits) {
-  const trace::Event& ej = hb.events()[j];
-  const trace::Event& ei = hb.events()[i];
-  if (ej.tid == ei.tid) return false;
-  if (!ej.is_write() && !ei.is_write()) return false;
-  if (cfg.mode == DetectorMode::kLocksetOnly) {
-    return trace::locksets_disjoint(ej.locks_held, ei.locks_held);
-  }
-  bool unordered;
-  if (cfg.clock == ClockEngine::kEpoch) {
-    // One component read each instead of two full-clock scans (header).
-    unordered = hb.stamp_get(j, ej.tid) > hb.stamp_get(i, ej.tid);
-    if (epoch_hits != nullptr) ++*epoch_hits;
-  } else {
-    unordered = hb.concurrent(j, i);
-  }
-  switch (cfg.mode) {
-    case DetectorMode::kHybrid:
-      return unordered &&
-             trace::locksets_disjoint(ej.locks_held, ei.locks_held);
-    case DetectorMode::kHbOnly:
-      return unordered;
-    case DetectorMode::kLocksetOnly:
-      break;  // handled above.
-  }
-  return false;
-}
-
-namespace {
-
-VariableVerdict pairwise_sweep_variable(const HbIndex& hb,
-                                        const RaceDetectorConfig& cfg,
-                                        trace::ObjId var,
-                                        const std::vector<std::size_t>& indices) {
-  VariableVerdict verdict;
-  verdict.var = var;
-  const bool capped = cfg.max_pairs_per_var != 0;
-  for (std::size_t a = 0; a < indices.size(); ++a) {
-    for (std::size_t b = a + 1; b < indices.size(); ++b) {
-      ++verdict.pairs_checked;
-      if (!accesses_racy_ordered(cfg, hb, indices[a], indices[b],
-                                 &verdict.epoch_hits)) {
-        continue;
-      }
-      verdict.concurrent = true;
-      verdict.pairs.push_back(ConcurrentPair{indices[a], indices[b],
-                                             hb.events()[indices[a]].tid,
-                                             hb.events()[indices[b]].tid});
-      if (capped && verdict.pairs.size() >= cfg.max_pairs_per_var) {
-        // The verdict is set and the pair budget is spent: no further
-        // comparison can change this variable's result.
-        return verdict;
-      }
-    }
-  }
-  return verdict;
-}
-
-VariableVerdict sweep_variable(const HbIndex& hb, const RaceDetectorConfig& cfg,
-                               trace::ObjId var,
-                               const std::vector<std::size_t>& indices) {
-  switch (cfg.algo) {
-    case DetectorAlgo::kPairwise:
-      return pairwise_sweep_variable(hb, cfg, var, indices);
-    case DetectorAlgo::kFrontier:
-      break;
-  }
-  return frontier_sweep_variable(hb, cfg, var, indices);
-}
-
-}  // namespace
-
 ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const {
-  // The HB pass: hybrid and lockset modes use strong edges only; the pure-HB
-  // ablation additionally treats release->acquire as ordering.
-  HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg_.mode == DetectorMode::kHbOnly);
   HbIndex hb = [&] {
     obs::Span span("detect.hb");
-    return HappensBeforeAnalysis(hb_cfg).run(std::move(events));
+    return HappensBeforeAnalysis(happens_before_config(cfg_.mode))
+        .run(std::move(events));
   }();
 
   obs::Span sweep_span("detect.sweep");
@@ -237,7 +158,7 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
 
   // One batched fold of the per-variable tallies into the registry.
   // `pruned` is the gap to the exhaustive k*(k-1)/2 enumeration — pairs the
-  // frontier structure or an early exit made it unnecessary to compare.
+  // frontier structure or saturation made it unnecessary to compare.
   std::size_t checked = 0;
   std::size_t found = 0;
   std::size_t exhaustive = 0;

@@ -30,31 +30,11 @@ enum class DetectorMode : std::uint8_t {
 
 const char* detector_mode_name(DetectorMode mode);
 
-/// How the per-variable concurrency verdict is computed.  Both algorithms
-/// produce identical `concurrent` flags in every DetectorMode (the frontier
-/// keeps, per thread, the maximal access of each (kind, lockset) class, which
-/// is sufficient: any racy partner has a still-frontier successor with the
-/// same lockset and kind that is also racy); they differ only in cost and in
-/// which representative pairs they report.
-enum class DetectorAlgo : std::uint8_t {
-  kFrontier,  ///< one seq-order sweep, O(events x frontier width) per var.
-  kPairwise,  ///< the original O(k^2) enumeration (cross-check / ablation).
-};
-
-const char* detector_algo_name(DetectorAlgo algo);
-
-/// How happens-before comparisons and retained stamps are represented
-/// (ISSUE-6).  Both engines produce identical verdicts in every mode — the
-/// epoch predicate is exact for the seq-ordered pairs the sweeps compare
-/// (see stamp.hpp for the lemma); they differ only in cost.
-enum class ClockEngine : std::uint8_t {
-  kEpoch,   ///< adaptive (tid, value) epochs; O(1) ordered-pair checks,
-            ///< records promote to interned full clocks only on concurrency.
-  kVector,  ///< full two-sided vector-clock compares and private full copies
-            ///< per record (the PR-1 baseline, kept for cross-checks).
-};
-
-const char* clock_engine_name(ClockEngine engine);
+/// The HB configuration a DetectorMode implies: hybrid and lockset modes
+/// use strong edges only; the pure-HB ablation also orders release->acquire.
+/// Every pipeline that replays HB for a detector (post-mortem, streaming,
+/// certificates) derives it here.
+HappensBeforeConfig happens_before_config(DetectorMode mode);
 
 /// One pair of accesses judged concurrent. Indices refer to HbIndex::events().
 struct ConcurrentPair {
@@ -68,9 +48,9 @@ struct VariableVerdict {
   trace::ObjId var = 0;
   bool concurrent = false;
   std::vector<ConcurrentPair> pairs;
-  /// Pairwise accesses_racy() evaluations this sweep actually performed —
-  /// the frontier algorithm and early exits make this far smaller than the
-  /// k*(k-1)/2 ceiling; the gap feeds `detect.pairs_pruned` (DESIGN.md §9).
+  /// Cross-thread candidate checks the frontier actually performed — far
+  /// fewer than the k*(k-1)/2 pairs of an exhaustive check; the gap feeds
+  /// `detect.pairs_pruned` (DESIGN.md §9).
   std::size_t pairs_checked = 0;
   /// Checks answered on the O(1) epoch path (feeds `clock.epoch_hits`).
   std::size_t epoch_hits = 0;
@@ -115,19 +95,10 @@ struct RaceDetectorConfig {
   /// Cap on reported pairs per variable (keeps quadratic scans bounded on
   /// adversarial traces; 0 = unlimited).
   std::size_t max_pairs_per_var = 64;
-  DetectorAlgo algo = DetectorAlgo::kFrontier;
   /// Worker threads for the per-variable sweeps (variables are independent
   /// after grouping).  0 = auto (hardware_concurrency); 1 = serial.  Small
   /// traces always run serially regardless (see kParallelAnalysisThreshold).
   std::size_t analysis_threads = 0;
-  /// Frontier only: per-thread ring of most recent accesses kept *besides*
-  /// the maximal (kind, lockset) entries, so superseded-but-racy accesses
-  /// (e.g. a probe followed by the same thread's receive) still surface as
-  /// reported pairs for the thread-safety matcher.  Does not affect the
-  /// `concurrent` verdict.
-  std::size_t frontier_history = 8;
-  /// Stamp representation and comparison strategy; verdict-equivalent.
-  ClockEngine clock = ClockEngine::kEpoch;
 };
 
 /// Per-variable sweeps with fewer accesses than this run serially even when
@@ -144,23 +115,5 @@ class RaceDetector {
  private:
   RaceDetectorConfig cfg_;
 };
-
-/// One pairwise racy-access predicate shared by both algorithms: different
-/// threads, at least one write, then the mode's concurrency test.  Order-
-/// agnostic; always uses full clock compares.
-bool accesses_racy(DetectorMode mode, const HbIndex& hb, std::size_t i,
-                   std::size_t j);
-
-/// The sweep-loop form of accesses_racy for a seq-ordered pair (`j` strictly
-/// before `i`), dispatching on the configured clock engine.  Under kEpoch
-/// the HB test is the O(1) epoch comparison stamp_j[tid_j] vs
-/// stamp_i[tid_j]: for a cross-thread ordered pair, i <= j is impossible
-/// (i's own component already exceeds j's view of it) and j <= i reduces to
-/// the epoch test, because j's stamp only propagates as a whole along sync
-/// edges after j's own bump.  `epoch_hits`, when non-null, counts checks
-/// answered on that path.
-bool accesses_racy_ordered(const RaceDetectorConfig& cfg, const HbIndex& hb,
-                           std::size_t j, std::size_t i,
-                           std::size_t* epoch_hits);
 
 }  // namespace home::detect

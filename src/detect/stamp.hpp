@@ -1,5 +1,5 @@
-// Adaptive HB stamps (ISSUE-6 tentpole): the FastTrack-style representation
-// that makes the clock engine O(1) on the totally-ordered common case.
+// Adaptive HB stamps: the FastTrack-style representation that makes the
+// clock engine O(1) on the totally-ordered common case.
 //
 // Every event stamp has two faces:
 //
@@ -10,11 +10,9 @@
 //     the clock is current.
 //
 //   * Stamp — the *retained* face: always carries the epoch, optionally a
-//     full immutable clock (ClockRef).  Under ClockEngine::kEpoch, records
-//     retain the 16-byte epoch only and promote to an interned full clock
-//     the first time they participate in true concurrency; under
-//     ClockEngine::kVector every stamp retains a private full copy (the
-//     PR-1 baseline representation, kept for cross-checks and ablation).
+//     full immutable clock (ClockRef).  Records retain the 16-byte epoch
+//     only and promote to an interned full clock the first time they
+//     participate in true concurrency.
 //
 // Why the epoch is enough (the FastTrack lemma, which holds here because
 // IncrementalHb bumps the issuing thread's component at *every* event and
@@ -60,10 +58,7 @@ class Stamp {
   /// Epoch-only retention: 16 bytes, no clock payload.
   static Stamp epoch(const StampView& v) { return Stamp(v.tid, v.value, nullptr); }
 
-  /// Private full copy (ClockEngine::kVector — the retained baseline).
-  static Stamp full_copy(const StampView& v);
-
-  /// Shared interned full clock (epoch-engine promotion on concurrency).
+  /// Shared interned full clock (promotion on concurrency).
   static Stamp interned(const StampView& v, ClockArena& arena) {
     return Stamp(v.tid, v.value, arena.intern(v.clock, v.size));
   }
@@ -119,10 +114,5 @@ class Stamp {
   std::uint64_t value_ = 0;
   ClockRef clock_;  ///< null => epoch-only.
 };
-
-/// Two-sided full-clock concurrency between a retained full stamp and the
-/// incoming view — the exact arithmetic of VectorClock::concurrent, kept as
-/// the kVector baseline predicate.
-bool stamp_concurrent_full(const Stamp& retained, const StampView& incoming);
 
 }  // namespace home::detect

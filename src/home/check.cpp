@@ -28,7 +28,6 @@ CheckResult check_program(const CheckConfig& cfg,
   result.run = universe.run(rank_main);
   session.detach(universe);
   result.report = session.analyze();
-  result.reconciliation = session.reconciliation();
   result.provenance = session.provenance();
   if (session.online_analyzer() != nullptr) {
     result.online_stats = session.online_analyzer()->stats();

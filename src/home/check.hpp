@@ -27,9 +27,6 @@ struct CheckConfig {
 struct CheckResult {
   Report report;
   simmpi::RunResult run;
-  /// Online-vs-post-mortem cross-check (ran only in AnalysisMode::kOnline
-  /// with reconciliation enabled).
-  Reconciliation reconciliation;
   /// Streaming-engine statistics (meaningful only in AnalysisMode::kOnline).
   online::OnlineStats online_stats;
   /// Explanation certificates (empty unless session.diagnose.enabled).

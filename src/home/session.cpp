@@ -1,6 +1,5 @@
 #include "src/home/session.hpp"
 
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -18,18 +17,8 @@ detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg) {
   detect::RaceDetectorConfig dcfg;
   dcfg.mode = cfg.detector;
   dcfg.max_pairs_per_var = cfg.max_pairs_per_var;
-  dcfg.algo = cfg.detector_algo;
   dcfg.analysis_threads = cfg.analysis_threads;
-  dcfg.clock = cfg.clock_engine;
   return dcfg;
-}
-
-detect::HappensBeforeConfig diagnose_hb_config(const SessionConfig& cfg) {
-  // Mirrors RaceDetector::analyze: only the pure-HB ablation treats
-  // release->acquire as an ordering edge.
-  detect::HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg.detector == detect::DetectorMode::kHbOnly);
-  return hb_cfg;
 }
 
 Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
@@ -182,7 +171,7 @@ Report Session::analyze() {
     const explore::Schedule schedule = recorded_schedule();
     provenance_ = diagnose::diagnose_violations(
         concurrency.hb(), violations, &log_.strings(),
-        diagnose_hb_config(cfg_), cfg_.diagnose,
+        detect::happens_before_config(cfg_.detector), cfg_.diagnose,
         explorer_ ? &schedule : nullptr);
   }
 
@@ -236,61 +225,33 @@ Report Session::analyze_online() {
   const std::vector<online::ShedWindow> shed = analyzer_->shed_windows();
   std::vector<std::string> degraded_reasons;
 
-  // Both reconciliation and online provenance ride the same post-mortem
-  // pass over the retained trace (certificates need a full HB index, which
-  // the streaming engine retires incrementally).  Shed recovery rides it
-  // too: the shard append is independent of the analyzer's queue, so the
-  // retained trace holds the shed events and the pass over it is exact.
-  if ((cfg_.online.reconcile || cfg_.diagnose.enabled || !shed.empty()) &&
-      cfg_.online.retain_trace) {
+  // Online provenance needs a post-mortem pass over the retained trace
+  // (certificates need a full HB index, which the streaming engine retires
+  // incrementally).  Shed recovery rides the same pass: the shard append is
+  // independent of the analyzer's queue, so the retained trace holds the
+  // shed events and the pass over it is exact.
+  if ((cfg_.diagnose.enabled || !shed.empty()) && cfg_.online.retain_trace) {
     detect::RaceDetector detector(make_detector_config(cfg_));
     detect::ConcurrencyReport concurrency =
         detector.analyze(log_.sorted_events());
     spec::Matcher matcher(&log_.strings());
     std::vector<spec::Violation> post_mortem = matcher.match(concurrency);
 
-    if (cfg_.online.reconcile) {
-      // Cross-check: the post-mortem pipeline over the very same trace must
-      // agree with the streamed verdicts (violation_key identity).
-      std::set<std::string> online_keys;
-      for (const spec::Violation& v : violations) {
-        online_keys.insert(spec::violation_key(v));
-      }
-      std::set<std::string> post_keys;
-      for (const spec::Violation& v : post_mortem) {
-        post_keys.insert(spec::violation_key(v));
-      }
-      reconciliation_ = Reconciliation{};
-      reconciliation_.ran = true;
-      for (const std::string& k : online_keys) {
-        if (post_keys.count(k) == 0) reconciliation_.online_only.push_back(k);
-      }
-      for (const std::string& k : post_keys) {
-        if (online_keys.count(k) == 0) {
-          reconciliation_.post_mortem_only.push_back(k);
-        }
-      }
-      reconciliation_.equivalent = reconciliation_.online_only.empty() &&
-                                   reconciliation_.post_mortem_only.empty();
-    }
-
     if (cfg_.diagnose.enabled) {
-      // Diagnose the post-mortem violation list: keys agree with the online
-      // verdicts under reconciliation, and these records carry the call seqs
-      // the certificates anchor to.
+      // Diagnose the post-mortem violation list: its keys equal the online
+      // verdicts', and these records carry the call seqs the certificates
+      // anchor to.
       const explore::Schedule schedule = recorded_schedule();
       provenance_ = diagnose::diagnose_violations(
           concurrency.hb(), post_mortem, &log_.strings(),
-          diagnose_hb_config(cfg_), cfg_.diagnose,
+          detect::happens_before_config(cfg_.detector), cfg_.diagnose,
           explorer_ ? &schedule : nullptr);
     }
 
     if (!shed.empty()) {
       // Recovery: adopt the post-mortem verdicts — computed over the
       // complete retained trace, they cover the shed windows exactly, so
-      // the report stays kExact.  (Reconciliation above intentionally
-      // compared the *online* list; its post_mortem_only entries show what
-      // shedding cost the streaming engine.)
+      // the report stays kExact.
       violations = std::move(post_mortem);
     }
   } else if (!shed.empty() && wal_) {

@@ -42,24 +42,12 @@ struct OnlineOptions {
   online::BackpressurePolicy backpressure = online::BackpressurePolicy::kBlock;
   /// Events between epoch-retirement sweeps; 0 disables retirement.
   std::size_t retire_interval = 1024;
-  /// Keep the trace in the log alongside streaming (needed for end-of-run
-  /// reconciliation and save_trace; turn off for unbounded runs).
+  /// Keep the trace in the log alongside streaming (needed for diagnosis,
+  /// exact shed recovery and save_trace; turn off for unbounded runs).
   bool retain_trace = true;
-  /// Cross-check online verdicts against the post-mortem pipeline at
-  /// analyze() time (requires retain_trace).
-  bool reconcile = true;
   std::size_t max_live_reports_per_type = 16;
   /// Live first-occurrence reports, invoked on the analysis thread.
   std::function<void(const spec::Violation&)> on_violation;
-};
-
-/// Outcome of the online-vs-post-mortem cross-check.
-struct Reconciliation {
-  bool ran = false;
-  /// Same violation-key set on both sides.
-  bool equivalent = false;
-  std::vector<std::string> online_only;
-  std::vector<std::string> post_mortem_only;
 };
 
 /// Seeded fault injection (off by default).  When enabled the session
@@ -84,14 +72,9 @@ struct SessionConfig {
   /// Model cross-rank send->recv pairs as happens-before edges.
   bool message_edges = true;
   std::size_t max_pairs_per_var = 64;
-  /// Per-variable sweep algorithm (frontier is the near-linear default;
-  /// pairwise kept for cross-checking and the ablation benches).
-  detect::DetectorAlgo detector_algo = detect::DetectorAlgo::kFrontier;
   /// Worker threads for the per-variable analysis; 0 = auto
   /// (hardware_concurrency), 1 = serial.
   std::size_t analysis_threads = 0;
-  /// Stamp representation (epoch default; vector kept for cross-checks).
-  detect::ClockEngine clock_engine = detect::ClockEngine::kEpoch;
   /// Post-mortem (default) or streaming detection during the run.
   AnalysisMode mode = AnalysisMode::kPostMortem;
   OnlineOptions online;
@@ -109,10 +92,6 @@ struct SessionConfig {
   /// leaves a salvageable trace (analyze_wal_file).  Empty = no WAL.
   std::string wal_path;
 };
-
-/// The HB configuration the detector's pipeline uses for a SessionConfig —
-/// certificate construction and verification must mirror it exactly.
-detect::HappensBeforeConfig diagnose_hb_config(const SessionConfig& cfg);
 
 /// The detector knobs a SessionConfig implies (shared by the live and the
 /// offline analysis paths).
@@ -135,13 +114,9 @@ class Session {
 
   /// Produce the violation report.  Post-mortem mode runs the offline
   /// pipeline (race detection over the monitored variables, then matching);
-  /// online mode drains the streaming analyzer and, when configured,
-  /// reconciles its verdicts against a post-mortem pass over the same trace.
+  /// online mode drains the streaming analyzer, and runs a post-mortem pass
+  /// over the retained trace only when diagnosis or shed recovery needs one.
   Report analyze();
-
-  /// Result of the online-vs-post-mortem cross-check (ran=false unless
-  /// analyze() executed in online mode with reconcile+retain_trace).
-  const Reconciliation& reconciliation() const { return reconciliation_; }
 
   /// Explanation certificates for the last analyze() (empty unless
   /// config().diagnose.enabled; online mode needs retain_trace).
@@ -201,7 +176,6 @@ class Session {
   std::unique_ptr<trace::WalWriter> wal_;
   /// Fans the log's single sink slot out to {wal_, analyzer_} when both run.
   trace::TeeSink tee_;
-  Reconciliation reconciliation_;
   diagnose::ProvenanceReport provenance_;
   bool attached_ = false;
 };

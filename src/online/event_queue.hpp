@@ -11,7 +11,8 @@
 //     investigations can tell backpressure stalls from analysis cost.
 //   * kDropNewest — the incoming event is discarded and counted.  Keeps the
 //     application unthrottled at the cost of completeness (online verdicts
-//     become a subset); reconciliation reports the gap.
+//     become a subset); the shed windows report the gap, and Session
+//     recovers it from the retained trace or the WAL.
 //
 // Drops are accounted by cause: `capacity` (kDropNewest on a full queue) vs
 // `shutdown` (push after close(), any policy).  The split is mirrored into

@@ -33,7 +33,6 @@ struct AnalyzerMetrics {
       obs::Registry::global().counter("clock.epoch_hits");
   obs::Counter& promotions =
       obs::Registry::global().counter("clock.epoch_promotions");
-  obs::Counter& allocs = obs::Registry::global().counter("clock.allocs");
   obs::Gauge& clock_bytes =
       obs::Registry::global().gauge("clock.resident_bytes");
 };
@@ -41,15 +40,6 @@ struct AnalyzerMetrics {
 AnalyzerMetrics& analyzer_metrics() {
   static AnalyzerMetrics m;
   return m;
-}
-
-detect::HappensBeforeConfig hb_config_for(const detect::RaceDetectorConfig& d) {
-  // Mirror RaceDetector::analyze: lock edges only under the pure-HB
-  // ablation; message edges always modeled (emission is gated upstream).
-  detect::HappensBeforeConfig hb;
-  hb.lock_edges = (d.mode == detect::DetectorMode::kHbOnly);
-  hb.message_edges = true;
-  return hb;
 }
 
 }  // namespace
@@ -61,12 +51,10 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
       registry_(registry),
       queue_(cfg_.queue_capacity, cfg_.backpressure),
       stream_(cfg_.stream),
-      hb_(hb_config_for(cfg_.detector)),
+      hb_(detect::happens_before_config(cfg_.detector.mode)),
       frontier_(cfg_.detector),
-      matcher_(
-          strings,
-          [this](spec::Violation&& v) { stream_.offer(std::move(v)); },
-          cfg_.detector.clock) {
+      matcher_(strings,
+               [this](spec::Violation&& v) { stream_.offer(std::move(v)); }) {
   worker_ = std::thread([this] { run(); });
 }
 
@@ -147,8 +135,7 @@ void OnlineAnalyzer::process(const trace::Event& e) {
       if (it != calls_pending_.end()) rec->call = it->second;
     }
     hits_.clear();
-    // The frontier fills rec->stamp per the configured clock engine (epoch
-    // with promotion-on-concurrency, or the baseline full copy).
+    // The frontier fills rec->stamp (an epoch, promoted once racy).
     frontier_.on_access(e.obj, std::move(rec), stamp, &hits_);
     if (!hits_.empty() && spec::is_monitored_var(e.obj)) {
       for (const auto& hit : hits_) {
@@ -214,14 +201,11 @@ void OnlineAnalyzer::checkpoint() {
 void OnlineAnalyzer::fold_clock_counters() {
   const std::size_t hits = frontier_.epoch_hits();
   const std::size_t promos = frontier_.epoch_promotions();
-  const std::size_t allocs = frontier_.clock_allocs() + matcher_.clock_allocs();
   AnalyzerMetrics& m = analyzer_metrics();
   if (hits > folded_epoch_hits_) m.epoch_hits.add(hits - folded_epoch_hits_);
   if (promos > folded_promotions_) m.promotions.add(promos - folded_promotions_);
-  if (allocs > folded_allocs_) m.allocs.add(allocs - folded_allocs_);
   folded_epoch_hits_ = hits;
   folded_promotions_ = promos;
-  folded_allocs_ = allocs;
 }
 
 void OnlineAnalyzer::finish() {
@@ -240,12 +224,12 @@ void OnlineAnalyzer::finish() {
   stats_.peak_clock_bytes = std::max(stats_.peak_clock_bytes, clock_bytes);
   stats_.epoch_hits = frontier_.epoch_hits();
   stats_.epoch_promotions = frontier_.epoch_promotions();
-  for (const auto& [var, meta] : frontier_.meta()) {
-    if (!spec::is_monitored_var(var)) continue;
+  frontier_.for_each_var([this](trace::ObjId var, const auto& f) {
+    if (!spec::is_monitored_var(var)) return;
     ++stats_.monitored_variables;
-    if (meta.concurrent) ++stats_.concurrent_variables;
-    stats_.concurrent_pairs += meta.pairs;
-  }
+    if (f.concurrent()) ++stats_.concurrent_variables;
+    stats_.concurrent_pairs += f.pairs();
+  });
 }
 
 std::vector<spec::Violation> OnlineAnalyzer::violations() {
@@ -286,8 +270,7 @@ std::size_t OnlineAnalyzer::resident_state() const {
 }
 
 std::size_t OnlineAnalyzer::resident_clock_bytes() const {
-  return frontier_.resident_clock_bytes() + hb_.resident_clock_bytes() +
-         matcher_.resident_clock_bytes();
+  return frontier_.resident_clock_bytes() + hb_.resident_clock_bytes();
 }
 
 }  // namespace home::online

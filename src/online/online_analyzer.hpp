@@ -25,9 +25,10 @@
 //
 // Equivalence: with kBlock backpressure the analyzer processes exactly the
 // events the post-mortem pipeline would read from the log, in the same
-// order, through the same clock updates, the same frontier sweep logic, and
-// the same rule builders — so the final violation-key set matches the
-// post-mortem report's (Session::analyze reconciles the two when asked).
+// order, through the same clock updates, the same frontier type, and the
+// same rule builders — so the final violation-key set matches the
+// post-mortem report's (tests/online_equivalence_test.cpp compares the two
+// over one run's retained trace).
 #pragma once
 
 #include <cstddef>
@@ -49,8 +50,8 @@
 namespace home::online {
 
 struct OnlineConfig {
-  /// Detection knobs (mode, pair budget, frontier history) — give the online
-  /// engine the same RaceDetectorConfig the post-mortem detector would use.
+  /// Detection knobs (mode, pair budget) — give the online engine the same
+  /// RaceDetectorConfig the post-mortem detector would use.
   detect::RaceDetectorConfig detector;
   std::size_t queue_capacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -87,13 +88,12 @@ struct OnlineStats {
   std::size_t peak_resident = 0;
   std::size_t final_resident = 0;
   /// Heap bytes pinned by retained clock payloads (frontier records +
-  /// matcher calls + thread/sync clocks), sampled like peak_resident.  The
-  /// headline metric of the epoch clock engine: epoch-only records pin no
-  /// clock bytes at all.
+  /// thread/sync clocks), sampled like peak_resident.  The headline metric
+  /// of the epoch clock engine: epoch-only records pin no clock bytes.
   std::size_t peak_clock_bytes = 0;
   std::size_t final_clock_bytes = 0;
-  /// Clock-engine tallies (kEpoch): O(1)-path comparisons and records
-  /// promoted to full clocks on true concurrency.
+  /// Clock-engine tallies: O(1)-path comparisons and records promoted to
+  /// full clocks on true concurrency.
   std::size_t epoch_hits = 0;
   std::size_t epoch_promotions = 0;
   std::size_t monitored_variables = 0;
@@ -168,7 +168,6 @@ class OnlineAnalyzer : public trace::EventSink {
   /// hot loops never touch an atomic).
   std::size_t folded_epoch_hits_ = 0;
   std::size_t folded_promotions_ = 0;
-  std::size_t folded_allocs_ = 0;
 
   mutable std::mutex stats_mu_;
   OnlineStats stats_;

@@ -36,17 +36,6 @@ void OnlineMatcher::on_region_begin(const Event& e) {
   check_single(rs, e.rank);
 }
 
-detect::Stamp OnlineMatcher::retain(const detect::StampView& view) {
-  if (clock_ == detect::ClockEngine::kEpoch) {
-    // Exact for every stamp use here: finalizes compare against *earlier*
-    // calls (the epoch lemma applies) and retirement compares against the
-    // watermark meet — so 16 bytes per retained call suffice.
-    return detect::Stamp::epoch(view);
-  }
-  ++clock_allocs_;
-  return detect::Stamp::full_copy(view);
-}
-
 void OnlineMatcher::on_call(const std::shared_ptr<const trace::Event>& call,
                             const detect::StampView& stamp) {
   const Event& e = *call;
@@ -88,7 +77,7 @@ void OnlineMatcher::on_call(const std::shared_ptr<const trace::Event>& call,
         emit(rules::finalize_unordered(e, *c.ev, strings_));
       }
     }
-    rs.finalizes.push_back(LiveCall{call, retain(stamp)});
+    rs.finalizes.push_back(LiveCall{call, detect::Stamp::epoch(stamp)});
     return;
   }
 
@@ -102,7 +91,7 @@ void OnlineMatcher::on_call(const std::shared_ptr<const trace::Event>& call,
       emit(rules::finalize_unordered(*f.ev, e, strings_));
     }
   }
-  rs.live_calls.push_back(LiveCall{call, retain(stamp)});
+  rs.live_calls.push_back(LiveCall{call, detect::Stamp::epoch(stamp)});
 }
 
 void OnlineMatcher::on_concurrent_pair(trace::ObjId var,
@@ -163,16 +152,6 @@ std::size_t OnlineMatcher::resident_calls() const {
     (void)rank;
     n += rs.live_calls.size() + rs.finalizes.size() +
          rs.pre_init_off_main.size();
-  }
-  return n;
-}
-
-std::size_t OnlineMatcher::resident_clock_bytes() const {
-  std::size_t n = 0;
-  for (const auto& [rank, rs] : ranks_) {
-    (void)rank;
-    for (const LiveCall& c : rs.live_calls) n += c.stamp.clock_bytes();
-    for (const LiveCall& c : rs.finalizes) n += c.stamp.clock_bytes();
   }
   return n;
 }

@@ -14,10 +14,8 @@
 //     "concurrent(fin, call) || ordered(fin, call)" is exactly
 //     "!stamp(call).leq(stamp(fin))" for distinct events), and every later
 //     call of the rank fires against the retained finalizes.  Retained call
-//     stamps follow the configured clock engine: 16-byte epochs under
-//     ClockEngine::kEpoch (the finalize is always stamped later, which makes
-//     the epoch test exact — stamp.hpp) or private full copies under
-//     ClockEngine::kVector.
+//     stamps are 16-byte epochs: the finalize is always stamped later, which
+//     makes the epoch test exact (stamp.hpp).
 //   * V3–V6 — driven by the incremental frontier's concurrent pairs; the
 //     linked call events ride on the OnlineAccess records.
 //
@@ -53,9 +51,8 @@ class OnlineMatcher {
  public:
   using Sink = std::function<void(Violation&&)>;
 
-  OnlineMatcher(const trace::StringTable* strings, Sink sink,
-                detect::ClockEngine clock = detect::ClockEngine::kEpoch)
-      : strings_(strings), sink_(std::move(sink)), clock_(clock) {}
+  OnlineMatcher(const trace::StringTable* strings, Sink sink)
+      : strings_(strings), sink_(std::move(sink)) {}
 
   /// A kRegionBegin event (parallel-region premise of V1/SINGLE).
   void on_region_begin(const trace::Event& e);
@@ -75,13 +72,6 @@ class OnlineMatcher {
 
   /// Retained call records (live calls + finalizes + pre-init buffer).
   std::size_t resident_calls() const;
-
-  /// Heap bytes pinned by retained call stamps (epoch-only stamps pin none).
-  std::size_t resident_clock_bytes() const;
-
-  /// Cumulative private full-clock copies made (ClockEngine::kVector only);
-  /// the analyzer folds deltas into `clock.allocs` at checkpoints.
-  std::size_t clock_allocs() const { return clock_allocs_; }
 
   const MatcherStats& stats() const { return stats_; }
 
@@ -114,14 +104,10 @@ class OnlineMatcher {
   void check_funneled(RankState& rs,
                       const std::shared_ptr<const trace::Event>& call);
 
-  detect::Stamp retain(const detect::StampView& view);
-
   const trace::StringTable* strings_;
   Sink sink_;
-  detect::ClockEngine clock_;
   std::map<int, RankState> ranks_;
   MatcherStats stats_;
-  std::size_t clock_allocs_ = 0;
   std::vector<Violation> scratch_;
 };
 

@@ -5,7 +5,8 @@
 // machinery (HbIndex sweeps vs incremental clocks); the rules here own the
 // MPI-argument predicates and produce the Violation records, so the two
 // engines can never drift apart on what a violation looks like — the
-// end-of-run reconciliation (Session::reconcile) depends on that.
+// online-vs-post-mortem key equality (tests/online_equivalence_test.cpp)
+// depends on that.
 #pragma once
 
 #include <cstddef>

@@ -1,20 +1,22 @@
-// Clock-engine equivalence (ISSUE-6 acceptance): the epoch engine and the
-// retained full-vector engine must be *verdict-equivalent* everywhere —
-//  * post-mortem: identical per-variable verdicts AND identical reported
-//    pair lists across all DetectorModes, both sweep algorithms, capped and
-//    uncapped, on seeded random traces,
-//  * online: identical streamed pair sequences at every retirement cadence,
-//    and identical end-to-end violation-key sets through the OnlineAnalyzer,
+// Clock-engine equivalence: the epoch engine must be verdict-equivalent to
+// full vector clocks everywhere, judged by the independent pairwise oracle
+// (tests/oracle/, its own dense vector-clock replay) —
+//  * post-mortem: the O(1) epoch test answers exactly what a full two-sided
+//    clock compare answers on every seq-ordered cross-thread access pair,
+//    and the engine's verdicts and reported pairs agree with the oracle in
+//    every DetectorMode, capped and uncapped,
+//  * streaming: at every retirement cadence the streamed verdicts equal the
+//    oracle's and every streamed pair is racy by its judgment; with
+//    retirement off the streamed epoch tally equals the post-mortem one,
+//  * end to end: an online run's violation keys equal a post-mortem pass
+//    over the trace the same run retained,
 //  * the supporting structures behave: FlatMap matches std::map under a
 //    randomized op sequence, and ClockArena dedupes content-equal clocks
 //    (trailing-zero padding included) and compacts unreferenced entries.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,151 +27,66 @@
 #include "src/detect/race_detector.hpp"
 #include "src/detect/stamp.hpp"
 #include "src/home/check.hpp"
-#include "src/spec/violations.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracle/fixtures.hpp"
+#include "tests/oracle/pairwise_oracle.hpp"
 
 namespace home::detect {
 namespace {
 
+using oracle::PairwiseOracle;
+using oracle::random_trace;
 using trace::Event;
 using trace::EventKind;
 
-// ------------------------------------------------------ random trace builder
+// The clock suites draw their traces from their own seed range so they do
+// not repeat detect_equivalence_test's.
+constexpr std::uint64_t kPostMortemSeeds = 1000;
+constexpr std::uint64_t kStreamingSeeds = 2000;
 
-/// Same shape as detect_equivalence_test's builder: threads interleave
-/// accesses on a small variable pool under locks, with barriers and
-/// cross-rank message edges — enough sync-edge variety to exercise every
-/// IncrementalHb path the epoch lemma relies on.
-std::vector<Event> random_trace(std::uint64_t seed) {
-  util::Rng rng(seed * 0xD1B54A32D192ED03ULL + 29);
-  const int threads = 2 + static_cast<int>(rng.next_below(4));   // 2..5
-  const int vars = 3 + static_cast<int>(rng.next_below(6));      // 3..8
-  const int locks = 1 + static_cast<int>(rng.next_below(3));     // 1..3
-  const int steps = 200 + static_cast<int>(rng.next_below(600));
-
-  std::vector<std::vector<trace::ObjId>> held(
-      static_cast<std::size_t>(threads));
-  std::vector<Event> events;
-  trace::Seq seq = 1;
-  trace::ObjId next_msg = 7000;
-  std::vector<trace::ObjId> in_flight;
-
-  auto emit = [&](trace::Tid tid, EventKind kind, trace::ObjId obj,
-                  std::uint64_t aux = 0) {
-    Event e;
-    e.seq = seq++;
-    e.tid = tid;
-    e.kind = kind;
-    e.obj = obj;
-    e.aux = aux;
-    e.locks_held = held[static_cast<std::size_t>(tid)];
-    std::sort(e.locks_held.begin(), e.locks_held.end());
-    events.push_back(std::move(e));
-  };
-
-  for (int step = 0; step < steps; ++step) {
-    const auto tid = static_cast<trace::Tid>(
-        rng.next_below(static_cast<std::uint64_t>(threads)));
-    auto& mine = held[static_cast<std::size_t>(tid)];
-    const std::uint64_t roll = rng.next_below(100);
-    if (roll < 55) {
-      const trace::ObjId var =
-          100 + rng.next_below(static_cast<std::uint64_t>(vars));
-      emit(tid,
-           rng.next_bool(0.6) ? EventKind::kMemWrite : EventKind::kMemRead,
-           var);
-    } else if (roll < 70) {
-      const trace::ObjId lock =
-          500 + rng.next_below(static_cast<std::uint64_t>(locks));
-      if (std::find(mine.begin(), mine.end(), lock) == mine.end()) {
-        emit(tid, EventKind::kLockAcquire, lock);
-        mine.push_back(lock);
-      }
-    } else if (roll < 85) {
-      if (!mine.empty()) {
-        const std::size_t pick = rng.next_below(mine.size());
-        const trace::ObjId lock = mine[pick];
-        mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kLockRelease, lock);
-      }
-    } else if (roll < 92) {
-      if (rng.next_bool(0.5) || in_flight.empty()) {
-        const trace::ObjId msg = next_msg++;
-        emit(tid, EventKind::kMsgSend, msg);
-        in_flight.push_back(msg);
-      } else {
-        const std::size_t pick = rng.next_below(in_flight.size());
-        const trace::ObjId msg = in_flight[pick];
-        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kMsgRecv, msg);
-      }
-    } else if (roll < 97) {
-      const trace::ObjId barrier = 9000 + static_cast<trace::ObjId>(step);
-      for (trace::Tid t = 0; t < threads; ++t) {
-        emit(t, EventKind::kBarrier, barrier,
-             static_cast<std::uint64_t>(threads));
-      }
-    }
-  }
-  return events;
-}
-
-int max_tid(const std::vector<Event>& events) {
-  int m = 0;
-  for (const Event& e : events) m = std::max(m, static_cast<int>(e.tid));
-  return m;
-}
-
-// ----------------------------------------------- post-mortem pair equality
-
-using SeqPair = std::pair<trace::Seq, trace::Seq>;
-
-std::map<trace::ObjId, std::vector<SeqPair>> report_pairs(
-    const ConcurrencyReport& report) {
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    auto& pairs = out[var];
-    for (const ConcurrentPair& p : verdict.pairs) {
-      pairs.emplace_back(report.hb().events()[p.first].seq,
-                         report.hb().events()[p.second].seq);
-    }
-  }
-  return out;
-}
+// ------------------------------------------ post-mortem epoch == oracle
 
 class ClockEngineEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClockEngineEquivalence, PostMortemVerdictsAndPairsMatch) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::uint64_t seed =
+      kPostMortemSeeds + static_cast<std::uint64_t>(GetParam());
   const std::vector<Event> events = random_trace(seed);
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
         DetectorMode::kHbOnly}) {
-    for (const DetectorAlgo algo :
-         {DetectorAlgo::kFrontier, DetectorAlgo::kPairwise}) {
-      for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
-        RaceDetectorConfig epoch;
-        epoch.mode = mode;
-        epoch.algo = algo;
-        epoch.max_pairs_per_var = cap;
-        epoch.analysis_threads = 1;
-        epoch.clock = ClockEngine::kEpoch;
-        RaceDetectorConfig vector = epoch;
-        vector.clock = ClockEngine::kVector;
-
-        const ConcurrencyReport er = RaceDetector(epoch).analyze(events);
-        const ConcurrencyReport vr = RaceDetector(vector).analyze(events);
-        // Identical pair lists implies identical verdicts, pair budgets, and
-        // representative choices — the engines must be indistinguishable to
-        // every downstream consumer.
-        EXPECT_EQ(report_pairs(er), report_pairs(vr))
-            << "mode=" << detector_mode_name(mode)
-            << " algo=" << detector_algo_name(algo) << " cap=" << cap
-            << " seed=" << seed;
-        for (const auto& [var, verdict] : er.verdicts()) {
-          const VariableVerdict* other = vr.verdict(var);
-          ASSERT_NE(other, nullptr);
-          EXPECT_EQ(verdict.concurrent, other->concurrent) << "var=" << var;
+    const PairwiseOracle oracle(events, oracle::oracle_mode(mode));
+    // The epoch lemma, pair by pair: for j before i on another thread, the
+    // engine's one-component test equals the oracle's full compare.
+    const HbIndex hb =
+        HappensBeforeAnalysis(happens_before_config(mode)).run(events);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        const trace::Tid tj = events[j].tid;
+        if (tj == events[i].tid) continue;
+        ASSERT_FALSE(oracle.ordered(i, j)) << "seed=" << seed;
+        ASSERT_EQ(hb.stamp_get(j, tj) <= hb.stamp_get(i, tj),
+                  oracle.ordered(j, i))
+            << "mode=" << detector_mode_name(mode) << " seed=" << seed
+            << " pair=(" << j << "," << i << ")";
+      }
+    }
+    for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
+      RaceDetectorConfig cfg;
+      cfg.mode = mode;
+      cfg.max_pairs_per_var = cap;
+      cfg.analysis_threads = 1;
+      const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+      EXPECT_EQ(oracle::engine_verdicts(report), oracle.verdicts())
+          << "mode=" << detector_mode_name(mode) << " cap=" << cap
+          << " seed=" << seed;
+      for (const auto& [var, verdict] : report.verdicts()) {
+        if (cap != 0) {
+          EXPECT_LE(verdict.pairs.size(), cap);
+        }
+        for (const ConcurrentPair& p : verdict.pairs) {
+          EXPECT_TRUE(oracle.racy(p.first, p.second))
+              << "mode=" << detector_mode_name(mode) << " var=" << var;
         }
       }
     }
@@ -179,66 +96,39 @@ TEST_P(ClockEngineEquivalence, PostMortemVerdictsAndPairsMatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClockEngineEquivalence,
                          ::testing::Range(0, 60));
 
-// --------------------------------------------------- streamed pair equality
-
-std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
-    const std::vector<Event>& events, const RaceDetectorConfig& cfg,
-    std::size_t retire_every) {
-  HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg.mode == DetectorMode::kHbOnly);
-  IncrementalHb hb(hb_cfg);
-  for (int t = 0; t <= max_tid(events); ++t) {
-    hb.declare_thread(static_cast<trace::Tid>(t));
-  }
-  IncrementalFrontier frontier(cfg);
-
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  std::vector<IncrementalFrontier::PairHit> hits;
-  std::size_t since_retire = 0;
-  for (const Event& e : events) {
-    const StampView stamp = hb.advance(e);
-    if (e.is_access()) {
-      auto rec = std::make_shared<OnlineAccess>();
-      rec->seq = e.seq;
-      rec->tid = e.tid;
-      rec->write = e.is_write();
-      rec->locks = e.locks_held;
-      hits.clear();
-      frontier.on_access(e.obj, std::move(rec), stamp, &hits);
-      auto& pairs = out[e.obj];
-      for (const auto& hit : hits) {
-        pairs.emplace_back(hit.first->seq, hit.second->seq);
-      }
-    }
-    if (retire_every != 0 && ++since_retire >= retire_every) {
-      since_retire = 0;
-      VectorClock wm;
-      if (hb.watermark(&wm)) {
-        frontier.retire(wm);
-        hb.retire(wm);
-      }
-    }
-  }
-  return out;
-}
+// ------------------------------------------------ streaming epoch == oracle
 
 class ClockEngineStreaming : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClockEngineStreaming, StreamedPairsMatchAtEveryRetireCadence) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::uint64_t seed =
+      kStreamingSeeds + static_cast<std::uint64_t>(GetParam());
   const std::vector<Event> events = random_trace(seed);
   for (const DetectorMode mode :
        {DetectorMode::kHybrid, DetectorMode::kHbOnly}) {
-    RaceDetectorConfig epoch;
-    epoch.mode = mode;
-    epoch.analysis_threads = 1;
-    epoch.clock = ClockEngine::kEpoch;
-    RaceDetectorConfig vector = epoch;
-    vector.clock = ClockEngine::kVector;
+    const PairwiseOracle oracle(events, oracle::oracle_mode(mode));
+    const std::map<trace::ObjId, bool> expected = oracle.verdicts();
+    std::map<trace::Seq, std::size_t> index_of;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      index_of[events[i].seq] = i;
+    }
+    RaceDetectorConfig cfg;
+    cfg.mode = mode;
     for (const std::size_t cadence :
          {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-      EXPECT_EQ(streamed_pairs(events, epoch, cadence),
-                streamed_pairs(events, vector, cadence))
+      const oracle::PairsByVar streamed =
+          oracle::streamed_pairs(events, cfg, cadence);
+      // A variable is concurrent iff it reported a pair (the budget always
+      // admits the first one).
+      std::map<trace::ObjId, bool> got;
+      for (const auto& [var, pairs] : streamed) {
+        got[var] = !pairs.empty();
+        for (const oracle::SeqPair& p : pairs) {
+          EXPECT_TRUE(oracle.racy(index_of.at(p.first), index_of.at(p.second)))
+              << "var=" << var << " cadence=" << cadence << " seed=" << seed;
+        }
+      }
+      EXPECT_EQ(got, expected)
           << "mode=" << detector_mode_name(mode) << " cadence=" << cadence
           << " seed=" << seed;
     }
@@ -247,15 +137,36 @@ TEST_P(ClockEngineStreaming, StreamedPairsMatchAtEveryRetireCadence) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClockEngineStreaming, ::testing::Range(0, 24));
 
+TEST(ClockEngineStreaming, EpochHitTallyMatchesPostMortem) {
+  // One definition of `clock.epoch_hits`: with retirement off the streamed
+  // frontier performs exactly the post-mortem sweep's epoch tests.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const std::vector<Event> events = random_trace(seed);
+    for (const DetectorMode mode :
+         {DetectorMode::kHybrid, DetectorMode::kHbOnly}) {
+      RaceDetectorConfig cfg;
+      cfg.mode = mode;
+      cfg.analysis_threads = 1;
+      const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+      std::size_t post_mortem = 0;
+      for (const auto& [var, verdict] : report.verdicts()) {
+        post_mortem += verdict.epoch_hits;
+      }
+      std::size_t streamed = 0;
+      oracle::streamed_pairs(events, cfg, 0, &streamed);
+      EXPECT_EQ(streamed, post_mortem)
+          << "mode=" << detector_mode_name(mode) << " seed=" << seed;
+      EXPECT_GT(streamed, 0u);
+    }
+  }
+}
+
 TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
   // A racy trace: promotions happen, but only for records that proved racy;
   // epoch-path comparisons dominate.
   const std::vector<Event> events = random_trace(7);
   RaceDetectorConfig cfg;
-  cfg.analysis_threads = 1;
-  cfg.clock = ClockEngine::kEpoch;
-  HappensBeforeConfig hb_cfg;
-  IncrementalHb hb(hb_cfg);
+  IncrementalHb hb;
   IncrementalFrontier frontier(cfg);
   std::vector<IncrementalFrontier::PairHit> hits;
   std::size_t pairs = 0;
@@ -280,48 +191,30 @@ TEST(ClockEngineStreaming, EpochRecordsPromoteOnlyOnConcurrency) {
   EXPECT_GT(frontier.epoch_promotions(), 0u);
   // Promotions are bounded by racy records, never the whole stream.
   EXPECT_LE(frontier.epoch_promotions(), pairs);
-  EXPECT_EQ(frontier.clock_allocs(), 0u);  // no private copies under kEpoch.
 }
 
 // -------------------------------------------- end-to-end online equivalence
 
-std::set<std::string> key_set(const Report& report) {
-  std::set<std::string> keys;
-  for (const spec::Violation& v : report.violations()) {
-    keys.insert(spec::violation_key(v));
-  }
-  return keys;
-}
-
 TEST(ClockEngineOnline, AnalyzerViolationKeySetsMatchAcrossEngines) {
   // The full streaming pipeline (Session in kOnline mode) on the paper's
-  // injected-violation app: both engines must report the same violation-key
-  // set and reconcile cleanly against the post-mortem pass.
+  // injected-violation app: the streamed violation keys must equal a
+  // post-mortem pass over the same run's retained trace, at any cadence.
   const apps::AppConfig app = apps::paper_config(apps::AppKind::kLU, 2);
   auto rank_main = [&app](simmpi::Process& p) { apps::run_app_rank(app, p); };
 
-  auto run = [&](ClockEngine engine, std::size_t retire_interval) {
+  for (const std::size_t retire : {std::size_t{64}, std::size_t{1024}}) {
     CheckConfig cfg;
     cfg.nranks = app.nranks;
     cfg.nthreads = app.nthreads;
     cfg.block_timeout_ms = app.block_timeout_ms;
     cfg.session.mode = AnalysisMode::kOnline;
-    cfg.session.clock_engine = engine;
-    cfg.session.online.retire_interval = retire_interval;
-    return check_program(cfg, rank_main);
-  };
-
-  for (const std::size_t retire : {std::size_t{64}, std::size_t{1024}}) {
-    const CheckResult epoch = run(ClockEngine::kEpoch, retire);
-    const CheckResult vector = run(ClockEngine::kVector, retire);
-    ASSERT_TRUE(epoch.run.ok());
-    ASSERT_TRUE(vector.run.ok());
-    EXPECT_TRUE(epoch.reconciliation.ran);
-    EXPECT_TRUE(epoch.reconciliation.equivalent) << "retire=" << retire;
-    EXPECT_TRUE(vector.reconciliation.equivalent) << "retire=" << retire;
-    EXPECT_EQ(key_set(epoch.report), key_set(vector.report))
+    cfg.session.online.retire_interval = retire;
+    const oracle::OnlineRun run = oracle::run_online(cfg, rank_main);
+    ASSERT_TRUE(run.run.ok());
+    EXPECT_EQ(oracle::key_set(run.report), run.post_mortem_keys)
         << "retire=" << retire;
-    EXPECT_FALSE(key_set(epoch.report).empty());
+    EXPECT_FALSE(run.post_mortem_keys.empty());
+    EXPECT_GT(run.stats.epoch_hits, 0u);
   }
 }
 
@@ -469,8 +362,9 @@ TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
   w1.kind = EventKind::kMemWrite;
   w1.obj = 100;
   const StampView v1 = hb.advance(w1);
+  ClockArena arena;
   const Stamp epoch = Stamp::epoch(v1);
-  const Stamp full = Stamp::full_copy(v1);
+  const Stamp full = Stamp::interned(v1, arena);
   const VectorClock c1 = v1.to_clock();
 
   // Unsynchronized second thread: not ordered.
@@ -482,7 +376,7 @@ TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
   const StampView v2 = hb.advance(w2);
   EXPECT_FALSE(epoch.leq_later(v2));
   EXPECT_FALSE(full.leq_later(v2));
-  EXPECT_TRUE(stamp_concurrent_full(full, v2));
+  EXPECT_TRUE(VectorClock::concurrent(c1, v2.to_clock()));
 
   // Synchronize via a message edge: now ordered.
   Event send;
@@ -499,7 +393,7 @@ TEST(Stamp, EpochLeqAgainstLaterViewAndWatermark) {
   const StampView v4 = hb.advance(recv);
   EXPECT_TRUE(epoch.leq_later(v4));
   EXPECT_TRUE(full.leq_later(v4));
-  EXPECT_FALSE(stamp_concurrent_full(full, v4));
+  EXPECT_FALSE(VectorClock::concurrent(c1, v4.to_clock()));
 
   // Watermark form: epoch vs the meet of both live clocks.
   VectorClock wm;

@@ -1,181 +1,127 @@
 // Equivalence and scaling-infrastructure properties:
-//  * the frontier detector and the pairwise detector report identical
-//    per-variable `concurrent` verdicts on seeded random traces, in all
-//    three DetectorModes, capped and uncapped, serial and parallel,
-//  * the frontier's reported pairs are a subset of genuinely racy pairs
+//  * the frontier detector's per-variable `concurrent` verdicts equal the
+//    independent pairwise oracle's (tests/oracle/) on seeded random traces,
+//    in all three DetectorModes, capped and uncapped, serial and parallel,
+//    and on traces of long same-class bursts,
+//  * the frontier's reported pairs are all racy by the oracle's judgment
 //    (soundness of the representatives handed to the matcher),
 //  * multi-threaded TraceLog emission loses no events and yields a valid
 //    seq total order (strictly increasing, duplicate-free),
 //  * StringTable interning is consistent under concurrent use.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/detect/race_detector.hpp"
 #include "src/trace/trace_log.hpp"
 #include "src/util/rng.hpp"
+#include "tests/oracle/fixtures.hpp"
+#include "tests/oracle/pairwise_oracle.hpp"
 
 namespace home::detect {
 namespace {
 
+using oracle::PairwiseOracle;
+using oracle::random_trace;
 using trace::Event;
-using trace::EventKind;
 
-// ------------------------------------------------------ random trace builder
+constexpr DetectorMode kModes[] = {DetectorMode::kHybrid,
+                                   DetectorMode::kLocksetOnly,
+                                   DetectorMode::kHbOnly};
 
-/// A random hybrid-looking trace: several threads interleave reads/writes on
-/// a small variable pool under randomly acquired/released locks, with
-/// occasional full barriers, fork/join edges, and cross-"rank" message
-/// edges.  Locksets are kept consistent (snapshot of currently held locks).
-std::vector<Event> random_trace(std::uint64_t seed) {
-  util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
-  const int threads = 2 + static_cast<int>(rng.next_below(4));   // 2..5
-  const int vars = 3 + static_cast<int>(rng.next_below(6));      // 3..8
-  const int locks = 1 + static_cast<int>(rng.next_below(3));     // 1..3
-  const int steps = 200 + static_cast<int>(rng.next_below(600));
-
-  std::vector<std::vector<trace::ObjId>> held(
-      static_cast<std::size_t>(threads));
-  std::vector<Event> events;
-  trace::Seq seq = 1;
-  trace::ObjId next_msg = 7000;
-  std::vector<trace::ObjId> in_flight;  // sent but not yet received.
-
-  auto emit = [&](trace::Tid tid, EventKind kind, trace::ObjId obj,
-                  std::uint64_t aux = 0) {
-    Event e;
-    e.seq = seq++;
-    e.tid = tid;
-    e.kind = kind;
-    e.obj = obj;
-    e.aux = aux;
-    e.locks_held = held[static_cast<std::size_t>(tid)];
-    std::sort(e.locks_held.begin(), e.locks_held.end());
-    events.push_back(std::move(e));
-  };
-
-  for (int step = 0; step < steps; ++step) {
-    const auto tid = static_cast<trace::Tid>(rng.next_below(
-        static_cast<std::uint64_t>(threads)));
-    auto& mine = held[static_cast<std::size_t>(tid)];
-    const std::uint64_t roll = rng.next_below(100);
-    if (roll < 55) {
-      // Access a random variable.
-      const trace::ObjId var = 100 + rng.next_below(
-          static_cast<std::uint64_t>(vars));
-      emit(tid, rng.next_bool(0.6) ? EventKind::kMemWrite : EventKind::kMemRead,
-           var);
-    } else if (roll < 70) {
-      // Acquire a lock not already held.
-      const trace::ObjId lock = 500 + rng.next_below(
-          static_cast<std::uint64_t>(locks));
-      if (std::find(mine.begin(), mine.end(), lock) == mine.end()) {
-        emit(tid, EventKind::kLockAcquire, lock);
-        mine.push_back(lock);
-      }
-    } else if (roll < 85) {
-      // Release a random held lock.
-      if (!mine.empty()) {
-        const std::size_t pick = rng.next_below(mine.size());
-        const trace::ObjId lock = mine[pick];
-        mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kLockRelease, lock);
-      }
-    } else if (roll < 92) {
-      // Message edge: send now, matching recv from another thread later.
-      if (rng.next_bool(0.5) || in_flight.empty()) {
-        const trace::ObjId msg = next_msg++;
-        emit(tid, EventKind::kMsgSend, msg);
-        in_flight.push_back(msg);
-      } else {
-        const std::size_t pick = rng.next_below(in_flight.size());
-        const trace::ObjId msg = in_flight[pick];
-        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kMsgRecv, msg);
-      }
-    } else if (roll < 97) {
-      // Full barrier: every thread arrives.
-      const trace::ObjId barrier = 9000 + static_cast<trace::ObjId>(step);
-      for (trace::Tid t = 0; t < threads; ++t) {
-        emit(t, EventKind::kBarrier, barrier,
-             static_cast<std::uint64_t>(threads));
-      }
-    }
-    // Remaining rolls: no event (schedule gap).
-  }
-  return events;
-}
-
-std::map<trace::ObjId, bool> concurrent_map(const ConcurrencyReport& report) {
-  std::map<trace::ObjId, bool> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    out[var] = verdict.concurrent;
-  }
-  return out;
-}
-
-// --------------------------------------------- frontier == pairwise verdicts
+// ------------------------------------------- frontier == oracle verdicts
 
 class DetectorEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(DetectorEquivalence, FrontierMatchesPairwiseVerdicts) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const std::vector<Event> events = random_trace(seed);
-  for (const DetectorMode mode :
-       {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
-        DetectorMode::kHbOnly}) {
+  for (const DetectorMode mode : kModes) {
+    const PairwiseOracle oracle(events, oracle::oracle_mode(mode));
+    const std::map<trace::ObjId, bool> expected = oracle.verdicts();
     // Sweep the knobs that must not change the verdict: pair cap on/off and
     // serial vs parallel per-variable analysis.
     for (const std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
-      RaceDetectorConfig frontier;
-      frontier.mode = mode;
-      frontier.max_pairs_per_var = cap;
-      frontier.algo = DetectorAlgo::kFrontier;
-      frontier.analysis_threads = (seed % 2 == 0) ? 1 : 4;
-
-      RaceDetectorConfig pairwise = frontier;
-      pairwise.algo = DetectorAlgo::kPairwise;
-
-      const auto frontier_verdicts =
-          concurrent_map(RaceDetector(frontier).analyze(events));
-      const auto pairwise_verdicts =
-          concurrent_map(RaceDetector(pairwise).analyze(events));
-      EXPECT_EQ(frontier_verdicts, pairwise_verdicts)
-          << "mode=" << detector_mode_name(mode) << " cap=" << cap
-          << " seed=" << seed;
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        RaceDetectorConfig cfg;
+        cfg.mode = mode;
+        cfg.max_pairs_per_var = cap;
+        cfg.analysis_threads = workers;
+        EXPECT_EQ(oracle::engine_verdicts(RaceDetector(cfg).analyze(events)),
+                  expected)
+            << "mode=" << detector_mode_name(mode) << " cap=" << cap
+            << " workers=" << workers << " seed=" << seed;
+      }
     }
   }
 }
 
-// 100+ seeded random traces (x 3 modes x 2 caps each).
+// 100+ seeded random traces (x 3 modes x 2 caps x 2 worker counts each).
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorEquivalence, ::testing::Range(0, 104));
 
+TEST(DetectorEquivalence, FrontierMatchesPairwiseOnLongSameClassRuns) {
+  // random_trace rarely gives one thread more than kFrontierHistory
+  // consecutive accesses of a variable, so its racy accesses stay in the
+  // recent-access ring.  Here a few bursts of up to 24 same-class accesses
+  // (a lock held per burst at random) make verdicts that hinge on one
+  // early access, which survives only as its class maximum.
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    util::Rng rng(seed * 7919 + 3);
+    std::vector<Event> events;
+    trace::Seq seq = 1;
+    for (int burst = 0; burst < 6; ++burst) {
+      const auto tid = static_cast<trace::Tid>(rng.next_below(3));
+      const trace::ObjId var = 100 + rng.next_below(2);
+      const bool write = rng.next_bool(0.5);
+      std::vector<trace::ObjId> locks;
+      if (rng.next_bool(0.5)) locks.push_back(500);
+      const int length = 1 + static_cast<int>(rng.next_below(24));
+      for (int k = 0; k < length; ++k) {
+        Event e;
+        e.seq = seq++;
+        e.tid = tid;
+        e.kind =
+            write ? trace::EventKind::kMemWrite : trace::EventKind::kMemRead;
+        e.obj = var;
+        e.locks_held = locks;
+        events.push_back(std::move(e));
+      }
+    }
+    for (const DetectorMode mode : kModes) {
+      RaceDetectorConfig cfg;
+      cfg.mode = mode;
+      EXPECT_EQ(oracle::engine_verdicts(RaceDetector(cfg).analyze(events)),
+                PairwiseOracle(events, oracle::oracle_mode(mode)).verdicts())
+          << "mode=" << detector_mode_name(mode) << " seed=" << seed;
+    }
+  }
+}
+
 TEST(DetectorEquivalence, FrontierPairsAreGenuinelyRacy) {
-  // Soundness of the representatives: every pair the frontier reports must
-  // satisfy the mode's racy predicate (the matcher builds violations out of
-  // these).
+  // Soundness of the representatives: the oracle must judge every pair the
+  // frontier reports racy (the matcher builds violations out of these).
   const std::vector<Event> events = random_trace(421);
-  for (const DetectorMode mode :
-       {DetectorMode::kHybrid, DetectorMode::kLocksetOnly,
-        DetectorMode::kHbOnly}) {
+  for (const DetectorMode mode : kModes) {
     RaceDetectorConfig cfg;
     cfg.mode = mode;
     cfg.max_pairs_per_var = 0;
-    cfg.algo = DetectorAlgo::kFrontier;
     const ConcurrencyReport report = RaceDetector(cfg).analyze(events);
+    const PairwiseOracle oracle(events, oracle::oracle_mode(mode));
+    std::size_t pairs = 0;
     for (const auto& [var, verdict] : report.verdicts()) {
       for (const ConcurrentPair& pair : verdict.pairs) {
+        ++pairs;
         EXPECT_LT(pair.first, pair.second);
-        EXPECT_TRUE(accesses_racy(mode, report.hb(), pair.first, pair.second))
+        EXPECT_TRUE(oracle.racy(pair.first, pair.second))
             << "mode=" << detector_mode_name(mode) << " var=" << var;
         EXPECT_EQ(report.hb().events()[pair.first].obj, var);
         EXPECT_EQ(report.hb().events()[pair.second].obj, var);
       }
     }
+    EXPECT_GT(pairs, 0u) << "mode=" << detector_mode_name(mode);
   }
 }
 
@@ -199,6 +145,8 @@ TEST(DetectorEquivalence, ParallelAnalysisIsDeterministic) {
   };
   const ConcurrencyReport serial = run(1);
   const ConcurrencyReport parallel = run(8);
+  EXPECT_EQ(oracle::engine_verdicts(parallel),
+            PairwiseOracle(events, oracle::Mode::kHybrid).verdicts());
   ASSERT_EQ(serial.verdicts().size(), parallel.verdicts().size());
   for (const auto& [var, verdict] : serial.verdicts()) {
     const VariableVerdict* other = parallel.verdict(var);

@@ -1,38 +1,32 @@
 // App-level equivalence of the online streaming engine (acceptance
 // criterion): the same injected-violation program checked in
 // AnalysisMode::kOnline must report exactly the post-mortem violation set —
-// at any queue size, with retirement enabled, verified both by the built-in
-// end-of-run reconciliation and by an independent post-mortem run.
+// at any queue size, with retirement enabled, verified both against a
+// post-mortem pass over the trace the same run retained and against an
+// independent post-mortem run.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
-#include <string>
+#include <tuple>
 
 #include "src/apps/app.hpp"
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/worksharing.hpp"
 #include "src/spec/violations.hpp"
+#include "tests/oracle/fixtures.hpp"
 
 namespace home {
 namespace {
 
 using apps::AppConfig;
 using apps::AppKind;
+using oracle::key_set;
 using simmpi::Datatype;
 using simmpi::kCommWorld;
 using simmpi::Process;
 using simmpi::ThreadLevel;
 using spec::ViolationType;
-
-std::set<std::string> key_set(const Report& report) {
-  std::set<std::string> keys;
-  for (const spec::Violation& v : report.violations()) {
-    keys.insert(spec::violation_key(v));
-  }
-  return keys;
-}
 
 CheckConfig app_check(const AppConfig& app) {
   CheckConfig cfg;
@@ -43,7 +37,8 @@ CheckConfig app_check(const AppConfig& app) {
 }
 
 /// Run the app post-mortem and online (with the given knobs) and require
-/// identical violation-key sets plus a clean built-in reconciliation.
+/// identical violation-key sets, both against a post-mortem pass over the
+/// online run's own trace and against the independent post-mortem run.
 void expect_equivalent(const AppConfig& app, std::size_t queue_capacity,
                        std::size_t retire_interval) {
   auto rank_main = [&app](Process& p) { apps::run_app_rank(app, p); };
@@ -56,21 +51,17 @@ void expect_equivalent(const AppConfig& app, std::size_t queue_capacity,
   online.session.mode = AnalysisMode::kOnline;
   online.session.online.queue_capacity = queue_capacity;
   online.session.online.retire_interval = retire_interval;
-  const CheckResult streamed = check_program(online, rank_main);
+  const oracle::OnlineRun streamed = oracle::run_online(online, rank_main);
   ASSERT_TRUE(streamed.run.ok());
 
-  // The built-in cross-check over the retained trace of the *same* run.
-  EXPECT_TRUE(streamed.reconciliation.ran);
-  EXPECT_TRUE(streamed.reconciliation.equivalent)
-      << "online-only: " << streamed.reconciliation.online_only.size()
-      << ", post-mortem-only: "
-      << streamed.reconciliation.post_mortem_only.size();
+  // The same run's trace, analyzed post-mortem.
+  EXPECT_EQ(key_set(streamed.report), streamed.post_mortem_keys);
 
-  // And against an independent post-mortem execution: the scheduler may
-  // interleave differently, but every injected class must still be found.
+  // And an independent post-mortem execution: the scheduler may interleave
+  // differently, but every injected class must still be found.
   EXPECT_EQ(key_set(streamed.report), key_set(baseline.report));
-  EXPECT_EQ(streamed.online_stats.events_dropped, 0u);
-  EXPECT_GT(streamed.online_stats.events_processed, 0u);
+  EXPECT_EQ(streamed.stats.events_dropped, 0u);
+  EXPECT_GT(streamed.stats.events_processed, 0u);
 }
 
 class OnlineAppEquivalence
@@ -101,12 +92,11 @@ TEST(OnlineAppEquivalenceSuite, CleanRunStaysClean) {
   CheckConfig cfg = app_check(app);
   cfg.session.mode = AnalysisMode::kOnline;
   cfg.session.online.retire_interval = 64;
-  const CheckResult result =
-      check_program(cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
+  const oracle::OnlineRun result = oracle::run_online(
+      cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
   ASSERT_TRUE(result.run.ok());
   EXPECT_TRUE(result.report.violations().empty());
-  EXPECT_TRUE(result.reconciliation.ran);
-  EXPECT_TRUE(result.reconciliation.equivalent);
+  EXPECT_TRUE(result.post_mortem_keys.empty());
 }
 
 TEST(OnlineLiveReports, CallbackFiresWhileTheProgramRuns) {
@@ -126,8 +116,7 @@ TEST(OnlineLiveReports, CallbackFiresWhileTheProgramRuns) {
 
 TEST(OnlineStreamingOnly, UnretainedTraceStillReportsViolations) {
   // retain_trace=false is the truly bounded-memory deployment: the log
-  // buffers nothing, so reconciliation cannot run — but the streamed
-  // verdicts are the full report.
+  // buffers nothing — but the streamed verdicts are the full report.
   const AppConfig app = apps::paper_config(AppKind::kLU, 2);
   CheckConfig cfg = app_check(app);
   cfg.session.mode = AnalysisMode::kOnline;
@@ -135,7 +124,7 @@ TEST(OnlineStreamingOnly, UnretainedTraceStillReportsViolations) {
   const CheckResult result =
       check_program(cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
   ASSERT_TRUE(result.run.ok());
-  EXPECT_FALSE(result.reconciliation.ran);
+  EXPECT_GT(result.online_stats.events_processed, 0u);
   for (const ViolationType type :
        {ViolationType::kInitialization, ViolationType::kFinalization,
         ViolationType::kConcurrentRecv, ViolationType::kConcurrentRequest,
@@ -153,7 +142,7 @@ TEST(OnlineCaseStudy, Figure1InitializationViolationStreamsLive) {
   cfg.session.mode = AnalysisMode::kOnline;
   cfg.session.online.queue_capacity = 8;
   cfg.session.online.retire_interval = 16;
-  auto result = check_program(cfg, [](Process& p) {
+  const oracle::OnlineRun result = oracle::run_online(cfg, [](Process& p) {
     p.init();
     homp::parallel(2, [&] {
       homp::sections({
@@ -176,8 +165,7 @@ TEST(OnlineCaseStudy, Figure1InitializationViolationStreamsLive) {
   });
   EXPECT_TRUE(result.run.ok());
   EXPECT_TRUE(result.report.has(ViolationType::kInitialization));
-  EXPECT_TRUE(result.reconciliation.ran);
-  EXPECT_TRUE(result.reconciliation.equivalent);
+  EXPECT_EQ(key_set(result.report), result.post_mortem_keys);
 }
 
 }  // namespace

@@ -5,18 +5,15 @@
 //    emitters, drain_since incremental reads, streaming-only mode),
 //  * IncrementalHb == HappensBeforeAnalysis stamps; watermark soundness
 //    around silent and joined threads,
-//  * IncrementalFrontier == frontier_sweep_variable pair-for-pair on seeded
-//    random traces, with epoch retirement interleaved at several cadences,
+//  * the streamed frontier reports the post-mortem detector's pairs
+//    pair-for-pair on seeded random traces, with epoch retirement
+//    interleaved at several cadences,
 //  * OnlineAnalyzer bounded-memory: resident state stays under a fixed cap
 //    while streaming 10x the events a post-mortem run would buffer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/detect/incremental.hpp"
@@ -26,7 +23,7 @@
 #include "src/online/violation_stream.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
-#include "src/util/rng.hpp"
+#include "tests/oracle/fixtures.hpp"
 
 namespace home::online {
 namespace {
@@ -40,87 +37,10 @@ using detect::VectorClock;
 using trace::Event;
 using trace::EventKind;
 
-// Same shape as the detect_equivalence_test generator: interleaved accesses
-// under locks with barriers, fork-free threads, and message edges.
-std::vector<Event> random_trace(std::uint64_t seed) {
-  util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
-  const int threads = 2 + static_cast<int>(rng.next_below(4));
-  const int vars = 3 + static_cast<int>(rng.next_below(6));
-  const int locks = 1 + static_cast<int>(rng.next_below(3));
-  const int steps = 200 + static_cast<int>(rng.next_below(600));
-
-  std::vector<std::vector<trace::ObjId>> held(
-      static_cast<std::size_t>(threads));
-  std::vector<Event> events;
-  trace::Seq seq = 1;
-  trace::ObjId next_msg = 7000;
-  std::vector<trace::ObjId> in_flight;
-
-  auto emit = [&](trace::Tid tid, EventKind kind, trace::ObjId obj,
-                  std::uint64_t aux = 0) {
-    Event e;
-    e.seq = seq++;
-    e.tid = tid;
-    e.kind = kind;
-    e.obj = obj;
-    e.aux = aux;
-    e.locks_held = held[static_cast<std::size_t>(tid)];
-    std::sort(e.locks_held.begin(), e.locks_held.end());
-    events.push_back(std::move(e));
-  };
-
-  for (int step = 0; step < steps; ++step) {
-    const auto tid = static_cast<trace::Tid>(
-        rng.next_below(static_cast<std::uint64_t>(threads)));
-    auto& mine = held[static_cast<std::size_t>(tid)];
-    const std::uint64_t roll = rng.next_below(100);
-    if (roll < 55) {
-      const trace::ObjId var =
-          100 + rng.next_below(static_cast<std::uint64_t>(vars));
-      emit(tid,
-           rng.next_bool(0.6) ? EventKind::kMemWrite : EventKind::kMemRead,
-           var);
-    } else if (roll < 70) {
-      const trace::ObjId lock =
-          500 + rng.next_below(static_cast<std::uint64_t>(locks));
-      if (std::find(mine.begin(), mine.end(), lock) == mine.end()) {
-        emit(tid, EventKind::kLockAcquire, lock);
-        mine.push_back(lock);
-      }
-    } else if (roll < 85) {
-      if (!mine.empty()) {
-        const std::size_t pick = rng.next_below(mine.size());
-        const trace::ObjId lock = mine[pick];
-        mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kLockRelease, lock);
-      }
-    } else if (roll < 92) {
-      if (rng.next_bool(0.5) || in_flight.empty()) {
-        const trace::ObjId msg = next_msg++;
-        emit(tid, EventKind::kMsgSend, msg);
-        in_flight.push_back(msg);
-      } else {
-        const std::size_t pick = rng.next_below(in_flight.size());
-        const trace::ObjId msg = in_flight[pick];
-        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
-        emit(tid, EventKind::kMsgRecv, msg);
-      }
-    } else if (roll < 97) {
-      const trace::ObjId barrier = 9000 + static_cast<trace::ObjId>(step);
-      for (trace::Tid t = 0; t < threads; ++t) {
-        emit(t, EventKind::kBarrier, barrier,
-             static_cast<std::uint64_t>(threads));
-      }
-    }
-  }
-  return events;
-}
-
-int max_tid(const std::vector<Event>& events) {
-  int m = -1;
-  for (const Event& e : events) m = std::max(m, static_cast<int>(e.tid));
-  return m;
-}
+using oracle::random_trace;
+using oracle::report_pairs;
+using oracle::SeqPair;
+using oracle::streamed_pairs;
 
 // ------------------------------------------------------------- EventQueue
 
@@ -252,7 +172,7 @@ TEST(TraceLogStreaming, SinkSeesStrictlyIncreasingSeqUnderConcurrentEmit) {
   for (std::size_t i = 1; i < seqs.size(); ++i) {
     ASSERT_LT(seqs[i - 1], seqs[i]) << "at index " << i;
   }
-  // And the log retained the trace alongside (post-mortem reconciliation).
+  // And the log retained the trace alongside (for post-mortem passes).
   EXPECT_EQ(log.size(), static_cast<std::size_t>(kThreads * kPerThread));
 }
 
@@ -371,70 +291,6 @@ TEST(IncrementalHbTest, JoinedThreadStopsConstrainingTheWatermark) {
 
 // ----------------------------------------- IncrementalFrontier equivalence
 
-using SeqPair = std::pair<trace::Seq, trace::Seq>;
-
-std::map<trace::ObjId, std::vector<SeqPair>> post_mortem_pairs(
-    const detect::ConcurrencyReport& report) {
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  for (const auto& [var, verdict] : report.verdicts()) {
-    auto& pairs = out[var];
-    for (const detect::ConcurrentPair& p : verdict.pairs) {
-      pairs.emplace_back(report.hb().events()[p.first].seq,
-                         report.hb().events()[p.second].seq);
-    }
-  }
-  return out;
-}
-
-/// Stream `events` through IncrementalHb + IncrementalFrontier, retiring
-/// every `retire_every` events (0 = never), and collect pairs per variable.
-std::map<trace::ObjId, std::vector<SeqPair>> streamed_pairs(
-    const std::vector<Event>& events, const RaceDetectorConfig& cfg,
-    std::size_t retire_every, std::size_t* resident_peak = nullptr) {
-  detect::HappensBeforeConfig hb_cfg;
-  hb_cfg.lock_edges = (cfg.mode == DetectorMode::kHbOnly);
-  IncrementalHb hb(hb_cfg);
-  // Declare the full thread population up front (the analyzer derives this
-  // from the ThreadRegistry): random_trace threads appear without fork
-  // edges, so an observed-only watermark would be unsound here.
-  for (int t = 0; t <= max_tid(events); ++t) {
-    hb.declare_thread(static_cast<trace::Tid>(t));
-  }
-  IncrementalFrontier frontier(cfg);
-
-  std::map<trace::ObjId, std::vector<SeqPair>> out;
-  std::vector<IncrementalFrontier::PairHit> hits;
-  std::size_t since_retire = 0;
-  std::size_t peak = 0;
-  for (const Event& e : events) {
-    const detect::StampView stamp = hb.advance(e);
-    if (e.is_access()) {
-      auto rec = std::make_shared<OnlineAccess>();
-      rec->seq = e.seq;
-      rec->tid = e.tid;
-      rec->write = e.is_write();
-      rec->locks = e.locks_held;
-      hits.clear();
-      frontier.on_access(e.obj, std::move(rec), stamp, &hits);
-      auto& pairs = out[e.obj];
-      for (const auto& hit : hits) {
-        pairs.emplace_back(hit.first->seq, hit.second->seq);
-      }
-    }
-    peak = std::max(peak, frontier.resident_records());
-    if (retire_every != 0 && ++since_retire >= retire_every) {
-      since_retire = 0;
-      VectorClock wm;
-      if (hb.watermark(&wm)) {
-        frontier.retire(wm);
-        hb.retire(wm);
-      }
-    }
-  }
-  if (resident_peak != nullptr) *resident_peak = peak;
-  return out;
-}
-
 class FrontierStreamEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(FrontierStreamEquivalence, PairsMatchPostMortemAtAnyRetireCadence) {
@@ -445,12 +301,11 @@ TEST_P(FrontierStreamEquivalence, PairsMatchPostMortemAtAnyRetireCadence) {
       RaceDetectorConfig cfg;
       cfg.mode = mode;
       cfg.max_pairs_per_var = cap;
-      cfg.algo = detect::DetectorAlgo::kFrontier;
       cfg.analysis_threads = 1;
       const auto expected =
-          post_mortem_pairs(detect::RaceDetector(cfg).analyze(events));
-      for (const std::size_t cadence : {std::size_t{0}, std::size_t{7},
-                                        std::size_t{64}}) {
+          report_pairs(detect::RaceDetector(cfg).analyze(events));
+      for (const std::size_t cadence : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{7}, std::size_t{64}}) {
         const auto got = streamed_pairs(events, cfg, cadence);
         // Variables with no reported pairs may be absent on either side.
         for (const auto& [var, pairs] : expected) {
@@ -478,7 +333,7 @@ TEST(FrontierStreamEquivalence, LocksetOnlyMatchesWithoutRetirement) {
   cfg.mode = DetectorMode::kLocksetOnly;
   cfg.analysis_threads = 1;
   const auto expected =
-      post_mortem_pairs(detect::RaceDetector(cfg).analyze(events));
+      report_pairs(detect::RaceDetector(cfg).analyze(events));
   const auto got = streamed_pairs(events, cfg, 0);
   for (const auto& [var, pairs] : expected) {
     auto it = got.find(var);
@@ -487,7 +342,7 @@ TEST(FrontierStreamEquivalence, LocksetOnlyMatchesWithoutRetirement) {
   }
 }
 
-// ------------------------------------- frontier_history ring eviction
+// ------------------------------------- recent-access ring eviction
 
 Event access_event(trace::Seq seq, trace::Tid tid, trace::ObjId var,
                    std::vector<trace::ObjId> locks = {}) {
@@ -501,7 +356,7 @@ Event access_event(trace::Seq seq, trace::Tid tid, trace::ObjId var,
 }
 
 TEST(FrontierHistoryEviction, RacyPairBeyondRingDepthIsStillReported) {
-  // t0 writes the variable far more than frontier_history times (all the
+  // t0 writes the variable far more than kFrontierHistory times (all the
   // same (write, lockset) class), then t1 writes with no synchronization.
   // The ring has long since evicted t0's early accesses, but the keyed
   // class maximum keeps one representative per class alive — so the race
@@ -516,7 +371,7 @@ TEST(FrontierHistoryEviction, RacyPairBeyondRingDepthIsStillReported) {
 
   RaceDetectorConfig cfg;
   cfg.analysis_threads = 1;
-  ASSERT_GT(20u, cfg.frontier_history);
+  ASSERT_GT(20u, detect::kFrontierHistory);
   const detect::ConcurrencyReport report =
       detect::RaceDetector(cfg).analyze(events);
   const auto it = report.verdicts().find(kVar);
