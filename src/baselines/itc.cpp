@@ -3,9 +3,8 @@
 #include <functional>
 #include <thread>
 
-#include "src/detect/race_detector.hpp"
+#include "src/home/session.hpp"
 #include "src/homp/runtime.hpp"
-#include "src/spec/matcher.hpp"
 #include "src/spec/monitored.hpp"
 #include "src/util/stats.hpp"
 
@@ -139,22 +138,12 @@ void ItcSession::detach(simmpi::Universe& universe) {
 
 Report ItcSession::analyze() {
   util::Stopwatch timer;
-  detect::RaceDetector detector;
-  detect::ConcurrencyReport concurrency = detector.analyze(log_.sorted_events());
-  spec::Matcher matcher(&log_.strings());
-  std::vector<spec::Violation> violations = matcher.match(concurrency);
-
-  ReportStats stats;
-  stats.trace_events = log_.size();
+  PostMortem pass = analyze_post_mortem(log_.sorted_events(), log_.strings(),
+                                        detect::RaceDetectorConfig{});
+  ReportStats stats = pass.stats;
   stats.instrumented_calls = wrappers_->instrumented_calls();
-  for (const auto& [var, verdict] : concurrency.verdicts()) {
-    if (!spec::is_monitored_var(var)) continue;
-    ++stats.monitored_variables;
-    if (verdict.concurrent) ++stats.concurrent_variables;
-    stats.concurrent_pairs += verdict.pairs.size();
-  }
   stats.analysis_seconds = timer.elapsed_seconds();
-  return Report(std::move(violations), stats);
+  return Report(std::move(pass.violations), stats);
 }
 
 }  // namespace home::baselines

@@ -1,19 +1,18 @@
 // Interned, immutable, refcounted full vector clocks (ISSUE-6 tentpole).
 //
-// The epoch clock engine keeps most stamps as 16-byte (tid, value) epochs;
-// the residue that does need a full clock — stamps promoted on true
-// concurrency, the post-mortem HbIndex's stamp frames — lives here as
-// immutable `InternedClock`s shared by refcount.  Interning is content-addressed over
-// the *normalized* clock (trailing zeros stripped), so two stamps that are
-// equal as functions Tid -> value share one allocation regardless of how
-// much zero padding their producers carried.
+// The epoch clock engine keeps retained stamps as 16-byte (tid, value)
+// epochs; the post-mortem HbIndex's stamp frames, which do need full
+// clocks, live here as immutable `InternedClock`s shared by refcount.
+// Interning is content-addressed over the *normalized* clock (trailing zeros
+// stripped), so two stamps that are equal as functions Tid -> value share
+// one allocation regardless of how much zero padding their producers
+// carried.
 //
-// Lifetime: `ClockRef` is a shared_ptr, so a clock lives exactly as long as
-// some frontier record, matcher call, or sync-object entry references it.
-// The intern table itself holds one reference per distinct clock; compact()
-// drops table entries nothing else references (the online analyzer calls it
-// at every retirement checkpoint, so the table tracks the retained working
-// set instead of the whole history).
+// Lifetime: `ClockRef` is a shared_ptr, so a clock lives at least as long as
+// some HbIndex references it.  The intern table itself holds one reference
+// per distinct clock; compact() drops table entries nothing else references.
+// Nothing in the pipeline calls it, so frames outlive their index until a
+// caller compacts.
 //
 // Telemetry (DESIGN.md §10): `clock.arena.hits` / `clock.arena.misses`
 // (intern-table hit rate) and the `clock.arena.resident_bytes` gauge.

@@ -144,12 +144,6 @@ class VarFrontier {
     return n;
   }
 
-  /// Visit each held access once as fn(rec, slots holding it).
-  template <class Fn>
-  void for_each_record(Fn&& fn) const {
-    for (const Entry& e : entries_) fn(e.rec, e.refs);
-  }
-
  private:
   struct ThreadState {
     std::vector<FrontierAccess> keyed;   ///< one maximum per class.

@@ -173,33 +173,17 @@ std::size_t IncrementalHb::resident_clock_bytes() const {
   return n;
 }
 
-const VectorClock* IncrementalHb::clock(trace::Tid tid) const {
-  const auto i = static_cast<std::size_t>(tid);
-  if (i >= thread_clock_.size() || (thread_state_[i] & kHasClock) == 0) {
-    return nullptr;
-  }
-  return &thread_clock_[i];
-}
-
 // ------------------------------------------------------- IncrementalFrontier
 
 void IncrementalFrontier::on_access(trace::ObjId var,
-                                    std::shared_ptr<OnlineAccess> rec,
+                                    std::shared_ptr<const OnlineAccess> rec,
                                     const StampView& view,
                                     std::vector<PairHit>* hits) {
-  rec->stamp = Stamp::epoch(view);
   const FrontierAccess access{rec->seq, view.value, rec->tid, rec->write,
                               &rec->locks};
   vars_[var].on_access(
       cfg_, access, rec, [&view](trace::Tid t) { return view.get(t); },
       [&](const std::shared_ptr<const OnlineAccess>& older) {
-        if (!rec->stamp.has_clock()) {
-          // True concurrency: this record may matter downstream, so it
-          // earns a full (interned, shared) clock.  Non-racy records — the
-          // overwhelming majority — stay epoch-only forever.
-          rec->stamp = Stamp::interned(view, ClockArena::global());
-          ++promotions_;
-        }
         if (hits) hits->push_back(PairHit{older, rec});
       });
 }
@@ -221,17 +205,6 @@ std::size_t IncrementalFrontier::resident_records() const {
   std::size_t n = 0;
   vars_.for_each([&n](trace::ObjId, const Frontier& frontier) {
     n += frontier.resident_records();
-  });
-  return n;
-}
-
-std::size_t IncrementalFrontier::resident_clock_bytes() const {
-  std::size_t n = 0;
-  vars_.for_each([&n](trace::ObjId, const Frontier& frontier) {
-    frontier.for_each_record(
-        [&n](const std::shared_ptr<const OnlineAccess>& r, std::size_t slots) {
-          n += slots * r->stamp.clock_bytes();
-        });
   });
   return n;
 }

@@ -21,9 +21,8 @@
 //     in a verdict.
 //
 // advance() returns an allocation-free StampView (epoch + clock span).
-// Retained records keep 16-byte epochs and promote to interned full clocks
-// only on true concurrency; every retained-vs-incoming and
-// retained-vs-watermark check is epoch-exact (see stamp.hpp).
+// Retained records keep only their 16-byte epoch; every retained-vs-incoming
+// and retained-vs-watermark check is epoch-exact (see stamp.hpp).
 //
 // Epoch-based retirement: a retained record with stamp V can never race any
 // future event once every thread that may still emit has a clock >= V —
@@ -53,16 +52,14 @@
 namespace home::detect {
 
 /// One access retained by the streaming frontier: the slice of the original
-/// Event the race predicate and the violation matcher need, plus the HB
-/// stamp (an epoch, promoted to a full clock once racy), plus the aux-linked
-/// MPI call event (shared so the record can outlive the analyzer's call
-/// table).
+/// Event the race predicate and the violation matcher need, plus the
+/// aux-linked MPI call event (shared so the record can outlive the
+/// analyzer's call table).  The frontier keeps the access's epoch itself.
 struct OnlineAccess {
   trace::Seq seq = 0;
   trace::Tid tid = trace::kNoTid;
   bool write = false;
   std::vector<trace::ObjId> locks;
-  Stamp stamp;
   std::shared_ptr<const trace::Event> call;  ///< may be null (unlinked access).
 };
 
@@ -99,8 +96,6 @@ class IncrementalHb {
 
   /// Heap bytes held by resident clocks (thread + lock + message + barrier).
   std::size_t resident_clock_bytes() const;
-
-  const VectorClock* clock(trace::Tid tid) const;
 
  private:
   struct BarrierAcc {
@@ -143,11 +138,9 @@ class IncrementalFrontier {
 
   /// Feed one access of `var` (records must arrive in seq order across the
   /// whole stream).  `view` is the access's stamp view from the same
-  /// advance() call; on_access sets rec->stamp to its 16-byte epoch and
-  /// promotes it to an interned full clock the first time the record proves
-  /// racy.  New racy pairs are appended to `hits` in the order the
+  /// advance() call.  New racy pairs are appended to `hits` in the order the
   /// post-mortem detector reports them.
-  void on_access(trace::ObjId var, std::shared_ptr<OnlineAccess> rec,
+  void on_access(trace::ObjId var, std::shared_ptr<const OnlineAccess> rec,
                  const StampView& view, std::vector<PairHit>* hits);
 
   /// Drop frontier records at or below the watermark.  Sound for HB-based
@@ -166,15 +159,9 @@ class IncrementalFrontier {
   /// Frontier slots currently in use across all variables.
   std::size_t resident_records() const;
 
-  /// Heap bytes pinned by resident records' clock payloads (epoch-only
-  /// records pin none; a shared interned clock is charged to every slot
-  /// holding it).
-  std::size_t resident_clock_bytes() const;
-
-  /// Cumulative epoch-test tallies; the analyzer folds deltas into
+  /// Cumulative epoch-test tally; the analyzer folds deltas into
   /// obs::Registry at checkpoints.
   std::size_t epoch_hits() const;
-  std::size_t epoch_promotions() const { return promotions_; }
 
  private:
   using Frontier = VarFrontier<std::shared_ptr<const OnlineAccess>>;
@@ -183,7 +170,6 @@ class IncrementalFrontier {
   /// Kept after retirement empties them: the verdict and the pair budget
   /// are cumulative over the whole run.
   FlatMap<Frontier> vars_;
-  std::size_t promotions_ = 0;  ///< records promoted epoch -> full clock.
 };
 
 }  // namespace home::detect

@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "src/homp/runtime.hpp"
-#include "src/spec/matcher.hpp"
-#include "src/spec/monitored.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace home {
@@ -36,25 +34,12 @@ CheckResult check_program(const CheckConfig& cfg,
 }
 
 Report analyze_trace(const trace::LoadedTrace& loaded, const SessionConfig& cfg) {
-  detect::ConcurrencyReport concurrency =
-      detect::RaceDetector(make_detector_config(cfg)).analyze(loaded.events);
-
   // Rebuild the string table so callsite ids resolve like in the live run.
   trace::StringTable strings;
   for (const std::string& s : loaded.strings) strings.intern(s);
-
-  spec::Matcher matcher(&strings);
-  std::vector<spec::Violation> violations = matcher.match(concurrency);
-
-  ReportStats stats;
-  stats.trace_events = loaded.events.size();
-  for (const auto& [var, verdict] : concurrency.verdicts()) {
-    if (!spec::is_monitored_var(var)) continue;
-    ++stats.monitored_variables;
-    if (verdict.concurrent) ++stats.concurrent_variables;
-    stats.concurrent_pairs += verdict.pairs.size();
-  }
-  return Report(std::move(violations), stats);
+  PostMortem pass =
+      analyze_post_mortem(loaded.events, strings, make_detector_config(cfg));
+  return Report(std::move(pass.violations), pass.stats);
 }
 
 Report analyze_trace_file(const std::string& path, const SessionConfig& cfg) {

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/span.hpp"
@@ -19,6 +20,24 @@ detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg) {
   dcfg.max_pairs_per_var = cfg.max_pairs_per_var;
   dcfg.analysis_threads = cfg.analysis_threads;
   return dcfg;
+}
+
+PostMortem analyze_post_mortem(std::vector<trace::Event> events,
+                               const trace::StringTable& strings,
+                               const detect::RaceDetectorConfig& cfg) {
+  ReportStats stats;
+  stats.trace_events = events.size();
+  detect::ConcurrencyReport concurrency =
+      detect::RaceDetector(cfg).analyze(std::move(events));
+  std::vector<spec::Violation> violations =
+      spec::Matcher(&strings).match(concurrency);
+  for (const auto& [var, verdict] : concurrency.verdicts()) {
+    if (!spec::is_monitored_var(var)) continue;
+    ++stats.monitored_variables;
+    if (verdict.concurrent) ++stats.concurrent_variables;
+    stats.concurrent_pairs += verdict.pairs.size();
+  }
+  return PostMortem{std::move(concurrency), std::move(violations), stats};
 }
 
 Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
@@ -138,19 +157,18 @@ std::vector<spec::MessageRace> Session::message_races() {
   return spec::find_message_races(concurrency, &log_.strings());
 }
 
-namespace {
-
-// Post-mortem twin of ViolationStream's instants: pin each detection on the
-// span timeline so the Chrome trace shows what fired, and when.
-void mark_violations(const std::vector<spec::Violation>& violations) {
-  for (const spec::Violation& v : violations) {
-    std::string mark = "violation: ";
-    mark += spec::violation_type_name(v.type);
-    obs::instant(mark, v.to_string());
+PostMortem Session::post_mortem_pass() {
+  PostMortem pass = analyze_post_mortem(log_.sorted_events(), log_.strings(),
+                                        make_detector_config(cfg_));
+  if (cfg_.diagnose.enabled) {
+    const explore::Schedule schedule = recorded_schedule();
+    provenance_ = diagnose::diagnose_violations(
+        pass.concurrency.hb(), pass.violations, &log_.strings(),
+        detect::happens_before_config(cfg_.detector), cfg_.diagnose,
+        explorer_ ? &schedule : nullptr);
   }
+  return pass;
 }
-
-}  // namespace
 
 Report Session::analyze() {
   if (cfg_.mode == AnalysisMode::kOnline && analyzer_) {
@@ -159,35 +177,12 @@ Report Session::analyze() {
 
   obs::Span span("session.analyze");
   util::Stopwatch timer;
-
-  detect::RaceDetector detector(make_detector_config(cfg_));
-  detect::ConcurrencyReport concurrency = detector.analyze(log_.sorted_events());
-
-  spec::Matcher matcher(&log_.strings());
-  std::vector<spec::Violation> violations = matcher.match(concurrency);
-  mark_violations(violations);
-
-  if (cfg_.diagnose.enabled) {
-    const explore::Schedule schedule = recorded_schedule();
-    provenance_ = diagnose::diagnose_violations(
-        concurrency.hb(), violations, &log_.strings(),
-        detect::happens_before_config(cfg_.detector), cfg_.diagnose,
-        explorer_ ? &schedule : nullptr);
-  }
-
-  ReportStats stats;
-  stats.trace_events = log_.size();
+  PostMortem pass = post_mortem_pass();
+  ReportStats stats = pass.stats;
   stats.instrumented_calls = wrappers_->instrumented_calls();
   stats.skipped_calls = wrappers_->skipped_calls();
-  for (const auto& [var, verdict] : concurrency.verdicts()) {
-    if (!spec::is_monitored_var(var)) continue;
-    ++stats.monitored_variables;
-    if (verdict.concurrent) ++stats.concurrent_variables;
-    stats.concurrent_pairs += verdict.pairs.size();
-  }
   stats.analysis_seconds = timer.elapsed_seconds();
-
-  return Report(std::move(violations), stats);
+  return Report(std::move(pass.violations), stats);
 }
 
 namespace {
@@ -227,52 +222,24 @@ Report Session::analyze_online() {
 
   // Online provenance needs a post-mortem pass over the retained trace
   // (certificates need a full HB index, which the streaming engine retires
-  // incrementally).  Shed recovery rides the same pass: the shard append is
-  // independent of the analyzer's queue, so the retained trace holds the
-  // shed events and the pass over it is exact.
+  // incrementally; the pass's violation keys equal the online verdicts', and
+  // its records carry the call seqs the certificates anchor to).  Shed
+  // recovery rides the same pass: the shard append is independent of the
+  // analyzer's queue, so the retained trace holds the shed events and the
+  // pass over it is exact.
   if ((cfg_.diagnose.enabled || !shed.empty()) && cfg_.online.retain_trace) {
-    detect::RaceDetector detector(make_detector_config(cfg_));
-    detect::ConcurrencyReport concurrency =
-        detector.analyze(log_.sorted_events());
-    spec::Matcher matcher(&log_.strings());
-    std::vector<spec::Violation> post_mortem = matcher.match(concurrency);
-
-    if (cfg_.diagnose.enabled) {
-      // Diagnose the post-mortem violation list: its keys equal the online
-      // verdicts', and these records carry the call seqs the certificates
-      // anchor to.
-      const explore::Schedule schedule = recorded_schedule();
-      provenance_ = diagnose::diagnose_violations(
-          concurrency.hb(), post_mortem, &log_.strings(),
-          detect::happens_before_config(cfg_.detector), cfg_.diagnose,
-          explorer_ ? &schedule : nullptr);
-    }
-
-    if (!shed.empty()) {
-      // Recovery: adopt the post-mortem verdicts — computed over the
-      // complete retained trace, they cover the shed windows exactly, so
-      // the report stays kExact.
-      violations = std::move(post_mortem);
-    }
+    PostMortem pass = post_mortem_pass();
+    // Recovery: adopt the post-mortem verdicts, so the report stays kExact.
+    if (!shed.empty()) violations = std::move(pass.violations);
   } else if (!shed.empty() && wal_) {
     // No retained trace, but the write-ahead copy has every emitted event,
     // including the shed ones.  Salvage it and re-analyze; exact when the
     // salvage is clean, degraded when the WAL itself is torn.
-    trace::WalSalvage salvage;
-    const trace::LoadedTrace loaded =
-        trace::salvage_wal_file(wal_->path(), &salvage);
-    detect::RaceDetector detector(make_detector_config(cfg_));
-    detect::ConcurrencyReport concurrency = detector.analyze(loaded.events);
-    trace::StringTable strings;
-    for (const std::string& s : loaded.strings) strings.intern(s);
-    spec::Matcher matcher(&strings);
-    violations = matcher.match(concurrency);
-    if (!salvage.clean()) {
-      std::ostringstream reason;
-      reason << "online " << shed_summary(shed)
-             << "; WAL recovery incomplete: discarded " << salvage.corrupt_frames
-             << " corrupt frame(s), " << salvage.bytes_discarded << " bytes";
-      degraded_reasons.push_back(reason.str());
+    const Report recovered = analyze_wal_file(wal_->path(), cfg_);
+    violations = recovered.violations();
+    for (const std::string& reason : recovered.degraded_reasons()) {
+      degraded_reasons.push_back("online " + shed_summary(shed) + "; " +
+                                 reason);
     }
   } else if (!shed.empty()) {
     // Shed events with no recovery source: the findings stand, but absence

@@ -97,6 +97,20 @@ struct SessionConfig {
 /// offline analysis paths).
 detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg);
 
+/// One post-mortem pass: detection over a seq-sorted trace, matching, and
+/// the report counts the two yield (trace events, monitored variables,
+/// concurrent variables and pairs).  Every post-mortem entry point — the
+/// Session, the online recovery paths, analyze_trace, the ITC baseline —
+/// runs this one pipeline.
+struct PostMortem {
+  detect::ConcurrencyReport concurrency;
+  std::vector<spec::Violation> violations;
+  ReportStats stats;
+};
+PostMortem analyze_post_mortem(std::vector<trace::Event> events,
+                               const trace::StringTable& strings,
+                               const detect::RaceDetectorConfig& cfg);
+
 class Session {
  public:
   explicit Session(SessionConfig cfg = {});
@@ -163,6 +177,8 @@ class Session {
 
  private:
   Report analyze_online();
+  /// analyze_post_mortem over the log, plus certificates when diagnosis is on.
+  PostMortem post_mortem_pass();
 
   SessionConfig cfg_;
   trace::TraceLog log_;

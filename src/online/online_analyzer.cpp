@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/detect/clock_arena.hpp"
 #include "src/faults/injector.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
@@ -31,8 +30,6 @@ struct AnalyzerMetrics {
   // checkpoints, never per comparison.
   obs::Counter& epoch_hits =
       obs::Registry::global().counter("clock.epoch_hits");
-  obs::Counter& promotions =
-      obs::Registry::global().counter("clock.epoch_promotions");
   obs::Gauge& clock_bytes =
       obs::Registry::global().gauge("clock.resident_bytes");
 };
@@ -114,7 +111,8 @@ void OnlineAnalyzer::process(const trace::Event& e) {
       if (last != last_call_of_tid_.end()) calls_pending_.erase(last->second);
       last_call_of_tid_[e.tid] = e.seq;
       calls_pending_[e.seq] = call;
-      matcher_.on_call(call, stamp);
+      matcher_.on_call(call, stamp.value,
+                       [&stamp](trace::Tid t) { return stamp.get(t); });
       break;
     }
     case trace::EventKind::kRegionBegin:
@@ -135,11 +133,12 @@ void OnlineAnalyzer::process(const trace::Event& e) {
       if (it != calls_pending_.end()) rec->call = it->second;
     }
     hits_.clear();
-    // The frontier fills rec->stamp (an epoch, promoted once racy).
     frontier_.on_access(e.obj, std::move(rec), stamp, &hits_);
     if (!hits_.empty() && spec::is_monitored_var(e.obj)) {
       for (const auto& hit : hits_) {
-        matcher_.on_concurrent_pair(e.obj, *hit.first, *hit.second);
+        matcher_.on_concurrent_pair(e.obj, hit.first->tid,
+                                    hit.first->call.get(), hit.second->tid,
+                                    hit.second->call.get());
       }
     }
   }
@@ -186,9 +185,6 @@ void OnlineAnalyzer::checkpoint() {
   const std::size_t reclaimed = frontier_.retire(watermark);
   hb_.retire(watermark);
   matcher_.retire(watermark);
-  // Retired records were the last holders of most interned clocks; drop the
-  // arena's now-unshared entries so its footprint tracks the working set.
-  detect::ClockArena::global().compact();
   analyzer_metrics().epochs.add(1);
   analyzer_metrics().records.add(reclaimed);
   {
@@ -200,12 +196,10 @@ void OnlineAnalyzer::checkpoint() {
 
 void OnlineAnalyzer::fold_clock_counters() {
   const std::size_t hits = frontier_.epoch_hits();
-  const std::size_t promos = frontier_.epoch_promotions();
-  AnalyzerMetrics& m = analyzer_metrics();
-  if (hits > folded_epoch_hits_) m.epoch_hits.add(hits - folded_epoch_hits_);
-  if (promos > folded_promotions_) m.promotions.add(promos - folded_promotions_);
+  if (hits > folded_epoch_hits_) {
+    analyzer_metrics().epoch_hits.add(hits - folded_epoch_hits_);
+  }
   folded_epoch_hits_ = hits;
-  folded_promotions_ = promos;
 }
 
 void OnlineAnalyzer::finish() {
@@ -223,7 +217,6 @@ void OnlineAnalyzer::finish() {
   stats_.final_clock_bytes = clock_bytes;
   stats_.peak_clock_bytes = std::max(stats_.peak_clock_bytes, clock_bytes);
   stats_.epoch_hits = frontier_.epoch_hits();
-  stats_.epoch_promotions = frontier_.epoch_promotions();
   frontier_.for_each_var([this](trace::ObjId var, const auto& f) {
     if (!spec::is_monitored_var(var)) return;
     ++stats_.monitored_variables;
@@ -270,7 +263,7 @@ std::size_t OnlineAnalyzer::resident_state() const {
 }
 
 std::size_t OnlineAnalyzer::resident_clock_bytes() const {
-  return frontier_.resident_clock_bytes() + hb_.resident_clock_bytes();
+  return hb_.resident_clock_bytes();
 }
 
 }  // namespace home::online

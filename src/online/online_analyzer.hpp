@@ -10,7 +10,8 @@
 //      same code path the post-mortem HappensBeforeAnalysis replays),
 //   2. feeds accesses through the IncrementalFrontier, which surfaces new
 //      concurrent pairs immediately,
-//   3. feeds calls / regions / pairs into the OnlineMatcher, whose
+//   3. feeds calls / regions / pairs into the spec::Matcher (the same
+//      premise tracker Matcher::match replays post-mortem), whose
 //      violations flow into the ViolationStream (dedup + rate limit + live
 //      callback).
 //
@@ -26,9 +27,9 @@
 // Equivalence: with kBlock backpressure the analyzer processes exactly the
 // events the post-mortem pipeline would read from the log, in the same
 // order, through the same clock updates, the same frontier type, and the
-// same rule builders — so the final violation-key set matches the
-// post-mortem report's (tests/online_equivalence_test.cpp compares the two
-// over one run's retained trace).
+// same matcher — so the final violation-key set matches the post-mortem
+// report's (tests/online_equivalence_test.cpp compares the two over one
+// run's retained trace).
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,7 @@
 #include "src/detect/race_detector.hpp"
 #include "src/online/event_queue.hpp"
 #include "src/online/violation_stream.hpp"
-#include "src/spec/online_matcher.hpp"
+#include "src/spec/matcher.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
 
@@ -87,15 +88,13 @@ struct OnlineStats {
   /// interval.
   std::size_t peak_resident = 0;
   std::size_t final_resident = 0;
-  /// Heap bytes pinned by retained clock payloads (frontier records +
-  /// thread/sync clocks), sampled like peak_resident.  The headline metric
-  /// of the epoch clock engine: epoch-only records pin no clock bytes.
+  /// Heap bytes held by the HB replay's thread/lock/message/barrier clocks,
+  /// sampled like peak_resident.  Frontier records and matcher calls keep
+  /// 16-byte epochs and pin no clock bytes.
   std::size_t peak_clock_bytes = 0;
   std::size_t final_clock_bytes = 0;
-  /// Clock-engine tallies: O(1)-path comparisons and records promoted to
-  /// full clocks on true concurrency.
+  /// Frontier comparisons answered by the O(1) epoch test.
   std::size_t epoch_hits = 0;
-  std::size_t epoch_promotions = 0;
   std::size_t monitored_variables = 0;
   std::size_t concurrent_variables = 0;
   std::size_t concurrent_pairs = 0;
@@ -137,14 +136,14 @@ class OnlineAnalyzer : public trace::EventSink {
   /// benign race while the analysis thread runs).
   std::size_t resident_state() const;
 
-  /// Current heap bytes pinned by retained clocks (same caveat as above).
+  /// Current heap bytes held by HB clocks (same caveat as above).
   std::size_t resident_clock_bytes() const;
 
  private:
   void run();
   void process(const trace::Event& e);
   void checkpoint();  ///< resident sampling + periodic retirement.
-  void fold_clock_counters();  ///< batch frontier/matcher tallies into obs.
+  void fold_clock_counters();  ///< batch the frontier tally into obs.
 
   OnlineConfig cfg_;
   const trace::ThreadRegistry* registry_;
@@ -152,7 +151,7 @@ class OnlineAnalyzer : public trace::EventSink {
   ViolationStream stream_;
   detect::IncrementalHb hb_;
   detect::IncrementalFrontier frontier_;
-  spec::OnlineMatcher matcher_;
+  spec::Matcher matcher_;
 
   /// kMpiCall events still linkable from their monitored-variable writes
   /// (aux back-link).  A thread's writes land before its next call, so each
@@ -163,11 +162,10 @@ class OnlineAnalyzer : public trace::EventSink {
 
   std::vector<detect::IncrementalFrontier::PairHit> hits_;  ///< scratch.
   std::size_t events_since_checkpoint_ = 0;
-  /// Clock-engine tallies already folded into obs::Registry (deltas are
-  /// added at each checkpoint; the engines keep plain local counters so the
-  /// hot loops never touch an atomic).
+  /// Epoch-test tally already folded into obs::Registry (deltas are added
+  /// at each checkpoint; the frontier keeps plain local counters so the hot
+  /// loops never touch an atomic).
   std::size_t folded_epoch_hits_ = 0;
-  std::size_t folded_promotions_ = 0;
 
   mutable std::mutex stats_mu_;
   OnlineStats stats_;

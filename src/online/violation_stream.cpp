@@ -3,28 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/span.hpp"
-#include "src/obs/telemetry.hpp"
-
 namespace home::online {
-
-namespace {
-
-// Dotted-lowercase metric leaf per DESIGN.md §9 (the paper's predicate
-// spellings are not metric-safe).
-const char* violation_metric_leaf(spec::ViolationType type) {
-  switch (type) {
-    case spec::ViolationType::kInitialization: return "initialization";
-    case spec::ViolationType::kFinalization: return "finalization";
-    case spec::ViolationType::kConcurrentRecv: return "concurrent_recv";
-    case spec::ViolationType::kConcurrentRequest: return "concurrent_request";
-    case spec::ViolationType::kProbe: return "probe";
-    case spec::ViolationType::kCollectiveCall: return "collective_call";
-  }
-  return "unknown";
-}
-
-}  // namespace
 
 bool ViolationStream::offer(spec::Violation&& v) {
   std::function<void(const spec::Violation&)> callback;
@@ -36,18 +15,7 @@ bool ViolationStream::offer(spec::Violation&& v) {
       ++duplicates_;
       return false;
     }
-    // First sighting of this violation key: drop a pin on the span timeline
-    // and bump the per-type counter so the Chrome trace shows detections in
-    // phase context.  The key leads the detail so live instants correlate
-    // with the provenance flows of the same violation.
-    {
-      std::string mark = "violation: ";
-      mark += spec::violation_type_name(v.type);
-      obs::instant(mark, "[" + key + "] " + v.to_string());
-      std::string metric = "spec.violations.";
-      metric += violation_metric_leaf(v.type);
-      obs::Registry::global().counter(metric).add(1);
-    }
+    spec::note_first_sighting(v, key);
     auto& live_count = live_per_type_[static_cast<std::size_t>(v.type)];
     const bool within_budget = cfg_.max_live_reports_per_type == 0 ||
                                live_count < cfg_.max_live_reports_per_type;

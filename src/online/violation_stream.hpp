@@ -1,4 +1,4 @@
-// Live violation surface: deduplicates the OnlineMatcher's (re-)emissions by
+// Live violation surface: deduplicates the matcher's (re-)emissions by
 // violation_key and rate-limits the first-occurrence callbacks, so a
 // violation firing on every loop iteration produces one live report instead
 // of a firehose.  Every deduplicated violation is retained for the final

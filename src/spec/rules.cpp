@@ -10,6 +10,11 @@ namespace home::spec::rules {
 using trace::Event;
 using trace::MpiCallType;
 
+bool carries_call_pairs(MonitoredVar kind) {
+  return kind == MonitoredVar::kSrcTmp || kind == MonitoredVar::kRequestTmp ||
+         kind == MonitoredVar::kCollectiveTmp;
+}
+
 std::string call_label(const trace::StringTable* strings, const Event& call) {
   if (!strings || !call.mpi || call.mpi->callsite == 0) return "";
   return strings->lookup(call.mpi->callsite);

@@ -1,12 +1,11 @@
-// The six thread-safety predicates of Section III.A as pure rule builders,
-// shared verbatim by the post-mortem Matcher and the streaming OnlineMatcher.
+// The six thread-safety predicates of Section III.A as pure rule builders.
 //
-// Both engines decide *when* a rule fires from their own concurrency
-// machinery (HbIndex sweeps vs incremental clocks); the rules here own the
-// MPI-argument predicates and produce the Violation records, so the two
-// engines can never drift apart on what a violation looks like — the
-// online-vs-post-mortem key equality (tests/online_equivalence_test.cpp)
-// depends on that.
+// spec::Matcher decides *when* a rule fires — it is the one premise tracker,
+// for the streaming analyzer and the post-mortem replay alike; the rules
+// here own the MPI-argument predicates and produce the Violation records.
+// The reference matcher in tests/oracle/ builds its records through these
+// same functions but shares none of the Matcher's premise logic, which is
+// what lets its record-for-record comparison judge the premise tracking.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +17,11 @@
 #include "src/trace/trace_log.hpp"
 
 namespace home::spec::rules {
+
+/// Whether concurrent pairs on `kind`'s monitored variable carry the pair
+/// rules: srctmp V3/V5, requesttmp V4, collectivetmp V6.  tagtmp, commtmp and
+/// finalizetmp pairs would repeat reports for the same call pairs.
+bool carries_call_pairs(MonitoredVar kind);
 
 /// Callsite label of an MPI call event ("" without a table or label).
 std::string call_label(const trace::StringTable* strings,

@@ -1,8 +1,33 @@
 #include "src/spec/violations.hpp"
 
+#include <array>
 #include <sstream>
 
+#include "src/obs/span.hpp"
+#include "src/obs/telemetry.hpp"
+
 namespace home::spec {
+
+namespace {
+
+// Resolved once per process (DESIGN.md §9).  The class leaves are dotted
+// lowercase (the paper's predicate spellings are not metric-safe), in
+// ViolationType order.
+struct ViolationMetrics {
+  static obs::Counter& counter(const char* name) {
+    return obs::Registry::global().counter(name);
+  }
+  obs::Counter& rule_hits = counter("spec.rule_hits");
+  std::array<obs::Counter*, kViolationTypeCount> per_class = {
+      &counter("spec.violations.initialization"),
+      &counter("spec.violations.finalization"),
+      &counter("spec.violations.concurrent_recv"),
+      &counter("spec.violations.concurrent_request"),
+      &counter("spec.violations.probe"),
+      &counter("spec.violations.collective_call")};
+};
+
+}  // namespace
 
 const char* violation_type_name(ViolationType type) {
   switch (type) {
@@ -64,6 +89,16 @@ std::string violation_key(const Violation& v) {
   // (they would break replay key equality), only of the report.
   if (v.comm != 0) os << "|comm" << v.comm;
   return os.str();
+}
+
+void note_first_sighting(const Violation& v, const std::string& key) {
+  static ViolationMetrics metrics;
+  metrics.rule_hits.add(1);
+  metrics.per_class[static_cast<std::size_t>(v.type)]->add(1);
+  // The key leads the detail so the instant correlates with the provenance
+  // flows of the same violation.
+  obs::instant(std::string("violation: ") + violation_type_name(v.type),
+               "[" + key + "] " + v.to_string());
 }
 
 }  // namespace home::spec

@@ -49,4 +49,10 @@ struct Violation {
 /// comm/request identity).
 std::string violation_key(const Violation& v);
 
+/// The first sighting of violation key `key` in one analysis: bumps
+/// `spec.rule_hits` and `spec.violations.<class>` and pins a "[key] ..."
+/// instant on the span timeline.  Matcher::match calls it once per reported
+/// key, the online ViolationStream once per new key.
+void note_first_sighting(const Violation& v, const std::string& key);
+
 }  // namespace home::spec

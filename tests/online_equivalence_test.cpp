@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "src/apps/app.hpp"
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/worksharing.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/spec/violations.hpp"
 #include "tests/oracle/fixtures.hpp"
 
@@ -132,6 +135,56 @@ TEST(OnlineStreamingOnly, UnretainedTraceStillReportsViolations) {
     EXPECT_TRUE(result.report.has(type))
         << spec::violation_type_name(type);
   }
+}
+
+// The violation counters, `spec.rule_hits` first, then one per class in
+// ViolationType order.
+std::vector<std::uint64_t> violation_counters() {
+  static const char* const kNames[] = {
+      "spec.rule_hits",
+      "spec.violations.initialization",
+      "spec.violations.finalization",
+      "spec.violations.concurrent_recv",
+      "spec.violations.concurrent_request",
+      "spec.violations.probe",
+      "spec.violations.collective_call"};
+  std::vector<std::uint64_t> out;
+  for (const char* name : kNames) {
+    out.push_back(obs::Registry::global().counter(name).value());
+  }
+  return out;
+}
+
+TEST(OnlineAppEquivalenceSuite, ViolationCountersMatchThePostMortemRun) {
+  // One place counts a key's first sighting: a post-mortem and an online
+  // analysis of the same program move `spec.rule_hits` and every
+  // `spec.violations.<class>` counter by exactly what their reports list.
+  obs::set_enabled(true);
+  const AppConfig app = apps::paper_config(AppKind::kLU, 2);
+  std::vector<std::vector<std::uint64_t>> deltas;
+  for (const AnalysisMode mode :
+       {AnalysisMode::kPostMortem, AnalysisMode::kOnline}) {
+    CheckConfig cfg = app_check(app);
+    cfg.session.mode = mode;
+    const std::vector<std::uint64_t> before = violation_counters();
+    const CheckResult result =
+        check_program(cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
+    ASSERT_TRUE(result.run.ok());
+    const std::vector<std::uint64_t> after = violation_counters();
+
+    std::vector<std::uint64_t> delta;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      delta.push_back(after[i] - before[i]);
+    }
+    std::vector<std::uint64_t> expected = {result.report.violations().size()};
+    for (int t = 0; t < spec::kViolationTypeCount; ++t) {
+      expected.push_back(result.report.count(static_cast<ViolationType>(t)));
+    }
+    EXPECT_EQ(delta, expected)
+        << (mode == AnalysisMode::kOnline ? "online" : "post-mortem");
+    deltas.push_back(delta);
+  }
+  EXPECT_EQ(deltas[0], deltas[1]);
 }
 
 TEST(OnlineCaseStudy, Figure1InitializationViolationStreamsLive) {

@@ -1,6 +1,6 @@
 // Unit tests of the thread-safety specification layer: monitored-variable
 // encoding, the wrapper write-sets, and the matcher evaluated on synthetic
-// wrapper-shaped traces (no universe involved).
+// wrapper-shaped traces (no universe involved) through both of its drivers.
 #include <gtest/gtest.h>
 
 #include "src/detect/race_detector.hpp"
@@ -9,91 +9,32 @@
 #include "src/spec/monitored.hpp"
 #include "src/spec/violations.hpp"
 #include "src/trace/trace_log.hpp"
+#include "tests/oracle/fixtures.hpp"
+#include "tests/oracle/reference_matcher.hpp"
 
 namespace home::spec {
 namespace {
 
-using trace::EventKind;
 using trace::MpiCallType;
 
-// Builds traces shaped exactly like HomeWrappers' output.
-class TraceBuilder {
- public:
-  struct CallSpec {
-    MpiCallType type = MpiCallType::kRecv;
-    int rank = 0;
-    trace::Tid tid = 0;
-    int peer = -1;
-    int tag = -1;
-    std::uint64_t comm = 1;
-    std::uint64_t request = 0;
-    bool on_main = false;
-    std::uint8_t provided = 3;  // MPI_THREAD_MULTIPLE by default.
-    std::vector<trace::ObjId> locks;
-    const char* site = nullptr;
-  };
+using oracle::TraceBuilder;
 
-  void call(const CallSpec& spec) {
-    trace::MpiCallInfo info;
-    info.type = spec.type;
-    info.peer = spec.peer;
-    info.tag = spec.tag;
-    info.comm = spec.comm;
-    info.request = spec.request;
-    info.on_main_thread = spec.on_main;
-    info.provided = spec.provided;
-    if (spec.site) info.callsite = log_.strings().intern(spec.site);
-
-    trace::Event call;
-    call.tid = spec.tid;
-    call.rank = spec.rank;
-    call.kind = EventKind::kMpiCall;
-    call.locks_held = spec.locks;
-    call.mpi = info;
-    const trace::Seq seq = log_.emit(std::move(call));
-
-    for (MonitoredVar var : monitored_vars_for(spec.type)) {
-      trace::Event write;
-      write.tid = spec.tid;
-      write.rank = spec.rank;
-      write.kind = EventKind::kMemWrite;
-      write.obj = monitored_var_id(spec.rank, var);
-      write.aux = seq;
-      write.locks_held = spec.locks;
-      log_.emit(std::move(write));
-    }
-  }
-
-  void barrier(std::initializer_list<trace::Tid> tids, trace::ObjId id) {
-    for (trace::Tid tid : tids) {
-      trace::Event e;
-      e.tid = tid;
-      e.kind = EventKind::kBarrier;
-      e.obj = id;
-      e.aux = tids.size();
-      log_.emit(std::move(e));
-    }
-  }
-
-  void region_begin(int rank, trace::Tid tid, int team = 2) {
-    trace::Event e;
-    e.tid = tid;
-    e.rank = rank;
-    e.kind = EventKind::kRegionBegin;
-    e.obj = 1;
-    e.aux = static_cast<std::uint64_t>(team);
-    log_.emit(std::move(e));
-  }
-
-  std::vector<Violation> match() {
-    detect::RaceDetector detector;
-    auto report = detector.analyze(log_.sorted_events());
-    Matcher matcher(&log_.strings());
-    return matcher.match(report);
-  }
-
-  trace::TraceLog log_;
-};
+// Every scenario runs through both matcher drivers: Matcher::match must
+// report the reference scan's records, and the streaming driver over the
+// same events must find the same keys.
+std::vector<Violation> match(const TraceBuilder& tb) {
+  const std::vector<trace::Event> events = tb.events();
+  const detect::RaceDetectorConfig cfg;
+  const detect::ConcurrencyReport report =
+      detect::RaceDetector(cfg).analyze(events);
+  std::vector<Violation> found = Matcher(&tb.strings()).match(report);
+  EXPECT_EQ(oracle::records_by_key(found),
+            oracle::records_by_key(
+                oracle::reference_match(report, &tb.strings())));
+  EXPECT_EQ(oracle::key_set(found),
+            oracle::streamed_keys(events, tb.strings(), cfg, 1));
+  return found;
+}
 
 bool has_type(const std::vector<Violation>& violations, ViolationType type) {
   for (const auto& v : violations) {
@@ -168,7 +109,7 @@ TEST(Matcher, ConcurrentRecvSameArgs) {
            .site = "r1"});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5,
            .site = "r2"});
-  const auto violations = tb.match();
+  const auto violations = match(tb);
   ASSERT_TRUE(has_type(violations, ViolationType::kConcurrentRecv));
   EXPECT_EQ(violations[0].rank, 0);
 }
@@ -177,7 +118,7 @@ TEST(Matcher, ConcurrentRecvDifferentTagsClean) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 6});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kConcurrentRecv));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kConcurrentRecv));
 }
 
 TEST(Matcher, ConcurrentRecvWildcardOverlaps) {
@@ -185,14 +126,14 @@ TEST(Matcher, ConcurrentRecvWildcardOverlaps) {
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 1,
            .peer = simmpi::kAnySource, .tag = 5});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 3, .tag = 5});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kConcurrentRecv));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kConcurrentRecv));
 }
 
 TEST(Matcher, RecvsInDifferentRanksClean) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.call({.type = MpiCallType::kRecv, .rank = 1, .tid = 2, .peer = 2, .tag = 5});
-  EXPECT_TRUE(tb.match().empty());
+  EXPECT_TRUE(match(tb).empty());
 }
 
 TEST(Matcher, RecvsOrderedByBarrierClean) {
@@ -200,7 +141,7 @@ TEST(Matcher, RecvsOrderedByBarrierClean) {
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.barrier({1, 2}, 99);
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kConcurrentRecv));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kConcurrentRecv));
 }
 
 TEST(Matcher, RecvsGuardedByCommonLockClean) {
@@ -209,49 +150,49 @@ TEST(Matcher, RecvsGuardedByCommonLockClean) {
            .locks = {0x1000}});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5,
            .locks = {0x1000}});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kConcurrentRecv));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kConcurrentRecv));
 }
 
 TEST(Matcher, ConcurrentRequestSameRequest) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kWait, .rank = 0, .tid = 1, .request = 77});
   tb.call({.type = MpiCallType::kTest, .rank = 0, .tid = 2, .request = 77});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kConcurrentRequest));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kConcurrentRequest));
 }
 
 TEST(Matcher, ConcurrentRequestDifferentRequestsClean) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kWait, .rank = 0, .tid = 1, .request = 77});
   tb.call({.type = MpiCallType::kWait, .rank = 0, .tid = 2, .request = 78});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kConcurrentRequest));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kConcurrentRequest));
 }
 
 TEST(Matcher, ProbeAgainstRecv) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kProbe, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kProbe));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kProbe));
 }
 
 TEST(Matcher, ProbeAgainstProbe) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kIprobe, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.call({.type = MpiCallType::kProbe, .rank = 0, .tid = 2, .peer = 2, .tag = 5});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kProbe));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kProbe));
 }
 
 TEST(Matcher, CollectivesOnSameComm) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kBarrier, .rank = 0, .tid = 1, .comm = 9});
   tb.call({.type = MpiCallType::kAllreduce, .rank = 0, .tid = 2, .comm = 9});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kCollectiveCall));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kCollectiveCall));
 }
 
 TEST(Matcher, CollectivesOnDifferentCommsClean) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kBarrier, .rank = 0, .tid = 1, .comm = 9});
   tb.call({.type = MpiCallType::kBarrier, .rank = 0, .tid = 2, .comm = 10});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kCollectiveCall));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kCollectiveCall));
 }
 
 TEST(Matcher, InitializationSingleWithParallelRegion) {
@@ -259,14 +200,14 @@ TEST(Matcher, InitializationSingleWithParallelRegion) {
   tb.call({.type = MpiCallType::kInit, .rank = 0, .tid = 1, .on_main = true,
            .provided = 0});
   tb.region_begin(0, 1);
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kInitialization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kInitialization));
 }
 
 TEST(Matcher, InitializationSingleWithoutParallelClean) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kInit, .rank = 0, .tid = 1, .on_main = true,
            .provided = 0});
-  EXPECT_TRUE(tb.match().empty());
+  EXPECT_TRUE(match(tb).empty());
 }
 
 TEST(Matcher, InitializationFunneledOffMain) {
@@ -275,7 +216,7 @@ TEST(Matcher, InitializationFunneledOffMain) {
            .on_main = true, .provided = 1});
   tb.call({.type = MpiCallType::kSend, .rank = 0, .tid = 2, .peer = 1, .tag = 0,
            .on_main = false, .provided = 1});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kInitialization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kInitialization));
 }
 
 TEST(Matcher, InitializationSerializedWithConcurrentSends) {
@@ -286,20 +227,20 @@ TEST(Matcher, InitializationSerializedWithConcurrentSends) {
            .provided = 2});
   tb.call({.type = MpiCallType::kSend, .rank = 0, .tid = 2, .peer = 1, .tag = 2,
            .provided = 2});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kInitialization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kInitialization));
 }
 
 TEST(Matcher, FinalizeOffMainThread) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kFinalize, .rank = 0, .tid = 2, .on_main = false});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kFinalization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kFinalization));
 }
 
 TEST(Matcher, FinalizeConcurrentWithSend) {
   TraceBuilder tb;
   tb.call({.type = MpiCallType::kFinalize, .rank = 0, .tid = 1, .on_main = true});
   tb.call({.type = MpiCallType::kSend, .rank = 0, .tid = 2, .peer = 1, .tag = 0});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kFinalization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kFinalization));
 }
 
 TEST(Matcher, CallAfterFinalizeSameThread) {
@@ -307,7 +248,7 @@ TEST(Matcher, CallAfterFinalizeSameThread) {
   tb.call({.type = MpiCallType::kFinalize, .rank = 0, .tid = 1, .on_main = true});
   tb.call({.type = MpiCallType::kSend, .rank = 0, .tid = 1, .peer = 1, .tag = 0,
            .on_main = true});
-  EXPECT_TRUE(has_type(tb.match(), ViolationType::kFinalization));
+  EXPECT_TRUE(has_type(match(tb), ViolationType::kFinalization));
 }
 
 TEST(Matcher, FinalizeAfterBarrierOrderedClean) {
@@ -315,7 +256,7 @@ TEST(Matcher, FinalizeAfterBarrierOrderedClean) {
   tb.call({.type = MpiCallType::kSend, .rank = 0, .tid = 2, .peer = 1, .tag = 0});
   tb.barrier({1, 2}, 55);
   tb.call({.type = MpiCallType::kFinalize, .rank = 0, .tid = 1, .on_main = true});
-  EXPECT_FALSE(has_type(tb.match(), ViolationType::kFinalization));
+  EXPECT_FALSE(has_type(match(tb), ViolationType::kFinalization));
 }
 
 TEST(Matcher, DeduplicatesRepeatedPairs) {
@@ -326,7 +267,7 @@ TEST(Matcher, DeduplicatesRepeatedPairs) {
     tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5,
              .site = "loop.recv.b"});
   }
-  const auto violations = tb.match();
+  const auto violations = match(tb);
   int count = 0;
   for (const auto& v : violations) {
     if (v.type == ViolationType::kConcurrentRecv) ++count;
@@ -339,8 +280,8 @@ TEST(Matcher, StatsPopulated) {
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 1, .peer = 2, .tag = 5});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5});
   detect::RaceDetector detector;
-  auto report = detector.analyze(tb.log_.sorted_events());
-  Matcher matcher(&tb.log_.strings());
+  auto report = detector.analyze(tb.events());
+  Matcher matcher(&tb.strings());
   matcher.match(report);
   EXPECT_GT(matcher.stats().concurrent_pairs, 0u);
   EXPECT_GT(matcher.stats().call_pairs, 0u);
