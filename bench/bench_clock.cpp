@@ -1,4 +1,4 @@
-// Clock-engine bench: epoch stamps + interned clocks.
+// Clock-engine bench: epoch stamps + framed HbIndex stamps.
 //
 // Four experiments, each one JSON row per sweep point (stdout and
 // --json-out, default BENCH_clock.json):
@@ -8,10 +8,10 @@
 //                   threads, with the shared HB build timed out
 //   clock_resident  the streamed HB replay's resident clock-bytes at 64
 //                   threads on both the clean and the racy trace
-//   clock_hb_index  interned vs dense post-mortem HbIndex stamp bytes
+//   clock_hb_index  framed vs dense post-mortem HbIndex stamp bytes
 //
 // Gates, in both modes: the engine's verdicts equal the pairwise oracle's
-// (tests/oracle/) on the clean and the racy trace, and interned HbIndex
+// (tests/oracle/) on the clean and the racy trace, and framed HbIndex
 // stamps are >= 2x smaller than dense ones.
 //
 // Modes:
@@ -245,28 +245,29 @@ bool engine_rows(const Output& out, int threads, int vars, std::size_t phases,
   return clean_ok && racy_ok;
 }
 
-/// Post-mortem HbIndex stamp store (ROADMAP clock follow-on (c)): frames
-/// (stamps with the own component zeroed) are interned in the ClockArena, so
-/// a thread's event run between sync edges shares one allocation.  The
-/// workload has compute-bound phases (many accesses per thread per barrier),
-/// the regime real programs live in; hb_dense_stamp_bytes is what the same
-/// stamps cost as private full clocks.  Returns dense/interned.
+/// Post-mortem HbIndex stamp store: the replay starts a frame only when it
+/// joins a clock into a thread, so a thread's event run between sync edges
+/// shares one frame.  The workload has compute-bound phases (many accesses
+/// per thread per barrier), the regime real programs live in;
+/// hb_dense_stamp_bytes is what the same stamps held as private full clocks
+/// (the sum of stamp widths times 8 bytes, computed, not allocated).
+/// Returns dense/framed.
 double hb_index_row(const Output& out, int threads) {
   const std::vector<trace::Event> events =
       bench::phased_trace(/*events_per_var=*/16, threads,
                           /*vars=*/threads * 32);
   const detect::HbIndex hb =
       detect::HappensBeforeAnalysis().run(std::vector<trace::Event>(events));
-  const std::size_t interned = hb.stamp_bytes();
+  const std::size_t framed = hb.stamp_bytes();
   const std::size_t dense = hb.dense_stamp_bytes();
-  const double ratio = interned > 0 ? static_cast<double>(dense) /
-                                          static_cast<double>(interned)
-                                    : 0.0;
+  const double ratio = framed > 0 ? static_cast<double>(dense) /
+                                        static_cast<double>(framed)
+                                  : 0.0;
   bench::JsonRow row("clock_hb_index");
   row.field("threads", threads)
       .field("events", events.size())
       .field("hb_dense_stamp_bytes", dense)
-      .field("hb_clock_bytes", interned)
+      .field("hb_clock_bytes", framed)
       .field("bytes_ratio", ratio);
   out.emit(row);
   return ratio;
@@ -280,14 +281,14 @@ int run_gates(const Output& out, int threads, int vars, std::size_t phases,
   const double hb_ratio = hb_index_row(out, hb_threads);
   if (hb_ratio < 2.0) {
     std::fprintf(stderr,
-                 "bench_clock: interned HbIndex stamps not 2x smaller than "
+                 "bench_clock: framed HbIndex stamps not 2x smaller than "
                  "dense (%.2fx)\n",
                  hb_ratio);
     status = 1;
   }
   if (status == 0) {
     std::printf("bench_clock: OK (verdicts match the oracle, hb index %.1fx "
-                "smaller interned)\n",
+                "smaller framed)\n",
                 hb_ratio);
   }
   return status;

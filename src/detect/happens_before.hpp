@@ -16,10 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "src/detect/clock_arena.hpp"
+#include "src/detect/flat_map.hpp"
+#include "src/detect/stamp.hpp"
 #include "src/detect/vector_clock.hpp"
 #include "src/trace/event.hpp"
 
@@ -30,26 +32,46 @@ struct HappensBeforeConfig {
   bool message_edges = true;    ///< model MsgSend->MsgRcv as an HB edge.
 };
 
-/// Per-event clock stamps plus ordering queries.
+/// The primitive HB edges IncrementalHb::advance applies — the one edge
+/// definition the index records and witness chains (diagnose::) are made of.
+/// A fork or a barrier completion writes into another thread's clock; its
+/// edge targets the first event that reads that clock afterwards: the
+/// thread's next own event, or the kThreadJoin that absorbs it.
+enum class EdgeKind : std::uint8_t {
+  kProgramOrder,  ///< same thread, consecutive position.
+  kMessage,       ///< kMsgSend -> kMsgRecv, same message object.
+  kFork,          ///< kThreadFork -> first reader of the child's clock.
+  kJoin,          ///< last child event -> kThreadJoin absorbing it.
+  kBarrier,       ///< arrival -> first reader of each participant's clock
+                  ///< after the instance completed.
+  kLock,          ///< kLockRelease -> later kLockAcquire (lock_edges only).
+};
+
+/// Per-event clock stamps, ordering queries, and the sync structure the
+/// replay applied: per-thread event and barrier positions and the sources of
+/// every non-program-order edge.
 ///
-/// Stamps are stored factored, not as private dense clocks: each event keeps
-/// its own (tid, value) component inline plus a ClockRef to its *frame* —
-/// the stamp with the own component zeroed, interned in the global
-/// ClockArena.  Between incoming sync edges a thread's frame never changes
-/// (only its own component advances), so long per-thread runs share one
-/// interned allocation and the index's resident clock bytes collapse from
-/// O(events * threads) to O(sync-edges * threads).
+/// Stamps are stored factored: each event keeps its own (tid, value)
+/// component inline plus the id of a *frame*, a full clock in one flat
+/// vector the index owns.  Between its events a thread's clock changes only
+/// when the replay joins another clock into it, so the replay starts a new
+/// frame only then and every other event reuses its thread's frame; the
+/// participants of one completed barrier share one frame.  Resident stamp
+/// bytes are O(sync events * threads), not O(events * threads).
+///
+/// Built only by HappensBeforeAnalysis::run, through the HbRecorder that
+/// IncrementalHb::advance reports to.
 class HbIndex {
  public:
-  /// Interns the dense per-event stamps (clocks[i] belongs to events[i]).
-  HbIndex(std::vector<trace::Event> events, std::vector<VectorClock> stamps);
-
   const std::vector<trace::Event>& events() const { return events_; }
 
   /// Component `tid` of event i's stamp.
   std::uint64_t stamp_get(std::size_t i, trace::Tid tid) const {
     const FrameStamp& s = stamps_[i];
-    return tid == s.tid ? s.own : s.frame->get(tid);
+    if (tid == s.tid) return s.own;
+    const Frame& f = frames_[s.frame];
+    const auto t = static_cast<std::size_t>(tid);
+    return t < f.size ? frame_data_[f.offset + t] : 0;
   }
 
   /// Event i's stamp materialized as a dense clock (test/diagnostic use;
@@ -57,21 +79,7 @@ class HbIndex {
   VectorClock stamp_clock(std::size_t i) const;
 
   /// events()[i] happens-before events()[j].
-  bool ordered(std::size_t i, std::size_t j) const {
-    const FrameStamp& a = stamps_[i];
-    const FrameStamp& b = stamps_[j];
-    std::size_t n = a.frame->size();
-    if (static_cast<std::size_t>(a.tid) >= n) {
-      n = static_cast<std::size_t>(a.tid) + 1;
-    }
-    for (std::size_t t = 0; t < n; ++t) {
-      const trace::Tid tid = static_cast<trace::Tid>(t);
-      const std::uint64_t av = tid == a.tid ? a.own : a.frame->get(tid);
-      const std::uint64_t bv = tid == b.tid ? b.own : b.frame->get(tid);
-      if (av > bv) return false;
-    }
-    return true;
-  }
+  bool ordered(std::size_t i, std::size_t j) const;
 
   /// Neither order holds (the paper's IsPotentialHappenBeforeRace core).
   bool concurrent(std::size_t i, std::size_t j) const {
@@ -81,34 +89,143 @@ class HbIndex {
   /// Find the index of the event with the given seq stamp (or npos).
   std::size_t index_of_seq(trace::Seq seq) const;
 
+  /// Seq-ordered event indices of thread `tid` (empty if it has none).
+  std::span<const std::uint32_t> events_of(trace::Tid tid) const;
+
+  /// Position of events()[i] within events_of(its thread).
+  std::size_t position_of(std::size_t i) const;
+
+  /// Barriers the thread of events()[i] arrived at before it.
+  std::uint64_t barriers_before(std::size_t i) const;
+
   /// The knowledge frontier: the index of the last event of `tid` that
-  /// events()[dst] is HB-after — i.e. the unique event of `tid` whose own
-  /// stamp component equals stamp_get(dst, tid).  Uniqueness holds because
-  /// the HB replay bumps the issuing thread's own component at *every*
-  /// event, so per-thread own components are dense 1..n in seq order.
+  /// events()[dst] is HB-after — the event of `tid` whose own stamp
+  /// component equals stamp_get(dst, tid).  The replay bumps the issuing
+  /// thread's own component at *every* event, so a thread's own components
+  /// are 1..n in seq order and that event is events_of(tid)[view - 1].
   /// Returns npos when dst's view of `tid` is zero (never synchronized).
   /// This is what anchors a diagnose:: witness chain.
   std::size_t knowledge_frontier(std::size_t dst, trace::Tid tid) const;
 
-  /// Resident bytes of the stamp store: inline FrameStamps plus each
-  /// distinct interned frame counted once.
+  /// Visit the direct HB sources of event i, fn(source index, EdgeKind):
+  /// its program-order predecessor and the sources of every sync edge the
+  /// replay applied into it.  Every source precedes i.
+  template <class Fn>
+  void for_each_source(std::size_t i, Fn&& fn) const;
+
+  /// Resident bytes of the stamp store: inline FrameStamps plus the frames.
   std::size_t stamp_bytes() const;
-  /// What the same stamps would occupy as private dense clocks (the
-  /// pre-interning representation) — the bench compares the two.
+  /// What the same stamps held as private dense clocks (the sum of stamp
+  /// widths times 8 bytes) — the bench compares the two.
   std::size_t dense_stamp_bytes() const { return dense_stamp_bytes_; }
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
+  friend class HbRecorder;
+
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
   struct FrameStamp {
     trace::Tid tid = 0;        ///< issuing thread.
+    std::uint32_t frame = 0;   ///< index into frames_.
     std::uint64_t own = 0;     ///< the stamp's own component.
-    ClockRef frame;            ///< stamp with own component zeroed, interned.
+  };
+  struct Frame {
+    std::uint32_t offset = 0;  ///< first component in frame_data_.
+    std::uint32_t size = 0;    ///< components stored (trailing zeros cut).
+  };
+  /// One sync edge group into `target`.  kFork and kJoin: `ref` is the
+  /// source event.  kMessage, kLock and kBarrier: `ref` is a source list
+  /// (the sends to one message object, the releases of one lock, the
+  /// arrivals of one completed barrier instance); its entries before
+  /// `target` are the sources.
+  struct SyncIn {
+    std::uint32_t target = 0;
+    EdgeKind kind = EdgeKind::kProgramOrder;
+    std::uint32_t ref = 0;
   };
 
   std::vector<trace::Event> events_;
   std::vector<FrameStamp> stamps_;
+  std::vector<Frame> frames_;
+  std::vector<std::uint64_t> frame_data_;
+  /// Per event: the thread's previous event since its clock last restarted.
+  std::vector<std::uint32_t> po_prev_;
+  std::vector<std::vector<std::uint32_t>> thread_events_;
+  /// Per thread: in-thread positions of its barrier arrivals.
+  std::vector<std::vector<std::uint32_t>> thread_barriers_;
+  std::vector<SyncIn> sync_in_;  ///< sorted by target.
+  /// Event i's groups are sync_in_[sync_start_[i] .. sync_start_[i + 1]).
+  std::vector<std::uint32_t> sync_start_;
+  std::vector<std::vector<std::uint32_t>> source_lists_;
   std::size_t dense_stamp_bytes_ = 0;
+};
+
+template <class Fn>
+void HbIndex::for_each_source(std::size_t i, Fn&& fn) const {
+  if (po_prev_[i] != kNone) fn(std::size_t{po_prev_[i]}, EdgeKind::kProgramOrder);
+  for (std::uint32_t g = sync_start_[i]; g < sync_start_[i + 1]; ++g) {
+    const SyncIn& in = sync_in_[g];
+    if (in.kind == EdgeKind::kFork || in.kind == EdgeKind::kJoin) {
+      fn(std::size_t{in.ref}, in.kind);
+      continue;
+    }
+    for (const std::uint32_t s : source_lists_[in.ref]) {
+      if (s >= i) break;
+      fn(std::size_t{s}, in.kind);
+    }
+  }
+}
+
+/// Builds an HbIndex from what IncrementalHb::advance applies, in the
+/// replay's own pass (HappensBeforeAnalysis::run).  advance() reports each
+/// event's incoming joins, its stamp, and the clocks it writes afterwards;
+/// the recorder keeps the stamp as (own, frame), the thread's positions, and
+/// the sources of each edge, resolving a fork or barrier write at the first
+/// event that reads the written clock.  The online analyzer passes none.
+class HbRecorder {
+ public:
+  explicit HbRecorder(std::size_t events);
+
+  /// `e`'s thread joined a message, lock or child clock (kMessage, kLock,
+  /// kJoin) into its own before the stamp.
+  void joined(const trace::Event& e, EdgeKind kind);
+  /// `e`'s stamp: after its incoming joins and bump, before outgoing edges.
+  void stamped(const trace::Event& e, const StampView& view);
+  /// After the stamp, `e` joined its clock into the message (kMessage) or
+  /// lock (kLock) clock, or into the forked child's clock (kFork).
+  void published(const trace::Event& e, EdgeKind kind);
+  /// `child`'s clock was absorbed by a kThreadJoin and restarts empty.
+  void reset(trace::Tid child);
+  /// The barrier instance `e` arrived at completed: every participant's
+  /// clock took `joined`, the join of all arrivals.
+  void completed(const trace::Event& e, const VectorClock& joined);
+
+  HbIndex finish(std::vector<trace::Event> events) &&;
+
+ private:
+  static constexpr std::uint32_t kNone = HbIndex::kNone;
+
+  struct Thread {
+    std::uint32_t last = kNone;    ///< last event since the clock restarted.
+    std::uint32_t frame = kNone;   ///< frame of the last event.
+    std::uint32_t shared = kNone;  ///< frame of a barrier that completed since.
+    bool changed = true;           ///< a clock was joined in since then.
+    /// Fork and barrier writes into this clock not yet read by an event.
+    std::vector<std::pair<EdgeKind, std::uint32_t>> pending;
+  };
+
+  Thread& thread(trace::Tid tid);
+  std::uint32_t list_for(FlatMap<std::uint32_t>& lists, trace::ObjId obj);
+  bool frame_matches(std::uint32_t frame, const StampView& view) const;
+  std::uint32_t add_frame(const std::uint64_t* clock, std::size_t n);
+
+  HbIndex index_;
+  std::vector<Thread> threads_;
+  FlatMap<std::uint32_t> sends_;     ///< message object -> source list.
+  FlatMap<std::uint32_t> releases_;  ///< lock -> source list.
+  FlatMap<std::uint32_t> arrivals_;  ///< open barrier instance -> list.
 };
 
 /// Pairwise HB-race check mirroring the paper's formulation: same location,

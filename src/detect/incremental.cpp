@@ -12,35 +12,44 @@ void IncrementalHb::ensure_tid(trace::Tid tid) {
   }
 }
 
-StampView IncrementalHb::advance(const trace::Event& e) {
+StampView IncrementalHb::advance(const trace::Event& e, HbRecorder* rec) {
   ensure_tid(e.tid);
   const auto ti = static_cast<std::size_t>(e.tid);
   thread_state_[ti] |= kHasClock;
 
   {
-    VectorClock& clk = thread_clock_[ti];
-    // Incoming edges before the stamp, mirroring HappensBeforeAnalysis.
+    // Incoming edges before the stamp.
+    const VectorClock* in = nullptr;
+    EdgeKind kind = EdgeKind::kProgramOrder;
     switch (e.kind) {
       case trace::EventKind::kLockAcquire:
         if (cfg_.lock_edges) {
-          if (const VectorClock* lc = lock_clock_.find(e.obj)) clk.join(*lc);
+          in = lock_clock_.find(e.obj);
+          kind = EdgeKind::kLock;
         }
         break;
       case trace::EventKind::kMsgRecv:
         if (cfg_.message_edges) {
-          if (const VectorClock* mc = message_clock_.find(e.obj)) clk.join(*mc);
+          in = message_clock_.find(e.obj);
+          kind = EdgeKind::kMessage;
         }
         break;
       case trace::EventKind::kThreadJoin: {
         const auto child = static_cast<std::size_t>(e.obj);
         if (child < thread_clock_.size() &&
             (thread_state_[child] & kHasClock) != 0) {
-          clk.join(thread_clock_[child]);
+          in = &thread_clock_[child];
+          kind = EdgeKind::kJoin;
         }
         break;
       }
       default:
         break;
+    }
+    VectorClock& clk = thread_clock_[ti];
+    if (in != nullptr) {
+      clk.join(*in);
+      if (rec != nullptr) rec->joined(e, kind);
     }
     clk.bump(e.tid);
   }
@@ -56,15 +65,22 @@ StampView IncrementalHb::advance(const trace::Event& e) {
   view.value = thread_clock_[ti].get(e.tid);
   view.clock = thread_clock_[ti].data();
   view.size = thread_clock_[ti].size();
+  if (rec != nullptr) rec->stamped(e, view);
 
   // Outgoing edges after the stamp.  References into thread_clock_ are
   // re-fetched by index after any call that may grow it.
   switch (e.kind) {
     case trace::EventKind::kLockRelease:
-      if (cfg_.lock_edges) lock_clock_[e.obj].join(thread_clock_[ti]);
+      if (cfg_.lock_edges) {
+        lock_clock_[e.obj].join(thread_clock_[ti]);
+        if (rec != nullptr) rec->published(e, EdgeKind::kLock);
+      }
       break;
     case trace::EventKind::kMsgSend:
-      if (cfg_.message_edges) message_clock_[e.obj].join(thread_clock_[ti]);
+      if (cfg_.message_edges) {
+        message_clock_[e.obj].join(thread_clock_[ti]);
+        if (rec != nullptr) rec->published(e, EdgeKind::kMessage);
+      }
       break;
     case trace::EventKind::kThreadFork: {
       const auto child = static_cast<trace::Tid>(e.obj);
@@ -72,6 +88,7 @@ StampView IncrementalHb::advance(const trace::Event& e) {
       thread_state_[static_cast<std::size_t>(child)] |= kHasClock;
       thread_clock_[static_cast<std::size_t>(child)].join(thread_clock_[ti]);
       view.clock = thread_clock_[ti].data();
+      if (rec != nullptr) rec->published(e, EdgeKind::kFork);
       break;
     }
     case trace::EventKind::kThreadJoin: {
@@ -87,6 +104,7 @@ StampView IncrementalHb::advance(const trace::Event& e) {
         thread_clock_[child] = VectorClock();
         thread_state_[child] &= static_cast<std::uint8_t>(~(kHasClock | kDeclared));
         thread_state_[child] |= kJoined;
+        if (rec != nullptr) rec->reset(static_cast<trace::Tid>(child));
       }
       break;
     }
@@ -106,6 +124,7 @@ StampView IncrementalHb::advance(const trace::Event& e) {
           thread_state_[static_cast<std::size_t>(t)] |= kHasClock;
           thread_clock_[static_cast<std::size_t>(t)].join(acc.joined);
         }
+        if (rec != nullptr) rec->completed(e, acc.joined);
         barriers_.erase(e.obj);
       }
       break;

@@ -71,8 +71,10 @@ class IncrementalHb {
   /// edges.  Returns the stamp view of e — the epoch plus a span of the
   /// issuing thread's clock, valid until the next advance() call and
   /// allocation-free on the access/lock/message hot path.  Events must be
-  /// fed in seq order; e.tid must be a registry tid (>= 0).
-  StampView advance(const trace::Event& e);
+  /// fed in seq order; e.tid must be a registry tid (>= 0).  `rec`, when
+  /// given, is told the stamp and every edge applied (the post-mortem
+  /// index); the streaming analyzer passes none.
+  StampView advance(const trace::Event& e, HbRecorder* rec = nullptr);
 
   /// Declare a thread that may emit events (typically every registry tid).
   /// Idempotent; threads retired by a kThreadJoin stay retired.

@@ -39,7 +39,7 @@ struct StampView {
     const auto i = static_cast<std::size_t>(t);
     return i < size ? clock[i] : 0;
   }
-  /// Materialize a private VectorClock (post-mortem HbIndex stamps).
+  /// Materialize a private VectorClock (tests and diagnostics).
   VectorClock to_clock() const { return VectorClock(clock, size); }
 };
 

@@ -1,11 +1,8 @@
 #include "src/diagnose/certificate.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <utility>
-
-#include "src/diagnose/witness.hpp"
 
 namespace home::diagnose {
 
@@ -25,18 +22,8 @@ namespace {
 
 constexpr std::size_t npos = detect::HbIndex::npos;
 
-/// Position of event `idx` within its thread's seq-ordered event list.
-std::size_t tid_position(const SyncGraph& graph, trace::Tid tid,
-                         std::size_t idx) {
-  const SyncGraph::TidEvents mine = graph.events_of(tid);
-  if (mine.data == nullptr) return 0;
-  const auto it = std::lower_bound(mine.data, mine.data + mine.size,
-                                   static_cast<std::uint32_t>(idx));
-  return static_cast<std::size_t>(it - mine.data);
-}
-
-Endpoint make_endpoint(const detect::HbIndex& hb, const SyncGraph& graph,
-                       std::size_t idx, const trace::StringTable* strings) {
+Endpoint make_endpoint(const detect::HbIndex& hb, std::size_t idx,
+                       const trace::StringTable* strings) {
   const trace::Event& e = hb.events()[idx];
   Endpoint ep;
   ep.seq = e.seq;
@@ -49,34 +36,32 @@ Endpoint make_endpoint(const detect::HbIndex& hb, const SyncGraph& graph,
     }
   }
   ep.locks = e.locks_held;
-  ep.barrier_phase = graph.barriers_before(e.tid, tid_position(graph, e.tid, idx));
+  ep.barrier_phase = hb.barriers_before(idx);
   ep.stamp_own = hb.stamp_get(idx, e.tid);
   return ep;
 }
 
-std::vector<ContextEvent> context_window(const std::vector<trace::Event>& events,
-                                         const SyncGraph& graph,
+std::vector<ContextEvent> context_window(const detect::HbIndex& hb,
                                          std::size_t idx, std::size_t window) {
-  const trace::Tid tid = events[idx].tid;
-  const SyncGraph::TidEvents mine = graph.events_of(tid);
-  std::vector<ContextEvent> out;
-  if (mine.data == nullptr) return out;
-  const std::size_t my_pos = tid_position(graph, tid, idx);
+  const std::vector<trace::Event>& events = hb.events();
+  const std::span<const std::uint32_t> mine = hb.events_of(events[idx].tid);
+  const std::size_t my_pos = hb.position_of(idx);
   const std::size_t lo = my_pos > window ? my_pos - window : 0;
-  const std::size_t hi = std::min(mine.size, my_pos + window + 1);
+  const std::size_t hi = std::min(mine.size(), my_pos + window + 1);
+  std::vector<ContextEvent> out;
   out.reserve(hi - lo);
   for (std::size_t p = lo; p < hi; ++p) {
     ContextEvent c;
-    c.seq = events[mine.data[p]].seq;
-    c.is_endpoint = mine.data[p] == idx;
-    c.text = trace::event_to_string(events[mine.data[p]]);
+    c.seq = events[mine[p]].seq;
+    c.is_endpoint = mine[p] == idx;
+    c.text = trace::event_to_string(events[mine[p]]);
     out.push_back(std::move(c));
   }
   return out;
 }
 
-NonOrderWitness make_witness(const detect::HbIndex& hb, const SyncGraph& graph,
-                             std::size_t src, std::size_t dst) {
+NonOrderWitness make_witness(const detect::HbIndex& hb, std::size_t src,
+                             std::size_t dst) {
   const std::vector<trace::Event>& events = hb.events();
   NonOrderWitness w;
   w.src = events[src].seq;
@@ -84,20 +69,10 @@ NonOrderWitness make_witness(const detect::HbIndex& hb, const SyncGraph& graph,
   const trace::Tid stid = events[src].tid;
   w.src_own = hb.stamp_get(src, stid);
   w.dst_view = hb.stamp_get(dst, stid);
-  if (w.dst_view == 0) return w;  // dst knows nothing of src's thread.
-  // Dense own components: the frontier (the src-thread event whose own stamp
-  // equals dst_view) is exactly src-thread event number dst_view, an O(1)
-  // lookup in the graph's per-thread index.
-  const SyncGraph::TidEvents src_events = graph.events_of(stid);
-  std::size_t frontier = npos;
-  if (src_events.data != nullptr && w.dst_view <= src_events.size) {
-    frontier = src_events.data[w.dst_view - 1];
-  } else {
-    frontier = hb.knowledge_frontier(dst, stid);  // defensive fallback.
-  }
-  if (frontier == npos) return w;  // defensive; dense own components forbid it.
+  const std::size_t frontier = hb.knowledge_frontier(dst, stid);
+  if (frontier == npos) return w;  // dst knows nothing of src's thread.
   w.frontier = events[frontier].seq;
-  w.chain = graph.shortest_chain(frontier, dst);
+  w.chain = shortest_chain(hb, frontier, dst);
   return w;
 }
 
@@ -169,16 +144,54 @@ std::string Certificate::to_string() const {
   return os.str();
 }
 
-namespace {
+std::vector<ChainLink> shortest_chain(const detect::HbIndex& hb,
+                                      std::size_t from, std::size_t to) {
+  std::vector<ChainLink> chain;
+  const std::vector<trace::Event>& events = hb.events();
+  if (from >= to || to >= events.size()) return chain;
+  // Every edge joins clocks, so an event on a path from `from` carries at
+  // least from's own component: the search skips every event that does not.
+  const trace::Tid ftid = events[from].tid;
+  const std::uint64_t fown = hb.stamp_get(from, ftid);
+  if (hb.stamp_get(to, ftid) < fown) return chain;
 
-/// Shared body: `graph` may be null, in which case a graph is built on
-/// demand (single-certificate path).
-Certificate build_certificate_impl(const detect::HbIndex& hb,
-                                   const spec::Violation& v,
-                                   const trace::StringTable* strings,
-                                   const detect::HappensBeforeConfig& hb_cfg,
-                                   const SyncGraph* shared,
-                                   const CertificateOptions& opts) {
+  // Breadth-first from `to` back along the recorded sources.  Every source
+  // precedes its target, so only the [from, to] window can lie on a path;
+  // search state is indexed relative to it.
+  const std::size_t width = to - from + 1;
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> next(width, kUnseen);  // hop toward `to`.
+  std::vector<EdgeKind> via(width, EdgeKind::kProgramOrder);
+  std::vector<std::size_t> queue{to};
+  next[width - 1] = to;
+  bool found = false;
+  for (std::size_t head = 0; head < queue.size() && !found; ++head) {
+    const std::size_t cur = queue[head];
+    hb.for_each_source(cur, [&](std::size_t src, EdgeKind kind) {
+      if (found || src < from || next[src - from] != kUnseen ||
+          hb.stamp_get(src, ftid) < fown) {
+        return;
+      }
+      next[src - from] = cur;
+      via[src - from] = kind;
+      found = src == from;
+      queue.push_back(src);
+    });
+  }
+  if (!found) return chain;
+
+  for (std::size_t cur = from; cur != to; cur = next[cur - from]) {
+    chain.push_back(
+        ChainLink{events[cur].seq, events[next[cur - from]].seq,
+                  via[cur - from]});
+  }
+  return chain;
+}
+
+Certificate build_certificate(const detect::HbIndex& hb,
+                              const spec::Violation& v,
+                              const trace::StringTable* strings,
+                              const CertificateOptions& opts) {
   Certificate cert;
   cert.violation = v;
   cert.key = spec::violation_key(v);
@@ -188,23 +201,13 @@ Certificate build_certificate_impl(const detect::HbIndex& hb,
   const std::size_t i2 = v.call2 != 0 ? hb.index_of_seq(v.call2) : npos;
   if (i1 == npos && i2 == npos) return cert;
 
-  // Endpoints, context windows and witnesses all read the graph's per-thread
-  // indexes, so the single-certificate path builds one O(events) graph here
-  // (same asymptotics as one trace scan) and the batch path shares one.
-  const SyncGraph* graph = shared;
-  std::unique_ptr<SyncGraph> own;
-  if (graph == nullptr) {
-    own = std::make_unique<SyncGraph>(events, hb_cfg);
-    graph = own.get();
-  }
-
   if (i1 != npos) {
-    cert.e1 = make_endpoint(hb, *graph, i1, strings);
-    cert.context1 = context_window(events, *graph, i1, opts.context_window);
+    cert.e1 = make_endpoint(hb, i1, strings);
+    cert.context1 = context_window(hb, i1, opts.context_window);
   }
   if (i2 != npos) {
-    cert.e2 = make_endpoint(hb, *graph, i2, strings);
-    cert.context2 = context_window(events, *graph, i2, opts.context_window);
+    cert.e2 = make_endpoint(hb, i2, strings);
+    cert.context2 = context_window(hb, i2, opts.context_window);
   }
   if (i1 == npos || i2 == npos) return cert;
 
@@ -213,37 +216,33 @@ Certificate build_certificate_impl(const detect::HbIndex& hb,
       trace::locksets_disjoint(events[i1].locks_held, events[i2].locks_held);
   if (events[i1].tid != events[i2].tid && hb.concurrent(i1, i2)) {
     cert.hb_unordered = true;
-    cert.w12 = make_witness(hb, *graph, i1, i2);
-    cert.w21 = make_witness(hb, *graph, i2, i1);
+    cert.w12 = make_witness(hb, i1, i2);
+    cert.w21 = make_witness(hb, i2, i1);
   }
   return cert;
 }
 
-}  // namespace
-
-Certificate build_certificate(const detect::HbIndex& hb,
-                              const spec::Violation& v,
-                              const trace::StringTable* strings,
-                              const detect::HappensBeforeConfig& hb_cfg,
-                              const CertificateOptions& opts) {
-  return build_certificate_impl(hb, v, strings, hb_cfg, nullptr, opts);
-}
-
-Certificate build_certificate(const detect::HbIndex& hb,
-                              const spec::Violation& v,
-                              const trace::StringTable* strings,
-                              const detect::HappensBeforeConfig& hb_cfg,
-                              const SyncGraph& graph,
-                              const CertificateOptions& opts) {
-  return build_certificate_impl(hb, v, strings, hb_cfg, &graph, opts);
-}
-
 namespace {
 
-/// One hop must be a structurally valid primitive sync edge AND HB-ordered
-/// under the recomputed stamps.
-bool check_link(const detect::HbIndex& hb, const ChainLink& link,
-                const detect::HappensBeforeConfig& hb_cfg, std::string* why) {
+/// Independent recomputation for the verifier: thread `tid` arrived at
+/// barrier object `obj` before events[end] — a raw trace scan rather than
+/// the builder's recorded positions, so a builder bug cannot vouch for
+/// itself.
+bool arrived_before(const std::vector<trace::Event>& events, std::size_t end,
+                    trace::ObjId obj, trace::Tid tid) {
+  for (std::size_t i = 0; i < end; ++i) {
+    const trace::Event& e = events[i];
+    if (e.kind == trace::EventKind::kBarrier && e.obj == obj && e.tid == tid) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool verify_link(const detect::HbIndex& hb, const ChainLink& link,
+                 const detect::HappensBeforeConfig& hb_cfg, std::string* why) {
   const std::size_t a = hb.index_of_seq(link.from);
   const std::size_t b = hb.index_of_seq(link.to);
   if (a == npos || b == npos) {
@@ -269,12 +268,18 @@ bool check_link(const detect::HbIndex& hb, const ChainLink& link,
         return fail(why, "message link is not a send->recv on one object");
       }
       break;
-    case EdgeKind::kFork:
+    case EdgeKind::kFork: {
+      // The target reads the child's clock: the child's own event, or the
+      // join that absorbs the child.
+      const auto child = static_cast<trace::Tid>(ea.obj);
+      const bool absorbs = eb.kind == trace::EventKind::kThreadJoin &&
+                           static_cast<trace::Tid>(eb.obj) == child;
       if (ea.kind != trace::EventKind::kThreadFork ||
-          static_cast<trace::Tid>(ea.obj) != eb.tid) {
+          (eb.tid != child && !absorbs)) {
         return fail(why, "fork link does not target the forked thread");
       }
       break;
+    }
     case EdgeKind::kJoin:
       if (eb.kind != trace::EventKind::kThreadJoin ||
           static_cast<trace::Tid>(eb.obj) != ea.tid) {
@@ -285,18 +290,15 @@ bool check_link(const detect::HbIndex& hb, const ChainLink& link,
       if (ea.kind != trace::EventKind::kBarrier) {
         return fail(why, "barrier link does not start at an arrival");
       }
-      // The target thread must itself have arrived at the same barrier
-      // object before the target event (arrival stamps are pre-completion,
-      // so the fan-out lands on the participant's *next* event).
-      bool arrived = false;
-      for (const trace::Event& e : hb.events()) {
-        if (e.seq >= eb.seq) break;
-        if (e.kind == trace::EventKind::kBarrier && e.obj == ea.obj &&
-            e.tid == eb.tid) {
-          arrived = true;
-          break;
-        }
-      }
+      // The target reads the clock of a participant that arrived at the
+      // same barrier object before it (arrival stamps are pre-completion,
+      // so the fan-out lands on the participant's *next* event, or on the
+      // join that absorbs the participant).
+      const bool arrived =
+          arrived_before(hb.events(), b, ea.obj, eb.tid) ||
+          (eb.kind == trace::EventKind::kThreadJoin &&
+           arrived_before(hb.events(), b, ea.obj,
+                          static_cast<trace::Tid>(eb.obj)));
       if (!arrived) {
         return fail(why, "barrier link target's thread never arrived");
       }
@@ -312,9 +314,10 @@ bool check_link(const detect::HbIndex& hb, const ChainLink& link,
   return true;
 }
 
-/// Independent recomputation for the verifier: deliberately a raw trace scan
-/// rather than the builder's precomputed index, so a builder bug cannot
-/// vouch for itself.
+namespace {
+
+/// Independent recomputation for the verifier, a raw trace scan like
+/// arrived_before.
 std::uint64_t barrier_phase_before(const std::vector<trace::Event>& events,
                                    std::size_t idx) {
   const trace::Tid tid = events[idx].tid;
@@ -411,7 +414,7 @@ bool check_witness(const detect::HbIndex& hb, const NonOrderWitness& w,
     }
   }
   for (const ChainLink& link : w.chain) {
-    if (!check_link(hb, link, hb_cfg, why)) return false;
+    if (!verify_link(hb, link, hb_cfg, why)) return false;
   }
   return true;
 }

@@ -47,15 +47,8 @@ struct CertificateOptions {
 };
 
 /// The primitive synchronization edges a witness chain may use — exactly the
-/// edge kinds IncrementalHb models (happens_before.hpp header comment).
-enum class EdgeKind : std::uint8_t {
-  kProgramOrder,  ///< same thread, consecutive position.
-  kMessage,       ///< kMsgSend -> kMsgRecv, same message object.
-  kFork,          ///< kThreadFork -> first child event after the fork.
-  kJoin,          ///< last child event -> kThreadJoin absorbing it.
-  kBarrier,       ///< arrival -> participant's first event after its arrival.
-  kLock,          ///< kLockRelease -> later kLockAcquire (lock_edges only).
-};
+/// edges IncrementalHb::advance applies (detect::EdgeKind).
+using EdgeKind = detect::EdgeKind;
 
 const char* edge_kind_name(EdgeKind kind);
 
@@ -138,26 +131,28 @@ struct Certificate {
   std::string to_string() const;
 };
 
-class SyncGraph;
+/// Shortest chain (fewest hops) from events[from] to events[to] over the
+/// HB edges the index recorded (HbIndex::for_each_source); empty when
+/// unreachable or from >= to.  Every edge points forward in seq order, so
+/// the search is bounded to the [from, to] index window.
+std::vector<ChainLink> shortest_chain(const detect::HbIndex& hb,
+                                      std::size_t from, std::size_t to);
 
 /// Build the certificate for one violation from a finished HB index.
-/// `strings` resolves callsite labels (may be null).  `hb_cfg` must be the
-/// configuration the detector used (it scopes which edge kinds are legal).
+/// `strings` resolves callsite labels (may be null).
 Certificate build_certificate(const detect::HbIndex& hb,
                               const spec::Violation& v,
                               const trace::StringTable* strings,
-                              const detect::HappensBeforeConfig& hb_cfg,
                               const CertificateOptions& opts = {});
 
-/// As above with a pre-built sync graph over the same trace, so a batch of
-/// certificates (diagnose_violations) shares one O(events) graph build
-/// instead of paying it per violation.
-Certificate build_certificate(const detect::HbIndex& hb,
-                              const spec::Violation& v,
-                              const trace::StringTable* strings,
-                              const detect::HappensBeforeConfig& hb_cfg,
-                              const SyncGraph& graph,
-                              const CertificateOptions& opts = {});
+/// The verifier's check of one chain hop: `link` is a structurally valid
+/// primitive sync edge of the trace under `hb_cfg` and HB-ordered.  `replay`
+/// must be an HB replay of the trace independent of the certificate's
+/// builder (verify_certificate runs its own); only its stamps and the raw
+/// events are read, no recorded edge or position.
+bool verify_link(const detect::HbIndex& replay, const ChainLink& link,
+                 const detect::HappensBeforeConfig& hb_cfg,
+                 std::string* why = nullptr);
 
 /// The machine-checking oracle: re-derive every claim of `cert` from the raw
 /// trace via an *independent* HB replay and reject on any mismatch.  Used as

@@ -1,7 +1,5 @@
 #include "src/diagnose/provenance.hpp"
 
-#include "src/diagnose/witness.hpp"
-
 #include <chrono>
 #include <set>
 #include <sstream>
@@ -105,14 +103,9 @@ ProvenanceReport diagnose_violations(
   obs::Counter& bad =
       obs::Registry::global().counter("diagnose.verify_failures");
 
-  // One sync graph serves every certificate of the batch (the graph is a
-  // pure function of the trace + HB config, and building it is O(events)).
-  const SyncGraph graph(hb.events(), hb_cfg);
-
   report.certificates.reserve(violations.size());
   for (const spec::Violation& v : violations) {
-    Certificate cert =
-        build_certificate(hb, v, strings, hb_cfg, graph, cert_opts);
+    Certificate cert = build_certificate(hb, v, strings, cert_opts);
     built.add(1);
 
     if (schedule != nullptr && !schedule->decisions.empty()) {

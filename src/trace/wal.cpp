@@ -323,9 +323,14 @@ LoadedTrace salvage_wal(std::istream& in, WalSalvage* stats) {
     salvage.bytes_recovered += 9 + len;
   }
 
-  std::stable_sort(
-      result.events.begin(), result.events.end(),
-      [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  // Frames are journaled in publish order, which is almost always seq
+  // order: a linear check skips the sort then.
+  const auto by_seq = [](const Event& a, const Event& b) {
+    return a.seq < b.seq;
+  };
+  if (!std::is_sorted(result.events.begin(), result.events.end(), by_seq)) {
+    std::stable_sort(result.events.begin(), result.events.end(), by_seq);
+  }
   if (stats != nullptr) *stats = salvage;
   return result;
 }

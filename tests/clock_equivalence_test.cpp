@@ -10,18 +10,15 @@
 //    retirement off the streamed epoch tally equals the post-mortem one,
 //  * end to end: an online run's violation keys equal a post-mortem pass
 //    over the trace the same run retained,
-//  * the supporting structures behave: FlatMap matches std::map under a
-//    randomized op sequence, and ClockArena dedupes content-equal clocks
-//    (trailing-zero padding included) and compacts unreferenced entries.
+//  * the supporting structure behaves: FlatMap matches std::map under a
+//    randomized op sequence.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/apps/app.hpp"
-#include "src/detect/clock_arena.hpp"
 #include "src/detect/flat_map.hpp"
 #include "src/detect/incremental.hpp"
 #include "src/detect/race_detector.hpp"
@@ -184,76 +181,6 @@ TEST(ClockEngineOnline, AnalyzerViolationKeySetsMatchAcrossEngines) {
     EXPECT_FALSE(run.post_mortem_keys.empty());
     EXPECT_GT(run.stats.epoch_hits, 0u);
   }
-}
-
-// ------------------------------------------------------------- ClockArena
-
-TEST(ClockArena, InternDedupesAndNormalizesTrailingZeros) {
-  ClockArena arena;
-  const std::uint64_t a[] = {3, 5, 0, 0};
-  const std::uint64_t b[] = {3, 5};
-  const std::uint64_t c[] = {3, 5, 7};
-  const ClockRef ra = arena.intern(a, 4);
-  const ClockRef rb = arena.intern(b, 2);
-  const ClockRef rc = arena.intern(c, 3);
-  EXPECT_EQ(ra.get(), rb.get());  // padding-insensitive: one allocation.
-  EXPECT_NE(ra.get(), rc.get());
-  EXPECT_EQ(ra->size(), 2u);  // stored normalized.
-  EXPECT_EQ(ra->get(0), 3u);
-  EXPECT_EQ(ra->get(1), 5u);
-  EXPECT_EQ(ra->get(9), 0u);  // out-of-range reads as zero.
-  EXPECT_EQ(arena.resident_clocks(), 2u);
-}
-
-TEST(ClockArena, CompactDropsOnlyUnreferencedClocks) {
-  ClockArena arena;
-  const std::uint64_t a[] = {1, 2};
-  const std::uint64_t b[] = {9};
-  ClockRef keep = arena.intern(a, 2);
-  arena.intern(b, 1);  // ref dropped immediately; only the table holds it.
-  ASSERT_EQ(arena.resident_clocks(), 2u);
-  EXPECT_EQ(arena.compact(), 1u);  // only the unreferenced entry goes.
-  EXPECT_EQ(arena.resident_clocks(), 1u);
-  // The survivor is still served from the table.
-  EXPECT_EQ(arena.intern(a, 2).get(), keep.get());
-}
-
-TEST(ClockArena, ConcurrentInternDedupesAcrossShards) {
-  // The intern table is sharded by content hash; racing threads interning
-  // the same clocks must still converge on one canonical instance each.
-  ClockArena arena;
-  constexpr int kThreads = 8;
-  constexpr int kClocks = 64;
-  std::vector<std::vector<ClockRef>> refs(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&arena, &refs, t] {
-      for (int i = 0; i < kClocks; ++i) {
-        const std::uint64_t c[3] = {static_cast<std::uint64_t>(i),
-                                    static_cast<std::uint64_t>(i * 7 + 1),
-                                    static_cast<std::uint64_t>(i % 5)};
-        refs[static_cast<std::size_t>(t)].push_back(arena.intern(c, 3));
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 1; t < kThreads; ++t) {
-    for (int i = 0; i < kClocks; ++i) {
-      EXPECT_EQ(refs[0][static_cast<std::size_t>(i)].get(),
-                refs[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)]
-                    .get());
-    }
-  }
-  EXPECT_EQ(arena.resident_clocks(), static_cast<std::size_t>(kClocks));
-}
-
-TEST(ClockArena, EmptyClockInterns) {
-  ClockArena arena;
-  const std::uint64_t zeros[] = {0, 0, 0};
-  const ClockRef r1 = arena.intern(zeros, 3);
-  const ClockRef r2 = arena.intern(nullptr, 0);
-  EXPECT_EQ(r1.get(), r2.get());
-  EXPECT_EQ(r1->size(), 0u);
 }
 
 // ---------------------------------------------------------------- FlatMap

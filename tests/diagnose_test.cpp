@@ -1,9 +1,12 @@
 // Provenance-engine tests (ISSUE-9 acceptance):
 //  * certificates built from a detector run verify against an independent
 //    HB replay of the raw trace, including witness chains through barriers,
+//  * the witness edges are exactly HB: on random traces and on fork/join
+//    shapes, a chain exists between two events iff they are HB-ordered, and
+//    every hop passes the verifier's link check,
 //  * the verifier is adversarial: corrupted chains, swapped endpoints,
-//    forged locksets, tampered stamps/frontiers and mismatched keys are all
-//    rejected with a reason,
+//    forged locksets, tampered stamps/frontiers, barrier links into a
+//    non-participant and mismatched keys are all rejected with a reason,
 //  * ddmin minimization converges to the minimal reproducing decision
 //    subset under a synthetic oracle and stays honest when the seed itself
 //    does not reproduce,
@@ -15,6 +18,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,6 +35,7 @@
 #include "src/spec/monitored.hpp"
 #include "src/spec/violations.hpp"
 #include "src/trace/trace_log.hpp"
+#include "tests/oracle/fixtures.hpp"
 
 namespace home::diagnose {
 namespace {
@@ -86,6 +91,14 @@ class TraceBuilder {
     }
   }
 
+  void event(trace::Tid tid, EventKind kind, trace::ObjId obj) {
+    trace::Event e;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    log_.emit(std::move(e));
+  }
+
   void barrier(std::initializer_list<trace::Tid> tids, trace::ObjId id) {
     for (trace::Tid tid : tids) {
       trace::Event e;
@@ -136,8 +149,7 @@ Built build_recv_certificate(TraceBuilder& tb) {
   built.strings = &tb.log_.strings();
   built.events = tb.log_.sorted_events();
   if (v) {
-    built.cert =
-        build_certificate(report.hb(), *v, built.strings, default_hb_config());
+    built.cert = build_certificate(report.hb(), *v, built.strings);
   }
   return built;
 }
@@ -166,6 +178,22 @@ void barrier_then_recvs(TraceBuilder& tb) {
            .site = "prov.r1"});
   tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5,
            .site = "prov.r2"});
+}
+
+/// Forks t1..t3; t1 and t2 pass barrier 900 and t2 receives after it; t0
+/// joins t1, then t3 (which never arrived), then receives.  t0 learns t2's
+/// arrival only through the barrier fan-out into join(t1).
+void barrier_then_join_recvs(TraceBuilder& tb) {
+  for (trace::Tid child : {1, 2, 3}) {
+    tb.event(0, EventKind::kThreadFork, static_cast<trace::ObjId>(child));
+  }
+  tb.barrier({1, 2}, 900);
+  tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 2, .peer = 2, .tag = 5,
+           .site = "prov.r2"});
+  tb.event(0, EventKind::kThreadJoin, 1);
+  tb.event(0, EventKind::kThreadJoin, 3);
+  tb.call({.type = MpiCallType::kRecv, .rank = 0, .tid = 0, .peer = 2, .tag = 5,
+           .site = "prov.r0"});
 }
 
 // --------------------------------------------------------- build + verify
@@ -209,6 +237,21 @@ TEST(Certificate, WitnessChainCrossesBarrier) {
       [](const ChainLink& l) { return l.edge == EdgeKind::kBarrier; });
   EXPECT_TRUE(has_barrier_hop);
 
+  std::string why;
+  EXPECT_TRUE(verify(b, b.cert, &why)) << why;
+}
+
+TEST(Certificate, WitnessChainEntersAJoinThroughABarrier) {
+  TraceBuilder tb;
+  barrier_then_join_recvs(tb);
+  const Built b = build_recv_certificate(tb);
+  ASSERT_TRUE(b.cert.hb_unordered);
+  const NonOrderWitness& w =
+      b.cert.w12.dst_view > 0 ? b.cert.w12 : b.cert.w21;
+  ASSERT_GT(w.dst_view, 0u);
+  // t2's arrival -[barrier]-> join(t1) -> join(t3) -> t0's receive.
+  ASSERT_EQ(w.chain.size(), 3u);
+  EXPECT_EQ(w.chain.front().edge, EdgeKind::kBarrier);
   std::string why;
   EXPECT_TRUE(verify(b, b.cert, &why)) << why;
 }
@@ -289,6 +332,22 @@ TEST(CertificateAdversarial, RejectsTamperedFrontier) {
   EXPECT_FALSE(why.empty());
 }
 
+TEST(CertificateAdversarial, RejectsBarrierLinkIntoANonParticipantsJoin) {
+  TraceBuilder tb;
+  barrier_then_join_recvs(tb);
+  const Built b = build_recv_certificate(tb);
+  Certificate forged = b.cert;
+  NonOrderWitness& w = forged.w12.dst_view > 0 ? forged.w12 : forged.w21;
+  ASSERT_EQ(w.chain.size(), 3u);
+  // Skip join(t1): a barrier hop straight into join(t3).  It is still
+  // HB-ordered, but neither t0 nor t3 arrived at the barrier.
+  w.chain = {ChainLink{w.chain[0].from, w.chain[1].to, EdgeKind::kBarrier},
+             w.chain[2]};
+  std::string why;
+  EXPECT_FALSE(verify(b, forged, &why));
+  EXPECT_NE(why.find("never arrived"), std::string::npos) << why;
+}
+
 TEST(CertificateAdversarial, RejectsMismatchedKey) {
   TraceBuilder tb;
   unsynchronized_recvs(tb);
@@ -296,6 +355,124 @@ TEST(CertificateAdversarial, RejectsMismatchedKey) {
   Certificate forged = b.cert;
   forged.key += "|forged";
   EXPECT_FALSE(verify(b, forged));
+}
+
+// ------------------------------------------------ witness edges == HB order
+
+/// For every cross-thread pair i < j: shortest_chain(i, j) is non-empty iff
+/// i happens-before j, it runs from i to j, and every hop passes the
+/// verifier's link check against an independent replay.
+void expect_chains_match_hb(const std::vector<trace::Event>& events,
+                            const detect::HappensBeforeConfig& cfg,
+                            const std::string& label) {
+  const detect::HbIndex hb = detect::HappensBeforeAnalysis(cfg).run(events);
+  const detect::HbIndex replay =
+      detect::HappensBeforeAnalysis(cfg).run(events);
+  std::set<std::tuple<trace::Seq, trace::Seq, EdgeKind>> verified;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      if (events[i].tid == events[j].tid) continue;
+      const std::vector<ChainLink> chain = shortest_chain(hb, i, j);
+      ASSERT_EQ(!chain.empty(), hb.ordered(i, j))
+          << label << " pair (" << i << "," << j << ")";
+      if (chain.empty()) continue;
+      ASSERT_EQ(chain.front().from, events[i].seq) << label;
+      ASSERT_EQ(chain.back().to, events[j].seq) << label;
+      for (std::size_t k = 0; k < chain.size(); ++k) {
+        if (k > 0) {
+          ASSERT_EQ(chain[k - 1].to, chain[k].from) << label;
+        }
+        const ChainLink& link = chain[k];
+        if (!verified.emplace(link.from, link.to, link.edge).second) continue;
+        std::string why;
+        ASSERT_TRUE(verify_link(replay, link, cfg, &why))
+            << label << " link " << link.from << "->" << link.to << " ("
+            << edge_kind_name(link.edge) << "): " << why;
+      }
+    }
+  }
+}
+
+std::vector<detect::HappensBeforeConfig> both_lock_configs() {
+  detect::HappensBeforeConfig off;
+  detect::HappensBeforeConfig on;
+  on.lock_edges = true;
+  return {off, on};
+}
+
+class WitnessEdgesRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(WitnessEdgesRandom, ChainsMatchHb) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::vector<trace::Event> plain = oracle::random_trace(seed);
+  oracle::TraceBuilder tb;
+  oracle::random_mpi_trace(seed, &tb);
+  const std::vector<trace::Event> mpi = tb.events();
+  for (const detect::HappensBeforeConfig& cfg : both_lock_configs()) {
+    const std::string locks = cfg.lock_edges ? " locks" : "";
+    expect_chains_match_hb(plain, cfg,
+                           "random_trace " + std::to_string(seed) + locks);
+    expect_chains_match_hb(mpi, cfg,
+                           "random_mpi_trace " + std::to_string(seed) + locks);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WitnessEdgesRandom, ::testing::Range(0, 4));
+
+/// One event per entry, seqs in order.
+std::vector<trace::Event> sequence(
+    std::initializer_list<std::tuple<trace::Tid, EventKind, trace::ObjId,
+                                     std::uint64_t>> spec) {
+  std::vector<trace::Event> events;
+  for (const auto& [tid, kind, obj, aux] : spec) {
+    trace::Event e;
+    e.seq = events.size() + 1;
+    e.tid = tid;
+    e.kind = kind;
+    e.obj = obj;
+    e.aux = aux;
+    events.push_back(std::move(e));
+  }
+  return events;
+}
+
+TEST(WitnessEdges, BarrierFanOutReachesTheJoinThatAbsorbsAParticipant) {
+  const std::vector<trace::Event> events = sequence({
+      {0, EventKind::kThreadFork, 1, 0},
+      {0, EventKind::kThreadFork, 2, 0},
+      {1, EventKind::kMemWrite, 100, 0},
+      {2, EventKind::kMemWrite, 100, 0},
+      {1, EventKind::kBarrier, 900, 2},
+      {2, EventKind::kBarrier, 900, 2},
+      {0, EventKind::kThreadJoin, 1, 0},
+      {0, EventKind::kThreadJoin, 2, 0},
+      {0, EventKind::kMemWrite, 100, 0},
+  });
+  const detect::HbIndex hb = detect::HappensBeforeAnalysis().run(events);
+  // t2's write and arrival reach join(t1) only through t1's completion
+  // fan-out, which join(t1) reads.
+  for (const std::size_t src : {std::size_t{3}, std::size_t{5}}) {
+    ASSERT_TRUE(hb.ordered(src, 6));
+    EXPECT_FALSE(shortest_chain(hb, src, 6).empty()) << "from " << src;
+  }
+  for (const detect::HappensBeforeConfig& cfg : both_lock_configs()) {
+    expect_chains_match_hb(events, cfg, "barrier then join");
+  }
+}
+
+TEST(WitnessEdges, ForkReachesAJoinOfAChildThatNeverRan) {
+  const std::vector<trace::Event> events = sequence({
+      {0, EventKind::kMemWrite, 100, 0},
+      {0, EventKind::kThreadFork, 1, 0},
+      {2, EventKind::kThreadJoin, 1, 0},
+      {2, EventKind::kMemWrite, 100, 0},
+  });
+  const detect::HbIndex hb = detect::HappensBeforeAnalysis().run(events);
+  ASSERT_TRUE(hb.ordered(0, 3));
+  const std::vector<ChainLink> chain = shortest_chain(hb, 1, 2);
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(chain.front().edge, EdgeKind::kFork);
+  expect_chains_match_hb(events, {}, "fork then join");
 }
 
 // ----------------------------------------------------------------- ddmin

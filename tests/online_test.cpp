@@ -212,19 +212,49 @@ TEST(TraceLogStreaming, StreamingOnlyModeSkipsTheShardAppend) {
 
 // ----------------------------------------------------------- IncrementalHb
 
+/// Forks, a barrier whose participant is joined before its next event, a
+/// thread that emits again after its join, a re-fork and a self-join: every
+/// way the replay writes another thread's clock or restarts one.
+std::vector<Event> fork_join_trace() {
+  const struct { trace::Tid tid; EventKind kind; trace::ObjId obj; } spec[] = {
+      {0, EventKind::kThreadFork, 1},  {0, EventKind::kThreadFork, 2},
+      {1, EventKind::kMemWrite, 100},  {2, EventKind::kBarrier, 900},
+      {1, EventKind::kBarrier, 900},   {0, EventKind::kThreadJoin, 1},
+      {2, EventKind::kMemWrite, 100},  {1, EventKind::kMemWrite, 100},
+      {0, EventKind::kThreadFork, 1},  {1, EventKind::kMemRead, 100},
+      {2, EventKind::kThreadJoin, 2},  {2, EventKind::kMemWrite, 101},
+      {0, EventKind::kThreadJoin, 2},  {0, EventKind::kMemWrite, 100},
+  };
+  std::vector<Event> events;
+  for (const auto& s : spec) {
+    Event e;
+    e.seq = events.size() + 1;
+    e.tid = s.tid;
+    e.kind = s.kind;
+    e.obj = s.obj;
+    e.aux = s.kind == EventKind::kBarrier ? 2 : 0;
+    events.push_back(std::move(e));
+  }
+  return events;
+}
+
 TEST(IncrementalHbTest, StampsMatchPostMortemReplay) {
+  std::vector<std::vector<Event>> traces = {fork_join_trace()};
   for (const std::uint64_t seed : {1ull, 7ull, 23ull}) {
-    const std::vector<Event> events = random_trace(seed);
+    traces.push_back(random_trace(seed));
+  }
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    const std::vector<Event>& events = traces[k];
     detect::HappensBeforeConfig cfg;
     const detect::HbIndex hb = detect::HappensBeforeAnalysis(cfg).run(events);
     IncrementalHb inc(cfg);
     for (std::size_t i = 0; i < events.size(); ++i) {
       const detect::StampView view = inc.advance(events[i]);
       ASSERT_TRUE(view.to_clock() == hb.stamp_clock(i))
-          << "seed=" << seed << " event " << i;
+          << "trace " << k << " event " << i;
       // The epoch face of the view is the stamp's own component.
       ASSERT_EQ(view.value, hb.stamp_get(i, events[i].tid))
-          << "seed=" << seed << " event " << i;
+          << "trace " << k << " event " << i;
     }
   }
 }

@@ -102,6 +102,32 @@ TEST(Wal, CleanFileRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(Wal, FramesWrittenOutOfSeqOrderComeBackSorted) {
+  const std::string path = testing::TempDir() + "/home_wal_unordered.bin";
+  const std::vector<trace::Seq> order = {5, 2, 9, 1, 7, 3, 8, 4, 6};
+  {
+    trace::StringTable strings;
+    trace::WalWriter wal(path, &strings);
+    ASSERT_TRUE(wal.ok());
+    for (const trace::Seq seq : order) {
+      wal.on_event(make_event(seq, static_cast<trace::Tid>(seq % 3),
+                              trace::EventKind::kMemWrite, 100 + seq));
+    }
+    wal.close();
+  }
+  trace::WalSalvage salvage;
+  const trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
+  EXPECT_TRUE(salvage.clean());
+  ASSERT_EQ(loaded.events.size(), order.size());
+  for (std::size_t i = 0; i < loaded.events.size(); ++i) {
+    const trace::Event& e = loaded.events[i];
+    EXPECT_EQ(e.seq, i + 1);  // fully sorted, none lost or repeated.
+    EXPECT_EQ(e.obj, 100 + e.seq);  // each payload stays with its seq.
+    EXPECT_EQ(e.tid, static_cast<trace::Tid>(e.seq % 3));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Wal, TruncationAtEveryByteNeverThrowsAndRecoversAPrefix) {
   std::size_t written = 0;
   const std::string path = write_sample_wal(&written);
