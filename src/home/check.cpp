@@ -1,6 +1,7 @@
 #include "src/home/check.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "src/homp/runtime.hpp"
 #include "src/trace/trace_io.hpp"
@@ -33,12 +34,12 @@ CheckResult check_program(const CheckConfig& cfg,
   return result;
 }
 
-Report analyze_trace(const trace::LoadedTrace& loaded, const SessionConfig& cfg) {
+Report analyze_trace(trace::LoadedTrace loaded, const SessionConfig& cfg) {
   // Rebuild the string table so callsite ids resolve like in the live run.
   trace::StringTable strings;
   for (const std::string& s : loaded.strings) strings.intern(s);
-  PostMortem pass =
-      analyze_post_mortem(loaded.events, strings, make_detector_config(cfg));
+  PostMortem pass = analyze_post_mortem(std::move(loaded.events), strings,
+                                        make_detector_config(cfg));
   return Report(std::move(pass.violations), pass.stats);
 }
 
@@ -46,10 +47,10 @@ Report analyze_trace_file(const std::string& path, const SessionConfig& cfg) {
   return analyze_trace(trace::load_trace_file(path), cfg);
 }
 
-Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
+Report analyze_salvaged_trace(trace::LoadedTrace loaded,
                               const trace::WalSalvage& salvage,
                               const SessionConfig& cfg) {
-  Report report = analyze_trace(loaded, cfg);
+  Report report = analyze_trace(std::move(loaded), cfg);
   if (!salvage.clean()) {
     std::ostringstream reason;
     reason << "WAL salvage: recovered " << salvage.events << " events ("
@@ -65,9 +66,9 @@ Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
 Report analyze_wal_file(const std::string& path, const SessionConfig& cfg,
                         trace::WalSalvage* salvage_out) {
   trace::WalSalvage salvage;
-  const trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
+  trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
   if (salvage_out != nullptr) *salvage_out = salvage;
-  return analyze_salvaged_trace(loaded, salvage, cfg);
+  return analyze_salvaged_trace(std::move(loaded), salvage, cfg);
 }
 
 }  // namespace home

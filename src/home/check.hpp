@@ -39,8 +39,8 @@ CheckResult check_program(const CheckConfig& cfg,
 
 /// Offline mode: run the detection + matching pipeline over a previously
 /// saved execution log (Session::save_trace / trace::load_trace_file).
-Report analyze_trace(const trace::LoadedTrace& loaded,
-                     const SessionConfig& cfg = {});
+/// Takes the trace by value: its events move into the analysis.
+Report analyze_trace(trace::LoadedTrace loaded, const SessionConfig& cfg = {});
 
 /// Convenience: load the trace file and analyze it.
 Report analyze_trace_file(const std::string& path,
@@ -50,7 +50,7 @@ Report analyze_trace_file(const std::string& path,
 /// runs the normal pipeline over whatever survived, then tags the report
 /// Verdict::kDegraded (with exact damage accounting in the reasons) unless
 /// the salvage was clean.
-Report analyze_salvaged_trace(const trace::LoadedTrace& loaded,
+Report analyze_salvaged_trace(trace::LoadedTrace loaded,
                               const trace::WalSalvage& salvage,
                               const SessionConfig& cfg = {});
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <istream>
+#include <string_view>
+#include <type_traits>
 
 #include "src/obs/telemetry.hpp"
 
@@ -17,145 +18,251 @@ constexpr char kMagic[8] = {'H', 'O', 'M', 'E', 'W', 'A', 'L', '1'};
 /// data — refusing it keeps a flipped length byte from driving a huge
 /// allocation in the salvage loader.
 constexpr std::uint32_t kMaxFrameLen = 1u << 24;
+/// type:u8 + len:u32le ahead of the payload, crc:u32le after it.
+constexpr std::size_t kFrameHead = 5;
+constexpr std::size_t kFrameOverhead = kFrameHead + 4;
+/// The smallest 'E' frame (seq..aux, lock count and MPI flag: 38 payload
+/// bytes): bounds how many events a file of a given size can hold.
+constexpr std::size_t kMinEventFrame = kFrameOverhead + 38;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: table[0] is the classic byte-at-a-time table, and
+/// table[k][i] advances table[k-1][i] over one more zero byte, so eight
+/// lookups consume eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-// --- little-endian payload encoding ---------------------------------------
+// --- little-endian encoding -------------------------------------------------
+// Byte at a time in both directions, so neither the files nor the CRC depend
+// on the host's byte order (compilers fuse the loads where it is LE).
 
-void put_u8(std::string* out, std::uint8_t x) {
-  out->push_back(static_cast<char>(x));
-}
-
-void put_u32(std::string* out, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
+template <typename T>
+void put(std::string* out, T x) {
+  const auto u = static_cast<std::make_unsigned_t<T>>(x);
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<char>((u >> (8 * i)) & 0xFF));
   }
 }
 
-void put_u64(std::string* out, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
+template <typename U>
+U load(const void* data) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  U x = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    x |= static_cast<U>(p[i]) << (8 * i);
   }
+  return x;
 }
 
-void put_i32(std::string* out, std::int32_t x) {
-  put_u32(out, static_cast<std::uint32_t>(x));
-}
-
-/// Bounds-checked little-endian reads; false = short payload (corrupt).
+/// Bounds-checked little-endian reads over a payload view; false = short
+/// payload (corrupt).
 struct Reader {
-  const std::string& buf;
+  std::string_view buf;
   std::size_t pos = 0;
 
-  bool u8(std::uint8_t* x) {
-    if (pos + 1 > buf.size()) return false;
-    *x = static_cast<std::uint8_t>(buf[pos++]);
-    return true;
-  }
-  bool u32(std::uint32_t* x) {
-    if (pos + 4 > buf.size()) return false;
-    *x = 0;
-    for (int i = 0; i < 4; ++i) {
-      *x |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf[pos++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool u64(std::uint64_t* x) {
-    if (pos + 8 > buf.size()) return false;
-    *x = 0;
-    for (int i = 0; i < 8; ++i) {
-      *x |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf[pos++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool i32(std::int32_t* x) {
-    std::uint32_t u = 0;
-    if (!u32(&u)) return false;
-    *x = static_cast<std::int32_t>(u);
+  template <typename T>
+  bool get(T* x) {
+    using U = std::make_unsigned_t<T>;
+    if (buf.size() - pos < sizeof(T)) return false;
+    *x = static_cast<T>(load<U>(buf.data() + pos));
+    pos += sizeof(T);
     return true;
   }
   bool done() const { return pos == buf.size(); }
 };
 
-std::string encode_event(const Event& e) {
-  std::string payload;
-  payload.reserve(48 + e.locks_held.size() * 8);
-  put_u64(&payload, e.seq);
-  put_i32(&payload, e.tid);
-  put_i32(&payload, e.rank);
-  put_u8(&payload, static_cast<std::uint8_t>(e.kind));
-  put_u64(&payload, e.obj);
-  put_u64(&payload, e.aux);
-  put_u32(&payload, static_cast<std::uint32_t>(e.locks_held.size()));
-  for (ObjId lock : e.locks_held) put_u64(&payload, lock);
-  put_u8(&payload, e.mpi.has_value() ? 1 : 0);
+// The format's i32 fields (rank, peer, tag) are stored from plain ints.
+static_assert(sizeof(int) == 4, "the WAL format stores ints as i32");
+
+void encode_event(const Event& e, std::string* out) {
+  put(out, e.seq);
+  put(out, e.tid);
+  put(out, e.rank);
+  put(out, static_cast<std::uint8_t>(e.kind));
+  put(out, e.obj);
+  put(out, e.aux);
+  put(out, static_cast<std::uint32_t>(e.locks_held.size()));
+  for (ObjId lock : e.locks_held) put(out, lock);
+  put(out, static_cast<std::uint8_t>(e.mpi.has_value() ? 1 : 0));
   if (e.mpi) {
-    put_u8(&payload, static_cast<std::uint8_t>(e.mpi->type));
-    put_i32(&payload, e.mpi->peer);
-    put_i32(&payload, e.mpi->tag);
-    put_u64(&payload, e.mpi->comm);
-    put_u64(&payload, e.mpi->request);
-    put_u8(&payload, e.mpi->on_main_thread ? 1 : 0);
-    put_u8(&payload, e.mpi->provided);
-    put_u32(&payload, e.mpi->callsite);
+    put(out, static_cast<std::uint8_t>(e.mpi->type));
+    put(out, e.mpi->peer);
+    put(out, e.mpi->tag);
+    put(out, e.mpi->comm);
+    put(out, e.mpi->request);
+    put(out, static_cast<std::uint8_t>(e.mpi->on_main_thread ? 1 : 0));
+    put(out, e.mpi->provided);
+    put(out, e.mpi->callsite);
   }
-  return payload;
 }
 
-bool decode_event(const std::string& payload, Event* out) {
+/// Decodes into `*e`, which must be default-constructed; on false its
+/// contents are unspecified.
+bool decode_event(std::string_view payload, Event* e) {
   Reader r{payload};
-  Event e;
   std::uint8_t kind = 0, has_mpi = 0;
   std::uint32_t nlocks = 0;
-  if (!r.u64(&e.seq) || !r.i32(&e.tid) || !r.i32(&e.rank) || !r.u8(&kind) ||
-      !r.u64(&e.obj) || !r.u64(&e.aux) || !r.u32(&nlocks)) {
+  if (!r.get(&e->seq) || !r.get(&e->tid) || !r.get(&e->rank) ||
+      !r.get(&kind) || !r.get(&e->obj) || !r.get(&e->aux) ||
+      !r.get(&nlocks)) {
     return false;
   }
-  e.kind = static_cast<EventKind>(kind);
-  if (nlocks > payload.size() / 8 + 1) return false;  // length lies.
-  e.locks_held.resize(nlocks);
-  for (std::uint32_t i = 0; i < nlocks; ++i) {
-    if (!r.u64(&e.locks_held[i])) return false;
+  e->kind = static_cast<EventKind>(kind);
+  // A lock count the payload cannot hold is corrupt: refuse it before
+  // sizing the lockset from it.
+  if (nlocks > (payload.size() - r.pos) / 8) return false;
+  e->locks_held.resize(nlocks);
+  for (ObjId& lock : e->locks_held) {
+    if (!r.get(&lock)) return false;
   }
-  if (!r.u8(&has_mpi)) return false;
+  if (!r.get(&has_mpi)) return false;
   if (has_mpi != 0) {
     MpiCallInfo info;
     std::uint8_t type = 0, main_thread = 0;
-    if (!r.u8(&type) || !r.i32(&info.peer) || !r.i32(&info.tag) ||
-        !r.u64(&info.comm) || !r.u64(&info.request) || !r.u8(&main_thread) ||
-        !r.u8(&info.provided) || !r.u32(&info.callsite)) {
+    if (!r.get(&type) || !r.get(&info.peer) || !r.get(&info.tag) ||
+        !r.get(&info.comm) || !r.get(&info.request) || !r.get(&main_thread) ||
+        !r.get(&info.provided) || !r.get(&info.callsite)) {
       return false;
     }
     info.type = static_cast<MpiCallType>(type);
     info.on_main_thread = main_thread != 0;
-    e.mpi = info;
+    e->mpi = info;
   }
-  if (!r.done()) return false;  // trailing garbage inside a framed payload.
-  *out = std::move(e);
-  return true;
+  return r.done();  // trailing garbage inside a framed payload is corrupt.
+}
+
+/// The whole remaining stream, in one sized read when the stream can report
+/// its size and in chunks when it cannot (a pipe).
+std::string read_all(std::istream& in) {
+  std::string bytes;
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(start);
+    // Size by the stream only when bytes stand behind it: a directory
+    // opens as a stream that reports 2^63 - 1 and reads nothing.
+    if (end != std::istream::pos_type(-1) && end > start &&
+        in.peek() != std::istream::traits_type::eof()) {
+      bytes.resize(static_cast<std::size_t>(end - start));
+      in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes.resize(static_cast<std::size_t>(in.gcount()));
+    }
+  }
+  in.clear();
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)), in.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
+}
+
+/// The salvage parser: frames are validated and decoded in place.
+LoadedTrace salvage_bytes(std::string_view bytes, WalSalvage* stats) {
+  LoadedTrace result;
+  WalSalvage salvage;
+  obs::Counter& corrupt_counter =
+      obs::Registry::global().counter("trace.corrupt_records");
+
+  if (bytes.substr(0, sizeof(kMagic)) !=
+      std::string_view(kMagic, sizeof(kMagic))) {
+    // Whatever was read is unrecoverable without the header.
+    salvage.missing_header = true;
+    salvage.torn = true;
+    salvage.bytes_discarded = bytes.size();
+    corrupt_counter.add();
+    if (stats != nullptr) *stats = salvage;
+    return result;
+  }
+  result.events.reserve((bytes.size() - sizeof(kMagic)) / kMinEventFrame);
+
+  std::size_t pos = sizeof(kMagic);
+  while (pos < bytes.size()) {
+    const char* frame = bytes.data() + pos;
+    const std::size_t avail = bytes.size() - pos;
+    const std::uint32_t len =
+        avail >= kFrameOverhead ? load<std::uint32_t>(frame + 1) : 0;
+    bool bad = avail < kFrameOverhead || len > kMaxFrameLen ||
+               len > avail - kFrameOverhead ||
+               crc32(frame, kFrameHead + len) !=
+                   load<std::uint32_t>(frame + kFrameHead + len);
+    if (!bad) {
+      // Framed bytes are intact; decode by type.  An unknown type with a
+      // valid CRC is a future-version frame — skip it, keep salvaging.
+      const std::string_view payload = bytes.substr(pos + kFrameHead, len);
+      if (frame[0] == 'S') {
+        Reader r{payload};
+        std::uint32_t id = 0;
+        if (r.get(&id) && id < kMaxFrameLen) {
+          if (result.strings.size() <= id) result.strings.resize(id + 1);
+          result.strings[id] = payload.substr(r.pos);
+          ++salvage.strings;
+        } else {
+          bad = true;
+        }
+      } else if (frame[0] == 'E') {
+        if (decode_event(payload, &result.events.emplace_back())) {
+          ++salvage.events;
+        } else {
+          result.events.pop_back();
+          bad = true;
+        }
+      }
+    }
+    if (bad) {
+      // Longest-valid-prefix discipline: the first damaged frame ends
+      // recovery — after it, frame boundaries can't be trusted.
+      ++salvage.corrupt_frames;
+      salvage.torn = true;
+      salvage.bytes_discarded = bytes.size() - pos;
+      corrupt_counter.add();
+      break;
+    }
+    ++salvage.frames;
+    pos += kFrameOverhead + len;
+  }
+  salvage.bytes_recovered = pos;
+
+  // Frames are journaled in publish order, which is almost always seq
+  // order: a linear check skips the sort then.
+  const auto by_seq = [](const Event& a, const Event& b) {
+    return a.seq < b.seq;
+  };
+  if (!std::is_sorted(result.events.begin(), result.events.end(), by_seq)) {
+    std::stable_sort(result.events.begin(), result.events.end(), by_seq);
+  }
+  if (stats != nullptr) *stats = salvage;
+  return result;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load<std::uint32_t>(p);
+    const std::uint32_t hi = load<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -170,15 +277,20 @@ WalWriter::WalWriter(const std::string& path, const StringTable* strings)
 
 WalWriter::~WalWriter() { close(); }
 
-void WalWriter::write_frame(char type, const std::string& payload) {
+void WalWriter::start_frame(char type) {
+  frame_.clear();
+  frame_.push_back(type);
+  frame_.append(4, '\0');  // the length, known once the payload is in.
+}
+
+void WalWriter::write_frame() {
   if (!ok_) return;
-  std::string frame;
-  frame.reserve(payload.size() + 9);
-  frame.push_back(type);
-  put_u32(&frame, static_cast<std::uint32_t>(payload.size()));
-  frame += payload;
-  put_u32(&frame, crc32(frame.data(), frame.size()));
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  const auto len = static_cast<std::uint32_t>(frame_.size() - kFrameHead);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame_[1 + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  }
+  put(&frame_, crc32(frame_.data(), frame_.size()));
+  out_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
   // Flush per frame: the journal's whole point is that the OS has the bytes
   // before the run advances past the emit.
   out_.flush();
@@ -193,10 +305,10 @@ void WalWriter::sync_strings() {
   if (strings_ == nullptr) return;
   const auto n = static_cast<std::uint32_t>(strings_->size());
   for (; next_string_id_ < n; ++next_string_id_) {
-    std::string payload;
-    put_u32(&payload, next_string_id_);
-    payload += strings_->lookup(next_string_id_);
-    write_frame('S', payload);
+    start_frame('S');
+    put(&frame_, next_string_id_);
+    frame_ += strings_->lookup(next_string_id_);
+    write_frame();
   }
 }
 
@@ -204,7 +316,9 @@ void WalWriter::on_event(const Event& e) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
   sync_strings();
-  write_frame('E', encode_event(e));
+  start_frame('E');
+  encode_event(e, &frame_);
+  write_frame();
 }
 
 void WalWriter::close() {
@@ -216,123 +330,7 @@ void WalWriter::close() {
 }
 
 LoadedTrace salvage_wal(std::istream& in, WalSalvage* stats) {
-  LoadedTrace result;
-  WalSalvage salvage;
-  obs::Counter& corrupt_counter =
-      obs::Registry::global().counter("trace.corrupt_records");
-
-  char magic[sizeof(kMagic)] = {};
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    salvage.missing_header = true;
-    salvage.torn = true;
-    corrupt_counter.add();
-    // Whatever was read is unrecoverable without the header.
-    in.clear();
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    salvage.bytes_discarded = end > 0 ? static_cast<std::uint64_t>(end) : 0;
-    if (stats != nullptr) *stats = salvage;
-    return result;
-  }
-  salvage.bytes_recovered = sizeof(kMagic);
-
-  std::string payload;
-  for (;;) {
-    char type = 0;
-    in.read(&type, 1);
-    if (in.gcount() == 0) break;  // clean EOF on a frame boundary.
-
-    char lenbuf[4] = {};
-    in.read(lenbuf, 4);
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(lenbuf[i]))
-             << (8 * i);
-    }
-    bool bad = in.gcount() != 4 || len > kMaxFrameLen;
-    if (!bad) {
-      payload.resize(len);
-      if (len > 0) {
-        in.read(payload.data(), static_cast<std::streamsize>(len));
-        bad = in.gcount() != static_cast<std::streamsize>(len);
-      }
-    }
-    std::uint32_t stored_crc = 0;
-    if (!bad) {
-      char crcbuf[4] = {};
-      in.read(crcbuf, 4);
-      bad = in.gcount() != 4;
-      for (int i = 0; i < 4; ++i) {
-        stored_crc |=
-            static_cast<std::uint32_t>(static_cast<std::uint8_t>(crcbuf[i]))
-            << (8 * i);
-      }
-    }
-    if (!bad) {
-      std::string head;
-      head.push_back(type);
-      put_u32(&head, len);
-      const std::uint32_t crc =
-          crc32(payload.data(), payload.size(),
-                crc32(head.data(), head.size()));
-      bad = crc != stored_crc;
-    }
-    if (!bad) {
-      // Framed bytes are intact; decode by type.  An unknown type with a
-      // valid CRC is a future-version frame — skip it, keep salvaging.
-      if (type == 'S') {
-        Reader r{payload};
-        std::uint32_t id = 0;
-        if (r.u32(&id) && id < kMaxFrameLen) {
-          if (result.strings.size() <= id) result.strings.resize(id + 1);
-          result.strings[id] = payload.substr(r.pos);
-          ++salvage.strings;
-        } else {
-          bad = true;
-        }
-      } else if (type == 'E') {
-        Event e;
-        if (decode_event(payload, &e)) {
-          result.events.push_back(std::move(e));
-          ++salvage.events;
-        } else {
-          bad = true;
-        }
-      }
-    }
-
-    if (bad) {
-      // Longest-valid-prefix discipline: the first damaged frame ends
-      // recovery — after it, frame boundaries can't be trusted.
-      ++salvage.corrupt_frames;
-      salvage.torn = true;
-      corrupt_counter.add();
-      in.clear();
-      const auto here = in.tellg();
-      in.seekg(0, std::ios::end);
-      const auto end = in.tellg();
-      const auto lost =
-          static_cast<std::uint64_t>(end) - salvage.bytes_recovered;
-      salvage.bytes_discarded = lost;
-      (void)here;
-      break;
-    }
-    ++salvage.frames;
-    salvage.bytes_recovered += 9 + len;
-  }
-
-  // Frames are journaled in publish order, which is almost always seq
-  // order: a linear check skips the sort then.
-  const auto by_seq = [](const Event& a, const Event& b) {
-    return a.seq < b.seq;
-  };
-  if (!std::is_sorted(result.events.begin(), result.events.end(), by_seq)) {
-    std::stable_sort(result.events.begin(), result.events.end(), by_seq);
-  }
-  if (stats != nullptr) *stats = salvage;
-  return result;
+  return salvage_bytes(read_all(in), stats);
 }
 
 LoadedTrace salvage_wal_file(const std::string& path, WalSalvage* stats) {

@@ -74,11 +74,13 @@ class WalWriter : public EventSink {
   const std::string& path() const { return path_; }
 
  private:
-  void write_frame(char type, const std::string& payload);
+  void start_frame(char type);  ///< frame_ = type, length placeholder.
+  void write_frame();  ///< Patch frame_'s length, append its CRC, write it.
   void sync_strings();
 
   std::string path_;
   std::ofstream out_;
+  std::string frame_;  ///< the frame being encoded, reused across frames.
   const StringTable* strings_;
   std::uint32_t next_string_id_ = 0;
   std::uint64_t frames_ = 0;

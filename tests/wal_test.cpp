@@ -1,17 +1,23 @@
-// Trace durability tests (ISSUE-10): CRC32-framed WAL round trips, the
-// salvage loader's longest-valid-prefix discipline over torn/corrupt files,
+// Trace durability tests: CRC32 against a bitwise reference,
+// CRC32-framed WAL round trips, the salvage loader's longest-valid-prefix
+// discipline over torn/corrupt files and hand-built damaged frames,
 // degraded-mode analysis of salvaged traces, and the hardened (lenient)
 // text-trace loader over the committed 20-case corrupted corpus.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/trace/trace_io.hpp"
 #include "src/trace/wal.hpp"
 
@@ -71,10 +77,123 @@ std::string write_sample_wal(std::size_t* events_out) {
   return path;
 }
 
+/// Field-by-field equality of two events (Event has no operator==).
+bool same_event(const trace::Event& a, const trace::Event& b) {
+  const auto fields = [](const trace::Event& e) {
+    return std::tie(e.seq, e.tid, e.rank, e.kind, e.obj, e.aux, e.locks_held);
+  };
+  if (fields(a) != fields(b) || a.mpi.has_value() != b.mpi.has_value()) {
+    return false;
+  }
+  if (!a.mpi) return true;
+  const auto mpi = [](const trace::MpiCallInfo& m) {
+    return std::tie(m.type, m.peer, m.tag, m.comm, m.request, m.on_main_thread,
+                    m.provided, m.callsite);
+  };
+  return mpi(*a.mpi) == mpi(*b.mpi);
+}
+
+bool same_salvage(const trace::WalSalvage& a, const trace::WalSalvage& b) {
+  const auto fields = [](const trace::WalSalvage& s) {
+    return std::tie(s.frames, s.events, s.strings, s.corrupt_frames,
+                    s.bytes_recovered, s.bytes_discarded, s.torn,
+                    s.missing_header);
+  };
+  return fields(a) == fields(b);
+}
+
+void put_le(std::string* out, std::uint64_t x, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
+  }
+}
+
+/// One WAL frame as the format defines it: type, length, payload, CRC.
+std::string make_frame(char type, const std::string& payload) {
+  std::string frame(1, type);
+  put_le(&frame, payload.size(), 4);
+  frame += payload;
+  put_le(&frame, trace::crc32(frame.data(), frame.size()), 4);
+  return frame;
+}
+
+/// An 'E' payload with no MPI detail whose lock-count field says `nlocks`
+/// but which carries `locks_present` lock ids.
+std::string event_payload(std::uint32_t nlocks, std::uint32_t locks_present) {
+  std::string p;
+  put_le(&p, 99, 8);  // seq
+  put_le(&p, 1, 4);   // tid
+  put_le(&p, 0, 4);   // rank
+  put_le(&p, static_cast<std::uint8_t>(trace::EventKind::kMemWrite), 1);
+  put_le(&p, 42, 8);  // obj
+  put_le(&p, 0, 8);   // aux
+  put_le(&p, nlocks, 4);
+  for (std::uint32_t i = 0; i < locks_present; ++i) put_le(&p, 7 + i, 8);
+  put_le(&p, 0, 1);  // no MPI detail
+  return p;
+}
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, with no
+/// table: it shares nothing with trace::crc32 but the definition.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> pseudo_random_bytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  std::uint32_t x = 2463534242u;
+  for (unsigned char& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<unsigned char>(x);
+  }
+  return bytes;
+}
+
 TEST(Crc32, MatchesTheIeeeCheckValue) {
   // The standard CRC-32 check vector.
   EXPECT_EQ(trace::crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(trace::crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesABitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-64 cover an empty input, tails alone and every tail after one
+  // or more 8-byte slices; 4 099 a long run with a 3-byte tail.  The
+  // offsets put the first byte at every address mod 8.
+  const std::vector<unsigned char> bytes = pseudo_random_bytes(4099 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4099);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t n : lengths) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(trace::crc32(p, n), reference_crc32(p, n))
+          << "offset " << offset << ", length " << n;
+    }
+  }
+}
+
+TEST(Crc32, ChainedCallsEqualOneCallOverTheConcatenation) {
+  const std::vector<unsigned char> bytes = pseudo_random_bytes(4099);
+  const std::uint32_t whole = trace::crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, reference_crc32(bytes.data(), bytes.size()));
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = trace::crc32(bytes.data(), split);
+    ASSERT_EQ(trace::crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+  // A seed chains the same way in the reference.
+  const std::uint32_t head = reference_crc32(bytes.data(), 13);
+  EXPECT_EQ(trace::crc32(bytes.data() + 13, 40, head),
+            reference_crc32(bytes.data() + 13, 40, head));
 }
 
 TEST(Wal, CleanFileRoundTrips) {
@@ -182,6 +301,209 @@ TEST(Wal, FlippedByteEndsRecoveryAtTheDamagedFrame) {
   EXPECT_LT(loaded.events.size(), written);
   EXPECT_GT(salvage.bytes_recovered, 0u);
   EXPECT_GT(salvage.bytes_discarded, 0u);
+}
+
+TEST(Wal, EveryFlippedByteKeepsTheSalvageContract) {
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string clean_bytes = slurp(path);
+  trace::WalSalvage clean_salvage;
+  const trace::LoadedTrace clean = trace::salvage_wal_file(path, &clean_salvage);
+  std::remove(path.c_str());
+  ASSERT_TRUE(clean_salvage.clean());
+  ASSERT_EQ(clean.events.size(), written);
+
+  const std::string flipped_path = testing::TempDir() + "/home_wal_flip.bin";
+  for (std::size_t at = 0; at < clean_bytes.size(); ++at) {
+    for (const unsigned char mask : {0x01, 0xFF}) {
+      std::string bytes = clean_bytes;
+      bytes[at] = static_cast<char>(bytes[at] ^ mask);
+      {
+        std::ofstream out(flipped_path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      trace::WalSalvage from_file, from_stream;
+      trace::LoadedTrace by_file, by_stream;
+      ASSERT_NO_THROW(by_file = trace::salvage_wal_file(flipped_path, &from_file))
+          << "byte " << at;
+      std::istringstream in(bytes);
+      ASSERT_NO_THROW(by_stream = trace::salvage_wal(in, &from_stream))
+          << "byte " << at;
+
+      // The damage is seen and every byte is accounted for.
+      EXPECT_FALSE(from_file.clean()) << "byte " << at;
+      if (at < 8) {
+        EXPECT_TRUE(from_file.missing_header) << "byte " << at;
+      } else {
+        EXPECT_EQ(from_file.corrupt_frames, 1u) << "byte " << at;
+        EXPECT_GT(from_file.bytes_discarded, 0u) << "byte " << at;
+      }
+      EXPECT_EQ(from_file.bytes_recovered + from_file.bytes_discarded,
+                bytes.size())
+          << "byte " << at;
+      // What survives is exactly the clean load's prefix.
+      ASSERT_LT(by_file.events.size(), clean.events.size()) << "byte " << at;
+      for (std::size_t i = 0; i < by_file.events.size(); ++i) {
+        EXPECT_TRUE(same_event(by_file.events[i], clean.events[i]))
+            << "byte " << at << ", event " << i;
+      }
+      // The stream and the file loader agree on the same bytes.
+      EXPECT_TRUE(same_salvage(from_file, from_stream)) << "byte " << at;
+      ASSERT_EQ(by_stream.events.size(), by_file.events.size());
+      for (std::size_t i = 0; i < by_file.events.size(); ++i) {
+        EXPECT_TRUE(same_event(by_stream.events[i], by_file.events[i]));
+      }
+      EXPECT_EQ(by_stream.strings, by_file.strings) << "byte " << at;
+    }
+  }
+  std::remove(flipped_path.c_str());
+}
+
+TEST(Wal, UnknownFrameTypeWithAValidCrcIsSkipped) {
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string clean_bytes = slurp(path);
+  std::remove(path.c_str());
+  trace::WalSalvage clean_salvage;
+  {
+    std::istringstream in(clean_bytes);
+    trace::salvage_wal(in, &clean_salvage);
+  }
+
+  // A future-version frame right after the header: the frames behind it
+  // still load and the file is still clean.
+  const std::string future = make_frame('X', "a frame from a newer writer");
+  std::istringstream in(clean_bytes.substr(0, 8) + future +
+                        clean_bytes.substr(8));
+  trace::WalSalvage salvage;
+  const trace::LoadedTrace loaded = trace::salvage_wal(in, &salvage);
+  EXPECT_TRUE(salvage.clean());
+  EXPECT_EQ(loaded.events.size(), written);
+  EXPECT_EQ(salvage.events, written);
+  EXPECT_EQ(salvage.frames, clean_salvage.frames + 1);
+  EXPECT_EQ(salvage.bytes_recovered, clean_bytes.size() + future.size());
+}
+
+TEST(Wal, LengthAboveTheFrameCapEndsRecoveryAtThatFrame) {
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string clean_bytes = slurp(path);
+  std::remove(path.c_str());
+
+  // A length field one past 16 MiB, followed by whole valid frames: the
+  // loader refuses the length before it reads or allocates anything, and
+  // nothing after it is trusted.
+  std::string oversized(1, 'E');
+  put_le(&oversized, (std::uint64_t{1} << 24) + 1, 4);
+  const std::string bytes = clean_bytes + oversized + clean_bytes.substr(8);
+  std::istringstream in(bytes);
+  trace::WalSalvage salvage;
+  const trace::LoadedTrace loaded = trace::salvage_wal(in, &salvage);
+  EXPECT_EQ(salvage.corrupt_frames, 1u);
+  EXPECT_TRUE(salvage.torn);
+  EXPECT_EQ(loaded.events.size(), written);
+  EXPECT_EQ(salvage.bytes_recovered, clean_bytes.size());
+  EXPECT_EQ(salvage.bytes_discarded, bytes.size() - clean_bytes.size());
+}
+
+TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string clean_bytes = slurp(path);
+  std::remove(path.c_str());
+  trace::WalSalvage clean_salvage;
+  trace::LoadedTrace clean;
+  {
+    std::istringstream in(clean_bytes);
+    clean = trace::salvage_wal(in, &clean_salvage);
+  }
+  ASSERT_TRUE(clean_salvage.clean());
+
+  std::string huge_id;
+  put_le(&huge_id, std::uint64_t{1} << 24, 4);
+  huge_id += "label";
+  const std::string kBadFrames[] = {
+      make_frame('E', event_payload(1000, 0)),        // count far too big
+      make_frame('E', event_payload(0xFFFFFFFFu, 1)),  // count near 2^32
+      make_frame('E', event_payload(2, 1)),            // one lock short
+      make_frame('S', huge_id),                        // id >= 2^24
+  };
+  obs::Counter& corrupt =
+      obs::Registry::global().counter("trace.corrupt_records");
+  for (const std::string& bad : kBadFrames) {
+    // The bad frame, then the clean frames again: recovery ends at it.
+    const std::string bytes = clean_bytes + bad + clean_bytes.substr(8);
+    std::istringstream in(bytes);
+    trace::WalSalvage salvage;
+    const std::uint64_t corrupt_before = corrupt.value();
+    trace::LoadedTrace loaded;
+    ASSERT_NO_THROW(loaded = trace::salvage_wal(in, &salvage));
+    EXPECT_EQ(salvage.corrupt_frames, 1u);
+    EXPECT_EQ(corrupt.value() - corrupt_before, 1u);
+    EXPECT_TRUE(salvage.torn);
+    EXPECT_EQ(salvage.frames, clean_salvage.frames);
+    EXPECT_EQ(salvage.events, written);
+    EXPECT_EQ(salvage.strings, clean_salvage.strings);
+    EXPECT_EQ(loaded.strings, clean.strings);
+    ASSERT_EQ(loaded.events.size(), written);
+    for (std::size_t i = 0; i < written; ++i) {
+      EXPECT_TRUE(same_event(loaded.events[i], clean.events[i]));
+    }
+    EXPECT_EQ(salvage.bytes_recovered, clean_bytes.size());
+    EXPECT_EQ(salvage.bytes_discarded, bytes.size() - clean_bytes.size());
+  }
+}
+
+/// A read-only stream buffer that cannot seek or report its size, like a
+/// pipe's.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(Wal, AStreamThatCannotSeekSalvagesLikeASeekableOne) {
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string clean_bytes = slurp(path);
+  std::remove(path.c_str());
+
+  // Every cut, read through a stream with no size to take: the same salvage
+  // as a seekable stream over the same bytes, every byte accounted for.
+  for (std::size_t cut = 0; cut <= clean_bytes.size(); ++cut) {
+    const std::string bytes = clean_bytes.substr(0, cut);
+    UnseekableBuf buf(bytes);
+    std::istream pipe(&buf);
+    std::istringstream seekable(bytes);
+    trace::WalSalvage from_pipe, from_seekable;
+    const trace::LoadedTrace by_pipe = trace::salvage_wal(pipe, &from_pipe);
+    const trace::LoadedTrace by_seekable =
+        trace::salvage_wal(seekable, &from_seekable);
+    EXPECT_TRUE(same_salvage(from_pipe, from_seekable)) << "cut at " << cut;
+    EXPECT_EQ(from_pipe.bytes_recovered + from_pipe.bytes_discarded, cut)
+        << "cut at " << cut;
+    ASSERT_EQ(by_pipe.events.size(), by_seekable.events.size());
+    for (std::size_t i = 0; i < by_pipe.events.size(); ++i) {
+      EXPECT_TRUE(same_event(by_pipe.events[i], by_seekable.events[i]));
+    }
+  }
+}
+
+TEST(Wal, ADirectoryPathIsUnrecoverableButNeverThrows) {
+  // Depending on the platform a directory fails to open or opens as a
+  // stream that claims a huge size and yields no bytes; either way nothing
+  // was read, so nothing is recovered or discarded.
+  trace::WalSalvage salvage;
+  trace::LoadedTrace loaded;
+  ASSERT_NO_THROW(loaded = trace::salvage_wal_file(testing::TempDir(), &salvage));
+  EXPECT_TRUE(salvage.missing_header);
+  EXPECT_TRUE(loaded.events.empty());
+  EXPECT_EQ(salvage.bytes_recovered, 0u);
+  EXPECT_EQ(salvage.bytes_discarded, 0u);
 }
 
 TEST(Wal, MissingHeaderIsUnrecoverableButAccounted) {
