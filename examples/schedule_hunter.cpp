@@ -24,7 +24,9 @@
 // --quarantine-dir with their reproduction artifacts.  --journal checkpoints
 // every completed schedule; with --resume, a rerun replays journaled
 // schedules instead of executing them (without --resume an existing journal
-// is truncated).  --wal streams events to a crash-safe write-ahead log.
+// is truncated).  --wal streams events to a crash-safe write-ahead log;
+// since every run truncates that file, a --wal sweep runs its schedules on
+// one worker instead of one per core.
 //
 // Provenance: --explain prints each finding's explanation certificate
 // (causal HB witness chains); --paranoid re-verifies every certificate via

@@ -57,7 +57,7 @@ double run_app_rank(const AppConfig& cfg, Process& p) {
     p.init_thread(simmpi::ThreadLevel::kMultiple, {"app.init"});
   }
 
-  const InjectionComms comms = setup_injection_comms(p, cfg.inject);
+  InjectionComms comms = setup_injection_comms(p, cfg.inject);
 
   std::vector<Zone> zones;
   zones.reserve(static_cast<std::size_t>(cfg.zones_per_rank));

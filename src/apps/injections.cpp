@@ -70,7 +70,7 @@ void inject_v3(Process& p, InjectionStyle style) {
 
 // V4: the even rank posts one receive request and both threads complete it
 // with MPI_Wait; the partner's send is delayed so both waits overlap.
-void inject_v4(Process& p) {
+void inject_v4(Process& p, InjectionComms& comms) {
   const int partner = partner_of(p);
   if (partner < 0) return;
   const int tag = 904;
@@ -85,19 +85,13 @@ void inject_v4(Process& p) {
   }
   // Every team thread participates (single has an implied team barrier, so
   // skipping threads here would desynchronize the team's barrier episodes).
-  // One shared request per region instance, stashed in a per-rank slot and
-  // published to the team through a single construct.
-  static thread_local int buf;  // receiving rank's payload slot.
-  struct Shared {
-    simmpi::Request request;
-  };
-  static Shared shared[64];  // indexed by rank; injections run once per app.
-  auto& slot = shared[static_cast<std::size_t>(p.rank() % 64)];
+  // One shared request per region instance, stashed in the rank's injection
+  // state and published to the team through a single construct.
   homp::single([&] {
-    slot.request = p.irecv(&buf, 1, Datatype::kInt, partner, tag, kCommWorld,
-                           {"inject.v4.irecv"});
+    comms.v4_request = p.irecv(&comms.v4_payload, 1, Datatype::kInt, partner,
+                               tag, kCommWorld, {"inject.v4.irecv"});
   });
-  p.wait(slot.request, nullptr, {"inject.v4.wait"});
+  p.wait(comms.v4_request, nullptr, {"inject.v4.wait"});
 }
 
 // V5: a probe races a receive on the same (source, tag, comm).
@@ -192,7 +186,7 @@ void sync_all(Process& p) {
 }  // namespace
 
 void run_injections(Process& p, const InjectionMix& mix,
-                    const InjectionComms& comms) {
+                    InjectionComms& comms) {
   if (mix.v1_initialization) {
     inject_v1(p);
     sync_all(p);
@@ -202,7 +196,7 @@ void run_injections(Process& p, const InjectionMix& mix,
     sync_all(p);
   }
   if (mix.v4_concurrent_request) {
-    inject_v4(p);
+    inject_v4(p, comms);
     sync_all(p);
   }
   if (mix.v5_probe) {

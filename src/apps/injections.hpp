@@ -43,10 +43,15 @@ struct InjectionMix {
   }
 };
 
-/// Communicators the injections use (created serially at app start).
+/// Communicators the injections use (created serially at app start), and
+/// the per-rank state a team shares during them.
 struct InjectionComms {
   simmpi::Comm vcomm;     ///< V6's shared collective communicator.
   simmpi::Comm baitcomm;  ///< the benign critical bait's communicator.
+  /// V4's receive request and payload, posted by one single() and waited on
+  /// by the whole team.  Per rank, so concurrent runs never share them.
+  simmpi::Request v4_request;
+  int v4_payload = 0;
 };
 
 InjectionComms setup_injection_comms(simmpi::Process& p, const InjectionMix& mix);
@@ -56,6 +61,6 @@ InjectionComms setup_injection_comms(simmpi::Process& p, const InjectionMix& mix
 /// threads fall through). `partner` pairing: rank r partners with r^1; the
 /// odd rank of each pair plays the sender, the even rank the receiver.
 void run_injections(simmpi::Process& p, const InjectionMix& mix,
-                    const InjectionComms& comms);
+                    InjectionComms& comms);
 
 }  // namespace home::apps

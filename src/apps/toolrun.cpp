@@ -5,7 +5,6 @@
 #include "src/baselines/itc.hpp"
 #include "src/baselines/marmot.hpp"
 #include "src/home/session.hpp"
-#include "src/homp/runtime.hpp"
 #include "src/obs/span.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/strings.hpp"
@@ -34,7 +33,7 @@ simmpi::UniverseConfig universe_config(const AppConfig& cfg) {
 ToolRunResult run_base(const AppConfig& cfg) {
   ToolRunResult result;
   simmpi::Universe universe(universe_config(cfg));
-  homp::set_default_threads(cfg.nthreads);
+  universe.run_context().team_size = cfg.nthreads;
   util::Stopwatch timer;
   result.run = universe.run([&](simmpi::Process& p) { run_app_rank(cfg, p); });
   result.run_seconds = timer.elapsed_seconds();
@@ -48,7 +47,7 @@ ToolRunResult run_home(const AppConfig& cfg, const SessionConfig& scfg) {
   session.configure(ucfg);
   simmpi::Universe universe(ucfg);
   session.attach(universe);
-  homp::set_default_threads(cfg.nthreads);
+  universe.run_context().team_size = cfg.nthreads;
   util::Stopwatch timer;
   {
     obs::Span span("toolrun.execute");
@@ -71,7 +70,7 @@ ToolRunResult run_marmot(const AppConfig& cfg) {
   session.configure(ucfg);
   simmpi::Universe universe(ucfg);
   session.attach(universe);
-  homp::set_default_threads(cfg.nthreads);
+  universe.run_context().team_size = cfg.nthreads;
   util::Stopwatch timer;
   result.run = universe.run([&](simmpi::Process& p) { run_app_rank(cfg, p); });
   result.run_seconds = timer.elapsed_seconds();
@@ -87,7 +86,7 @@ ToolRunResult run_itc(const AppConfig& cfg) {
   session.configure(ucfg);
   simmpi::Universe universe(ucfg);
   session.attach(universe);
-  homp::set_default_threads(cfg.nthreads);
+  universe.run_context().team_size = cfg.nthreads;
   util::Stopwatch timer;
   result.run = universe.run([&](simmpi::Process& p) { run_app_rank(cfg, p); });
   result.run_seconds = timer.elapsed_seconds();

@@ -126,14 +126,16 @@ void ItcSession::configure(simmpi::UniverseConfig& ucfg) {
 
 void ItcSession::attach(simmpi::Universe& universe) {
   universe.hooks().add(wrappers_.get());
-  homp::install_instrumentation(homp::Instrumentation{&log_, &registry_});
+  universe.run_context().log = &log_;
+  universe.run_context().registry = &registry_;
   g_itc_tracer.store(&tracer_);
 }
 
 void ItcSession::detach(simmpi::Universe& universe) {
   g_itc_tracer.store(nullptr);
   universe.hooks().remove(wrappers_.get());
-  homp::clear_instrumentation();
+  universe.run_context().log = nullptr;
+  universe.run_context().registry = nullptr;
 }
 
 Report ItcSession::analyze() {

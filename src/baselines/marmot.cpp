@@ -4,7 +4,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/homp/runtime.hpp"
 #include "src/simmpi/universe.hpp"
 
 namespace home::baselines {
@@ -157,12 +156,12 @@ void MarmotSession::configure(simmpi::UniverseConfig& ucfg) {
 
 void MarmotSession::attach(simmpi::Universe& universe) {
   universe.hooks().add(checker_.get());
-  homp::install_instrumentation(homp::Instrumentation{nullptr, &registry_});
+  universe.run_context().registry = &registry_;  // thread ids, no trace.
 }
 
 void MarmotSession::detach(simmpi::Universe& universe) {
   universe.hooks().remove(checker_.get());
-  homp::clear_instrumentation();
+  universe.run_context().registry = nullptr;
 }
 
 Report MarmotSession::analyze() {

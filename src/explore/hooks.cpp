@@ -51,12 +51,6 @@ Explorer::Explorer(std::unique_ptr<Strategy> strategy)
   schedule_.strategy = strategy_->name();
 }
 
-Explorer::~Explorer() {
-  // Defensive: never leave a dangling installed pointer behind.
-  Explorer* self = this;
-  internal::current_slot().compare_exchange_strong(self, nullptr);
-}
-
 std::uint64_t Explorer::next_occurrence(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   return occurrences_[key]++;
@@ -149,14 +143,6 @@ Schedule Explorer::schedule() const {
 std::uint64_t Explorer::order_signature() const {
   std::lock_guard<std::mutex> lock(mu_);
   return order_hash_;
-}
-
-void install(Explorer* explorer) {
-  internal::current_slot().store(explorer, std::memory_order_release);
-}
-
-void uninstall() {
-  internal::current_slot().store(nullptr, std::memory_order_release);
 }
 
 }  // namespace home::explore

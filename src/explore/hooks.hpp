@@ -2,13 +2,15 @@
 //
 // The runtime layers (homp sync operations, simmpi blocking/matching
 // decisions) call yield_point / pick_point at every place where the
-// scheduler or the MPI library would make a nondeterministic choice.  With
-// no Explorer installed the hooks cost one relaxed atomic load and a
-// predicted branch — the same "disabled gate" discipline as obs telemetry —
-// so production runs pay effectively nothing.  With an Explorer installed,
-// every hook consults the active Strategy, records the resulting Decision
-// into the run's Schedule, and folds the hook hit into an order signature
-// used for interleaving-coverage accounting.
+// scheduler or the MPI library would make a nondeterministic choice.  The
+// hooks find the run's Explorer in the calling thread's run context
+// (util/run_context.hpp); with none bound they cost one thread-local load
+// and a predicted branch — the same "disabled gate" discipline as obs
+// telemetry — so production runs pay effectively nothing.  With an Explorer
+// bound, every hook consults the active Strategy, records the resulting
+// Decision into the run's Schedule, and folds the hook hit into an order
+// signature used for interleaving-coverage accounting.  Each run binds its
+// own Explorer, so concurrent runs explore independently.
 //
 // Threads advertise their position via a lane id (homp thread slot within
 // the rank) and a parallel-region depth, both thread-local; homp maintains
@@ -26,17 +28,17 @@
 
 #include "src/explore/schedule.hpp"
 #include "src/explore/strategy.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::explore {
 
 /// The per-run controller: owns the strategy, the decision log and the
-/// occurrence counters.  One Explorer instruments one run; install()ing it
-/// makes it visible to every hook in the process (mirroring how one
-/// home::Session instruments one process).
+/// occurrence counters.  One Explorer instruments one run: the run's
+/// context (util::RunContext::explorer) makes it visible to the hooks on
+/// that run's threads.
 class Explorer {
  public:
   explicit Explorer(std::unique_ptr<Strategy> strategy);
-  ~Explorer();
   Explorer(const Explorer&) = delete;
   Explorer& operator=(const Explorer&) = delete;
 
@@ -75,12 +77,6 @@ class Explorer {
 };
 
 namespace internal {
-/// The installed explorer (null = exploration disabled).  Exposed so the
-/// hook fast path below inlines to one load + branch.
-inline std::atomic<Explorer*>& current_slot() {
-  static std::atomic<Explorer*> slot{nullptr};
-  return slot;
-}
 /// Thread lane (homp thread slot) and parallel-region depth for the calling
 /// thread; maintained by the homp runtime.
 int thread_lane();
@@ -90,21 +86,14 @@ void exit_parallel();
 bool in_parallel();
 }  // namespace internal
 
-/// Install `explorer` as the process-wide controller (one at a time; the
-/// caller keeps ownership and must uninstall before destroying it).
-void install(Explorer* explorer);
-void uninstall();
-
-/// True iff an Explorer is installed.  Call sites whose context (rank, site)
-/// is non-trivial to compute should guard on this first.
-inline bool active() {
-  return internal::current_slot().load(std::memory_order_acquire) != nullptr;
-}
+/// True iff the calling thread's run has an Explorer.  Call sites whose
+/// context (rank, site) is non-trivial to compute should guard on this first.
+inline bool active() { return util::run_context().explorer != nullptr; }
 
 /// Yield hook: possibly delays the calling thread per the active strategy.
 /// No-op (one load + branch) when exploration is disabled.
 inline void yield_point(HookKind kind, int rank, const char* site) {
-  Explorer* e = internal::current_slot().load(std::memory_order_acquire);
+  Explorer* e = util::run_context().explorer;
   if (e != nullptr) e->yield(kind, rank, site);
 }
 
@@ -114,7 +103,7 @@ inline void yield_point(HookKind kind, int rank, const char* site) {
 inline std::size_t pick_point(HookKind kind, int rank, const char* site,
                               std::size_t n_eligible) {
   if (n_eligible < 2) return 0;
-  Explorer* e = internal::current_slot().load(std::memory_order_acquire);
+  Explorer* e = util::run_context().explorer;
   return e != nullptr ? e->pick(kind, rank, site, n_eligible) : 0;
 }
 

@@ -3,20 +3,20 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "src/diagnose/minimize.hpp"
 
 #include "src/home/deadlock_monitor.hpp"
-#include "src/homp/runtime.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
-#include "src/simmpi/abort.hpp"
 #include "src/util/stats.hpp"
 
 namespace home::explore {
@@ -94,6 +94,91 @@ std::string SweepResult::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// Finished runs a worker may hold beyond the fold, per worker: bounds the
+/// results buffered behind one slow (e.g. hanging) schedule.
+constexpr std::size_t kRunsAheadPerWorker = 8;
+
+/// Runs a sweep's jobs on worker threads and hands their results back in
+/// job order: take(k) blocks until job k finished and rethrows what it
+/// threw.  Workers claim jobs in order, never more than `window` past the
+/// last take(), so at most `window` results wait; stop() (and the
+/// destructor) lets running jobs finish and drops the rest unstarted.
+template <typename Result>
+class OrderedRuns {
+ public:
+  OrderedRuns(std::size_t jobs, std::size_t workers, std::size_t window,
+              std::function<Result(std::size_t)> job)
+      : job_(std::move(job)), jobs_(jobs), window_(window) {
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads_.emplace_back([this] { work(); });
+    }
+  }
+  ~OrderedRuns() {
+    stop();
+    for (std::thread& t : threads_) t.join();
+  }
+  OrderedRuns(const OrderedRuns&) = delete;
+  OrderedRuns& operator=(const OrderedRuns&) = delete;
+
+  Result take(std::size_t k) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return finished_.count(k) != 0; });
+    Finished done = std::move(finished_.extract(k).mapped());
+    taken_ = k + 1;
+    cv_.notify_all();
+    if (done.error) std::rethrow_exception(done.error);
+    return std::move(*done.result);
+  }
+
+  void stop() {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  struct Finished {
+    std::optional<Result> result;
+    std::exception_ptr error;
+  };
+
+  void work() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] {
+        return stopping_ || next_ == jobs_ || next_ < taken_ + window_;
+      });
+      if (stopping_ || next_ == jobs_) return;
+      const std::size_t k = next_++;
+      lock.unlock();
+      Finished done;
+      try {
+        done.result.emplace(job_(k));
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      lock.lock();
+      finished_.emplace(k, std::move(done));
+      cv_.notify_all();
+    }
+  }
+
+  const std::function<Result(std::size_t)> job_;
+  const std::size_t jobs_;
+  const std::size_t window_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::size_t, Finished> finished_;  ///< done, not yet taken.
+  std::size_t next_ = 0;   ///< next job a worker claims.
+  std::size_t taken_ = 0;  ///< jobs the fold has taken.
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace
+
 Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
                                       const RankMain& rank_main,
                                       bool with_diagnose,
@@ -121,12 +206,13 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
 
   simmpi::Universe universe(ucfg);
   session.attach(universe);
-  homp::set_default_threads(cfg_.nthreads);
+  universe.run_context().team_size = cfg_.nthreads;
 
-  // Per-schedule wall-clock watchdog: if the run outlives the budget, raise
-  // the cooperative abort (every blocked MPI call throws AbortError within
-  // one poll interval) and classify the hang from the wait-for graph the
-  // DeadlockMonitor maintained while the run was alive.
+  // Per-schedule wall-clock watchdog: if the run outlives the budget, abort
+  // this universe (every blocked MPI call of this run throws AbortError
+  // within one poll interval; runs beside it are untouched) and classify the
+  // hang from the wait-for graph the DeadlockMonitor maintained while the
+  // run was alive.
   DeadlockMonitor monitor(cfg_.nranks);
   const bool watchdogged = cfg_.schedule_timeout_ms > 0;
   std::mutex wd_mu;
@@ -143,8 +229,8 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
       if (finished) return;
       outcome.timed_out = true;
       outcome.hang_diagnosis = monitor.diagnose();
-      simmpi::request_abort("schedule watchdog: wall clock exceeded " +
-                            std::to_string(cfg_.schedule_timeout_ms) + " ms");
+      universe.request_abort("schedule watchdog: wall clock exceeded " +
+                             std::to_string(cfg_.schedule_timeout_ms) + " ms");
     });
   }
 
@@ -158,7 +244,6 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
     wd_cv.notify_all();
     watchdog.join();  // synchronizes outcome.timed_out / hang_diagnosis.
     universe.hooks().remove(&monitor);
-    simmpi::clear_abort();
   }
 
   session.detach(universe);
@@ -393,16 +478,10 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     }
   };
 
-  // One attempted (non-pruned) schedule: resume from the journal when its
-  // record survived, else run guarded, quarantine terminal failures, and
-  // checkpoint the record.
-  auto attempt = [&](const Options& opts, int index, std::uint64_t seed,
-                     std::uint64_t fault_seed) {
-    if (auto it = journaled.find(index); it != journaled.end()) {
-      resume_entry(it->second);
-      return;
-    }
-    GuardedRun guard = run_guarded(opts, rank_main, true, fault_seed);
+  // Fold one executed run: aggregates, quarantine of a terminal failure,
+  // and the journal checkpoint.
+  auto fold_run = [&](const GuardedRun& guard, int index, std::uint64_t seed,
+                      const Options& opts) {
     result.retries += guard.retries;
     if (index < 0) result.baseline_keys = guard.outcome.keys;
     // A timed-out run still analyzed its partial trace; a crashed one has an
@@ -417,10 +496,21 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     journal_record(index, seed, guard, paths.first, paths.second);
   };
 
+  // The sweep in index order: the uncontrolled baseline, then every
+  // schedule, each pruned, resumed from the journal, or run.
+  struct Step {
+    int index = -1;
+    std::uint64_t seed = 0;
+    Options opts;
+    std::uint64_t fault_seed = 0;
+    std::string pruned;   ///< nonempty: statically pruned, for this reason.
+    std::size_t job = 0;  ///< its run, when it is neither pruned nor resumed.
+  };
+  std::vector<Step> steps;
   if (cfg_.run_baseline) {
-    Options off;
-    off.enabled = false;
-    attempt(off, -1, 0, 0);
+    Step baseline;
+    baseline.opts.enabled = false;
+    steps.push_back(baseline);
   }
 
   // Static fingerprint pruning: with guidance, a guided run's pick stream is
@@ -429,44 +519,78 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
   // analysis proved ordered — redundant schedules, skipped with a reason.
   // (Pruning re-derives identically on resume: it never consults the
   // journal, only the deterministic fingerprint stream.)
-  obs::Counter& pruned_counter =
-      obs::Registry::global().counter("explore.pruned_schedules");
   std::set<std::uint64_t> fingerprints;
   const bool can_prune = cfg_.strategy == StrategyKind::kGuided &&
                          cfg_.guidance && !cfg_.guidance->empty();
-
   for (int i = 0; i < cfg_.schedules; ++i) {
-    Options opts;
-    opts.enabled = true;
-    opts.strategy = cfg_.strategy;
-    opts.seed = cfg_.base_seed + static_cast<std::uint64_t>(i);
-    opts.tuning = cfg_.tuning;
-    opts.guidance = cfg_.guidance;
+    Step step;
+    step.index = i;
+    step.opts.enabled = true;
+    step.opts.strategy = cfg_.strategy;
+    step.opts.seed = cfg_.base_seed + static_cast<std::uint64_t>(i);
+    step.opts.tuning = cfg_.tuning;
+    step.opts.guidance = cfg_.guidance;
+    step.seed = step.opts.seed;
     if (can_prune) {
-      const std::uint64_t fp = guided_fingerprint(*cfg_.guidance, opts.seed);
+      const std::uint64_t fp = guided_fingerprint(*cfg_.guidance, step.seed);
       if (!fingerprints.insert(fp).second) {
-        PrunedSchedule p;
-        p.index = i;
-        p.seed = opts.seed;
-        p.reason = "guided pick fingerprint " + std::to_string(fp) +
-                   " already run; differs only in " +
-                   std::to_string(cfg_.guidance->ordered.size()) +
-                   " statically-ordered pair(s)";
-        result.pruned.push_back(std::move(p));
-        pruned_counter.add(1);
-        result.coverage_curve.push_back(
-            result.coverage_curve.empty() ? 0 : result.coverage_curve.back());
-        continue;
+        step.pruned = "guided pick fingerprint " + std::to_string(fp) +
+                      " already run; differs only in " +
+                      std::to_string(cfg_.guidance->ordered.size()) +
+                      " statically-ordered pair(s)";
       }
     }
-    const std::uint64_t fault_seed =
-        cfg_.vary_fault_seed && cfg_.session.faults.enabled &&
-                !cfg_.session.faults.replay
-            ? cfg_.session.faults.seed + static_cast<std::uint64_t>(i)
-            : 0;
-    attempt(opts, i, opts.seed, fault_seed);
+    if (cfg_.vary_fault_seed && cfg_.session.faults.enabled &&
+        !cfg_.session.faults.replay) {
+      step.fault_seed =
+          cfg_.session.faults.seed + static_cast<std::uint64_t>(i);
+    }
+    steps.push_back(std::move(step));
+  }
+
+  // Runs are independent (each binds its own Session and Universe), so they
+  // execute on up to one worker per core; folding strictly in index order
+  // keeps findings, first-seen seeds, the coverage curve and the journal
+  // byte-identical to a serial sweep.  Runs that share one WAL file go on
+  // one worker, since every run truncates it.
+  std::vector<const Step*> jobs;
+  for (Step& step : steps) {
+    if (!step.pruned.empty() || journaled.count(step.index) != 0) continue;
+    step.job = jobs.size();
+    jobs.push_back(&step);
+  }
+  const std::size_t workers =
+      cfg_.session.wal_path.empty()
+          ? std::min<std::size_t>(
+                jobs.size(),
+                std::max(1u, std::thread::hardware_concurrency()))
+          : std::min<std::size_t>(jobs.size(), 1);
+  OrderedRuns<GuardedRun> runs(
+      jobs.size(), workers, kRunsAheadPerWorker * workers,
+      [&](std::size_t k) {
+        return run_guarded(jobs[k]->opts, rank_main, true,
+                           jobs[k]->fault_seed);
+      });
+
+  obs::Counter& pruned_counter =
+      obs::Registry::global().counter("explore.pruned_schedules");
+  for (const Step& step : steps) {
+    if (!step.pruned.empty()) {
+      result.pruned.push_back(
+          PrunedSchedule{step.index, step.seed, step.pruned});
+      pruned_counter.add(1);
+      result.coverage_curve.push_back(
+          result.coverage_curve.empty() ? 0 : result.coverage_curve.back());
+    } else if (auto it = journaled.find(step.index); it != journaled.end()) {
+      resume_entry(it->second);
+    } else {
+      fold_run(runs.take(step.job), step.index, step.seed, step.opts);
+    }
+    // Later runs (possibly finished already) are dropped unfolded, as if
+    // never run.
     if (cfg_.stop_on_first_new && result.first_new_schedule >= 0) break;
   }
+  runs.stop();
 
   // Flag findings the baseline also reported (first seen by a schedule but
   // not exploration-exclusive).

@@ -6,7 +6,10 @@
 // and `examples/schedule_hunter` both drive it.  Every schedule is one full
 // Session run (controlled by a seeded Strategy); any schedule that surfaces
 // a violation key the baseline run missed yields a decision log that
-// replays the finding deterministically (Sweeper::replay).
+// replays the finding deterministically (Sweeper::replay).  Each run has its
+// own Session and Universe, so run() executes the schedules on up to one
+// worker per core and folds their outcomes in schedule index order: the
+// result and the journal are those of a serial sweep.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,8 @@ struct SweepConfig {
   /// earlier seed's — such runs can only permute statically-ordered pairs.
   std::shared_ptr<const StaticGuidance> guidance;
   /// Stop sweeping after the first exploration-exclusive finding (time-to-
-  /// first-violation measurements).
+  /// first-violation measurements); later schedules that already ran are
+  /// neither folded nor journaled.
   bool stop_on_first_new = false;
   /// Violation provenance: build an explanation certificate for every
   /// violation each run reports and attach it to the finding.
@@ -64,7 +68,7 @@ struct SweepConfig {
   std::string min_schedule_dir;
   // --- resilience (ISSUE-10) ----------------------------------------------
   /// Per-schedule wall-clock watchdog (ms; 0 = off).  A schedule that
-  /// exceeds it is torn down via simmpi::request_abort within one poll
+  /// exceeds it is torn down via its Universe::request_abort within one poll
   /// interval and classified through the DeadlockMonitor's wait-for graph.
   int schedule_timeout_ms = 0;
   /// Bounded retry for crashed/hung schedules: up to max_retries re-runs
@@ -170,7 +174,11 @@ class Sweeper {
 
   explicit Sweeper(SweepConfig cfg) : cfg_(std::move(cfg)) {}
 
-  /// The full sweep: baseline + cfg.schedules controlled runs.
+  /// The full sweep: baseline + cfg.schedules controlled runs, executed
+  /// concurrently (one worker per core; one in all when
+  /// cfg.session.wal_path is set, since each run truncates that file) and
+  /// folded in index order.  `rank_main` runs on several universes at once.
+  /// Minimization stays serial.
   SweepResult run(const RankMain& rank_main);
 
   /// Replay one recorded schedule; returns the run's violation key set.

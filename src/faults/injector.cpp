@@ -233,7 +233,12 @@ void Injector::park_redelivery(std::function<void()> deliver,
   if (!worker_running_) {
     worker_running_ = true;
     stopping_ = false;
-    redeliverer_ = std::thread([this] { redelivery_loop(); });
+    // Redelivered messages land in the parking run's mailboxes, whose
+    // matching consults that run's explorer: hand the worker its context.
+    redeliverer_ = std::thread([this, ctx = util::run_context()] {
+      util::ScopedRunContext bind(ctx);
+      redelivery_loop();
+    });
   }
   park_cv_.notify_all();
 }
@@ -287,14 +292,6 @@ void Injector::quiesce() {
 FaultPlan Injector::plan() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_;
-}
-
-void install(Injector* injector) {
-  internal::current_slot().store(injector, std::memory_order_release);
-}
-
-void uninstall() {
-  internal::current_slot().store(nullptr, std::memory_order_release);
 }
 
 }  // namespace home::faults

@@ -2,14 +2,17 @@
 //
 // The runtime layers (simmpi message delivery and MPI call entry, homp lock
 // acquisition, the online analyzer's consumer loop) call the *_point hooks
-// below at every place a real deployment could misbehave.  With no Injector
-// installed each hook costs one relaxed atomic load and a predicted branch —
-// the same disabled-gate discipline as explore:: and obs:: — so the <5%
-// overhead budget in bench_faults holds trivially.  With an Injector
-// installed, every hook draws deterministically from
+// below at every place a real deployment could misbehave.  The hooks find
+// the run's Injector in the calling thread's run context
+// (util/run_context.hpp); with none bound each hook costs one thread-local
+// load and a predicted branch — the same disabled-gate discipline as
+// explore:: and obs:: — so the <5% overhead budget in bench_faults holds
+// trivially.  With an Injector bound, every hook draws deterministically from
 // splitmix64(seed ^ context ^ salt) keyed by (kind, rank, site, per-key
 // occurrence), applies the fault, and records it into a replayable
 // FaultPlan.  Replay mode applies a recorded plan exactly and draws nothing.
+// Each run binds its own Injector, so a faulted run never perturbs a run
+// beside it.
 #pragma once
 
 #include <atomic>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "src/faults/plan.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::obs {
 class Counter;
@@ -47,9 +51,10 @@ class RankCrashError : public std::runtime_error {
   int rank_;
 };
 
-/// The per-run fault controller.  One Injector instruments one run;
-/// install()ing it makes it visible to every hook in the process (mirroring
-/// explore::Explorer).  All hook entry points are thread-safe.
+/// The per-run fault controller.  One Injector instruments one run: the
+/// run's context (util::RunContext::injector) makes it visible to the hooks
+/// on that run's threads (mirroring explore::Explorer).  All hook entry
+/// points are thread-safe.
 class Injector {
  public:
   /// Generate mode: draw faults per `spec` from `seed`.
@@ -137,30 +142,14 @@ class Injector {
   obs::Counter* c_redelivered_;
 };
 
-namespace internal {
-/// The installed injector (null = injection disabled).  Exposed so the hook
-/// fast paths below inline to one load + branch.
-inline std::atomic<Injector*>& current_slot() {
-  static std::atomic<Injector*> slot{nullptr};
-  return slot;
-}
-}  // namespace internal
-
-/// Install `injector` as the process-wide fault controller (one at a time;
-/// the caller keeps ownership and must uninstall before destroying it).
-void install(Injector* injector);
-void uninstall();
-
-/// True iff an Injector is installed.  Hook sites whose arguments are
-/// non-trivial to build (the message-delivery thunk) must guard on this
-/// first so the disabled path stays one load.
-inline bool active() {
-  return internal::current_slot().load(std::memory_order_acquire) != nullptr;
-}
+/// True iff the calling thread's run has an Injector.  Hook sites whose
+/// arguments are non-trivial to build (the message-delivery thunk) must guard
+/// on this first so the disabled path stays one load.
+inline bool active() { return util::run_context().injector != nullptr; }
 
 /// MPI call entry hook (rank stall / rank crash).  One load when disabled.
 inline void mpi_call_point(int rank, const char* site) {
-  Injector* inj = internal::current_slot().load(std::memory_order_acquire);
+  Injector* inj = util::run_context().injector;
   if (inj != nullptr) inj->on_mpi_call(rank, site);
 }
 
@@ -169,19 +158,19 @@ inline void mpi_call_point(int rank, const char* site) {
 /// before building the thunk.
 inline bool message_point(int rank, const char* site,
                           std::function<void()> deliver) {
-  Injector* inj = internal::current_slot().load(std::memory_order_acquire);
+  Injector* inj = util::run_context().injector;
   return inj != nullptr && inj->on_message(rank, site, std::move(deliver));
 }
 
 /// Lock-holder pause hook; call with the lock held.  One load when disabled.
 inline void lock_holder_point(int rank, const char* site) {
-  Injector* inj = internal::current_slot().load(std::memory_order_acquire);
+  Injector* inj = util::run_context().injector;
   if (inj != nullptr) inj->on_lock_acquired(rank, site);
 }
 
 /// Online-consumer pressure hook.  One load when disabled.
 inline void queue_consume_point(const char* site) {
-  Injector* inj = internal::current_slot().load(std::memory_order_acquire);
+  Injector* inj = util::run_context().injector;
   if (inj != nullptr) inj->on_queue_consume(site);
 }
 

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/homp/runtime.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace home {
@@ -21,7 +20,7 @@ CheckResult check_program(const CheckConfig& cfg,
 
   simmpi::Universe universe(ucfg);
   session.attach(universe);
-  homp::set_default_threads(cfg.nthreads);
+  universe.run_context().team_size = cfg.nthreads;
 
   CheckResult result;
   result.run = universe.run(rank_main);

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/home/check.hpp"
-#include "src/homp/runtime.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/span.hpp"
 #include "src/spec/matcher.hpp"
@@ -45,14 +44,28 @@ Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
   wcfg.filter = cfg_.filter;
   wcfg.plan = cfg_.plan;
   wrappers_ = std::make_unique<HomeWrappers>(std::move(wcfg), &log_, &registry_);
+  if (cfg_.explore.enabled) {
+    // Replay takes precedence over a generating strategy: the recorded
+    // decisions are re-applied and everything else stays default.
+    std::unique_ptr<explore::Strategy> strategy =
+        cfg_.explore.replay
+            ? explore::make_replay_strategy(*cfg_.explore.replay)
+            : explore::make_strategy(cfg_.explore.strategy, cfg_.explore.seed,
+                                     cfg_.explore.tuning,
+                                     cfg_.explore.guidance);
+    explorer_ = std::make_unique<explore::Explorer>(std::move(strategy));
+  }
+  if (cfg_.faults.enabled) {
+    // Replay precedence mirrors the explorer: a recorded plan is applied
+    // exactly and the generating spec/seed are ignored.
+    injector_ = cfg_.faults.replay
+                    ? std::make_unique<faults::Injector>(*cfg_.faults.replay)
+                    : std::make_unique<faults::Injector>(cfg_.faults.spec,
+                                                         cfg_.faults.seed);
+  }
 }
 
 Session::~Session() {
-  if (attached_) {
-    homp::clear_instrumentation();
-    explore::uninstall();
-    faults::uninstall();
-  }
   if (injector_) injector_->quiesce();
   // Unsubscribe before the analyzer (declared after log_) is destroyed.
   log_.set_sink(nullptr);
@@ -73,7 +86,7 @@ void Session::configure(simmpi::UniverseConfig& ucfg) {
         cfg_.online.max_live_reports_per_type;
     ocfg.stream.on_violation = cfg_.online.on_violation;
     analyzer_ = std::make_unique<online::OnlineAnalyzer>(
-        std::move(ocfg), &log_.strings(), &registry_);
+        std::move(ocfg), &log_.strings(), &registry_, injector_.get());
     log_.set_streaming_only(!cfg_.online.retain_trace);
   }
   if (!cfg_.wal_path.empty() && !wal_) {
@@ -97,40 +110,23 @@ void Session::configure(simmpi::UniverseConfig& ucfg) {
 
 void Session::attach(simmpi::Universe& universe) {
   universe.hooks().add(wrappers_.get());
-  homp::install_instrumentation(homp::Instrumentation{&log_, &registry_});
-  if (cfg_.explore.enabled && !explorer_) {
-    // Replay takes precedence over a generating strategy: the recorded
-    // decisions are re-applied and everything else stays default.
-    std::unique_ptr<explore::Strategy> strategy =
-        cfg_.explore.replay
-            ? explore::make_replay_strategy(*cfg_.explore.replay)
-            : explore::make_strategy(cfg_.explore.strategy, cfg_.explore.seed,
-                                     cfg_.explore.tuning,
-                                     cfg_.explore.guidance);
-    explorer_ = std::make_unique<explore::Explorer>(std::move(strategy));
-  }
-  if (explorer_) explore::install(explorer_.get());
-  if (cfg_.faults.enabled && !injector_) {
-    // Replay precedence mirrors the explorer: a recorded plan is applied
-    // exactly and the generating spec/seed are ignored.
-    injector_ = cfg_.faults.replay
-                    ? std::make_unique<faults::Injector>(*cfg_.faults.replay)
-                    : std::make_unique<faults::Injector>(cfg_.faults.spec,
-                                                         cfg_.faults.seed);
-  }
-  if (injector_) faults::install(injector_.get());
-  attached_ = true;
+  util::RunContext& run = universe.run_context();
+  run.log = &log_;
+  run.registry = &registry_;
+  run.explorer = explorer_.get();
+  run.injector = injector_.get();
 }
 
 void Session::detach(simmpi::Universe& universe) {
   universe.hooks().remove(wrappers_.get());
-  homp::clear_instrumentation();
-  explore::uninstall();
-  faults::uninstall();
+  util::RunContext& run = universe.run_context();
+  run.log = nullptr;
+  run.registry = nullptr;
+  run.explorer = nullptr;
+  run.injector = nullptr;
   // Deliver any still-parked (dropped) messages now, while the universe the
   // redelivery thunks capture is still alive.
   if (injector_) injector_->quiesce();
-  attached_ = false;
 }
 
 explore::Schedule Session::recorded_schedule() const {

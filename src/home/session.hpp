@@ -9,9 +9,11 @@
 //   session.detach(uni);
 //   Report report = session.analyze();        // detect + match
 //
-// Sessions own the trace log and thread registry; exactly one session may be
-// attached at a time (homp instrumentation is process-global, mirroring how
-// one Pin tool instruments one process).
+// Sessions own the trace log, thread registry, explorer and injector of one
+// run; attach() puts them in that Universe's run context, so hooks on the
+// run's threads reach this session's sinks and no other.  Any number of
+// sessions may be attached to their own universes at once (a sweep runs its
+// schedules concurrently this way).
 #pragma once
 
 #include <memory>
@@ -50,9 +52,9 @@ struct OnlineOptions {
   std::function<void(const spec::Violation&)> on_violation;
 };
 
-/// Seeded fault injection (off by default).  When enabled the session
-/// installs a faults::Injector for the attach()..detach() window; the
-/// decisions it takes are recorded as a replayable FaultPlan
+/// Seeded fault injection (off by default).  When enabled the session's run
+/// carries a faults::Injector from attach() to detach(); the decisions it
+/// takes are recorded as a replayable FaultPlan
 /// (Session::recorded_fault_plan()).
 struct FaultOptions {
   bool enabled = false;
@@ -122,7 +124,8 @@ class Session {
   /// constructing the Universe).
   void configure(simmpi::UniverseConfig& ucfg);
 
-  /// Register the MPI wrappers and homp instrumentation.
+  /// Register the MPI wrappers, and put the trace sinks, explorer and
+  /// injector in the universe's run context.
   void attach(simmpi::Universe& universe);
   void detach(simmpi::Universe& universe);
 
@@ -139,16 +142,16 @@ class Session {
   /// The streaming engine (null in post-mortem mode or before configure()).
   online::OnlineAnalyzer* online_analyzer() { return analyzer_.get(); }
 
-  /// The schedule explorer (null unless config().explore.enabled; live from
-  /// attach() until the Session dies — decisions survive detach()).
+  /// The schedule explorer (null unless config().explore.enabled; lives as
+  /// long as the Session — decisions survive detach()).
   explore::Explorer* explorer() { return explorer_.get(); }
 
   /// The decision log recorded so far, stamped with the strategy/seed from
   /// the config (empty Schedule when exploration is off).
   explore::Schedule recorded_schedule() const;
 
-  /// The fault injector (null unless config().faults.enabled; live from
-  /// attach() until the Session dies — the recorded plan survives detach()).
+  /// The fault injector (null unless config().faults.enabled; lives as long
+  /// as the Session — the recorded plan survives detach()).
   faults::Injector* injector() { return injector_.get(); }
 
   /// The faults actually injected so far (empty FaultPlan when injection is
@@ -184,16 +187,16 @@ class Session {
   trace::TraceLog log_;
   trace::ThreadRegistry registry_;
   std::unique_ptr<HomeWrappers> wrappers_;
-  /// Declared after log_ so it is destroyed first (it joins its analysis
-  /// thread while the log it subscribes to is still alive).
-  std::unique_ptr<online::OnlineAnalyzer> analyzer_;
   std::unique_ptr<explore::Explorer> explorer_;
   std::unique_ptr<faults::Injector> injector_;
+  /// Declared after log_ and injector_ so it is destroyed first (it joins
+  /// its analysis thread, which consults the injector, while the log it
+  /// subscribes to is still alive).
+  std::unique_ptr<online::OnlineAnalyzer> analyzer_;
   std::unique_ptr<trace::WalWriter> wal_;
   /// Fans the log's single sink slot out to {wal_, analyzer_} when both run.
   trace::TeeSink tee_;
   diagnose::ProvenanceReport provenance_;
-  bool attached_ = false;
 };
 
 }  // namespace home

@@ -2,11 +2,13 @@
 
 #include "src/homp/runtime.hpp"
 #include "src/simmpi/universe.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::homp {
 
 Thread::Thread(std::function<void()> body) {
-  trace::ThreadRegistry* registry = instrumentation().registry;
+  const util::RunContext run = util::run_context();
+  trace::ThreadRegistry* registry = run.registry;
   simmpi::Process* process = simmpi::Universe::current();
   const int rank = process ? process->rank() : trace::kNoRank;
 
@@ -18,8 +20,9 @@ Thread::Thread(std::function<void()> body) {
                          static_cast<trace::ObjId>(child_tid_));
   }
 
-  thread_ = std::thread([registry, process, tid = child_tid_,
+  thread_ = std::thread([run, registry, process, tid = child_tid_,
                          fn = std::move(body)] {
+    util::ScopedRunContext bind(run);
     if (registry && tid != trace::kNoTid) registry->bind_current_thread(tid);
     simmpi::Universe::set_current(process);
     fn();
@@ -37,7 +40,7 @@ void Thread::join() {
   if (joined_ || !thread_.joinable()) return;
   thread_.join();
   joined_ = true;
-  if (instrumentation().registry && child_tid_ != trace::kNoTid) {
+  if (util::run_context().registry && child_tid_ != trace::kNoTid) {
     internal::emit_plain(trace::EventKind::kThreadJoin,
                          static_cast<trace::ObjId>(child_tid_));
   }

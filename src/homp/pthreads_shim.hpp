@@ -23,8 +23,8 @@ namespace home::homp {
 class Thread {
  public:
   /// Launch `body` on a new analysed thread. The calling thread's rank
-  /// context (simmpi Process) is inherited, mirroring how threads of an MPI
-  /// process share its rank.
+  /// context (simmpi Process) and run context are inherited, mirroring how
+  /// threads of an MPI process share its rank.
   explicit Thread(std::function<void()> body);
   ~Thread();
 

@@ -8,12 +8,12 @@
 #include "src/homp/team.hpp"
 #include "src/obs/span.hpp"
 #include "src/simmpi/universe.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::homp {
 
 namespace {
 
-Instrumentation g_instr;
 std::atomic<int> g_default_threads{2};
 std::atomic<std::uint64_t> g_team_counter{1};
 
@@ -32,14 +32,13 @@ ThreadCtx* current_ctx() {
 
 }  // namespace
 
-void install_instrumentation(Instrumentation instr) { g_instr = instr; }
-void clear_instrumentation() { g_instr = Instrumentation{}; }
-const Instrumentation& instrumentation() { return g_instr; }
-
 void set_default_threads(int nthreads) {
   g_default_threads.store(nthreads > 0 ? nthreads : 1);
 }
-int default_threads() { return g_default_threads.load(); }
+int default_threads() {
+  const int run_size = util::run_context().team_size;
+  return run_size > 0 ? run_size : g_default_threads.load();
+}
 
 int thread_num() {
   ThreadCtx* ctx = current_ctx();
@@ -65,15 +64,21 @@ std::uint64_t next_construct_index() {
   return ctx ? ctx->construct_count++ : 0;
 }
 
+void emit_event(trace::Event e) {
+  const util::RunContext& ctx = util::run_context();
+  if (!ctx.log) return;
+  e.tid = ctx.registry ? ctx.registry->current_tid() : trace::kNoTid;
+  e.rank = ctx.registry ? ctx.registry->current_rank() : trace::kNoRank;
+  ctx.log->emit(std::move(e));
+}
+
 void emit_plain(trace::EventKind kind, trace::ObjId obj, std::uint64_t aux) {
-  if (!g_instr.log) return;
+  if (!util::run_context().log) return;
   trace::Event e;
-  e.tid = g_instr.registry ? g_instr.registry->current_tid() : trace::kNoTid;
-  e.rank = g_instr.registry ? g_instr.registry->current_rank() : trace::kNoRank;
   e.kind = kind;
   e.obj = obj;
   e.aux = aux;
-  g_instr.log->emit(std::move(e));
+  emit_event(std::move(e));
 }
 
 void team_barrier(Team* team) {
@@ -102,7 +107,10 @@ void parallel(int nthreads, const std::function<void()>& body) {
   const std::uint64_t team_id = g_team_counter.fetch_add(1);
   internal::Team team(n, team_id);
 
-  trace::ThreadRegistry* registry = g_instr.registry;
+  // Team threads belong to the forking thread's run: they inherit its
+  // context (explorer, injector, sinks, abort) as they inherit its rank.
+  const util::RunContext run = util::run_context();
+  trace::ThreadRegistry* registry = run.registry;
   simmpi::Process* process = simmpi::Universe::current();
   const int rank = process ? process->rank() : trace::kNoRank;
 
@@ -130,6 +138,7 @@ void parallel(int nthreads, const std::function<void()>& body) {
 
   for (int i = 1; i < n; ++i) {
     workers.emplace_back([&, i] {
+      util::ScopedRunContext bind(run);
       if (registry) {
         registry->bind_current_thread(worker_tids[static_cast<std::size_t>(i)]);
       }

@@ -2,10 +2,13 @@
 // "OpenMP + Intel Pin binary instrumentation" from the paper.
 //
 // homp::parallel forks a team of std::threads (the caller is thread 0, the
-// master, exactly like OpenMP), propagates the simmpi rank context so MPI
-// calls made by workers are attributed to the right "process", and — when a
-// tool session installed instrumentation — natively emits the event stream
-// Pin probes would produce: thread fork/join, barriers, lock acquire/release.
+// master, exactly like OpenMP), propagates the simmpi rank context and the
+// run context (util/run_context.hpp) so MPI calls made by workers are
+// attributed to the right "process" and run, and — when the run context
+// carries instrumentation sinks (a tool session's attach() puts them on the
+// Universe; homp used without one binds them on the calling thread) —
+// natively emits the event stream Pin probes would produce: thread
+// fork/join, barriers, lock acquire/release.
 //
 // The directive surface mirrors the constructs the paper's benchmarks use:
 //   parallel / for (static & dynamic) / sections / single / master /
@@ -21,17 +24,6 @@
 
 namespace home::homp {
 
-/// Instrumentation sinks, normally installed by a home::Session.  Null until
-/// installed; the runtime then runs uninstrumented (the "Base" configuration).
-struct Instrumentation {
-  trace::TraceLog* log = nullptr;
-  trace::ThreadRegistry* registry = nullptr;
-};
-
-void install_instrumentation(Instrumentation instr);
-void clear_instrumentation();
-const Instrumentation& instrumentation();
-
 /// #pragma omp parallel num_threads(n): `body` runs on n threads; the calling
 /// thread participates as thread 0. Nested regions are supported.
 void parallel(int nthreads, const std::function<void()>& body);
@@ -44,8 +36,9 @@ bool in_parallel();
 /// #pragma omp barrier for the innermost enclosing team (no-op outside).
 void barrier();
 
-/// Default team size used by parallel() when nthreads <= 0
-/// (omp_set_num_threads).
+/// Process-wide default team size (omp_set_num_threads).  parallel() with
+/// nthreads <= 0 uses the run context's team size when it sets one, else
+/// this default; default_threads() reports the size that applies.
 void set_default_threads(int nthreads);
 int default_threads();
 
@@ -60,7 +53,9 @@ Team* current_team();
 /// order; construct k maps to the team-wide slot k.
 std::uint64_t next_construct_index();
 
-/// Emit helpers (no-ops when instrumentation is absent).
+/// Emit helpers into the run context's log, stamping the calling thread's
+/// tid and rank (no-ops when the run is uninstrumented).
+void emit_event(trace::Event e);
 void emit_plain(trace::EventKind kind, trace::ObjId obj, std::uint64_t aux = 0);
 
 /// Team barrier with event emission, usable from worksharing constructs.

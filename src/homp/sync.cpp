@@ -9,6 +9,7 @@
 #include "src/faults/injector.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/simmpi/universe.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::homp {
 namespace {
@@ -35,6 +36,19 @@ void note_released(trace::ObjId lock_id) {
 
 std::vector<trace::ObjId> current_locks() { return tls_locks; }
 
+namespace {
+
+void emit_lock_event(trace::EventKind kind, trace::ObjId lock_id) {
+  if (!util::run_context().log) return;
+  trace::Event e;
+  e.kind = kind;
+  e.obj = lock_id;
+  e.locks_held = tls_locks;
+  internal::emit_event(std::move(e));
+}
+
+}  // namespace
+
 Lock::Lock() : id_(g_lock_counter.fetch_add(1)) {}
 
 void Lock::lock() {
@@ -51,33 +65,11 @@ void Lock::lock() {
     const simmpi::Process* process = simmpi::Universe::current();
     faults::lock_holder_point(process ? process->rank() : -1, "homp.lock");
   }
-  if (instrumentation().log) {
-    trace::Event e;
-    e.tid = instrumentation().registry ? instrumentation().registry->current_tid()
-                                       : trace::kNoTid;
-    e.rank = instrumentation().registry
-                 ? instrumentation().registry->current_rank()
-                 : trace::kNoRank;
-    e.kind = trace::EventKind::kLockAcquire;
-    e.obj = id_;
-    e.locks_held = tls_locks;
-    instrumentation().log->emit(std::move(e));
-  }
+  emit_lock_event(trace::EventKind::kLockAcquire, id_);
 }
 
 void Lock::unlock() {
-  if (instrumentation().log) {
-    trace::Event e;
-    e.tid = instrumentation().registry ? instrumentation().registry->current_tid()
-                                       : trace::kNoTid;
-    e.rank = instrumentation().registry
-                 ? instrumentation().registry->current_rank()
-                 : trace::kNoRank;
-    e.kind = trace::EventKind::kLockRelease;
-    e.obj = id_;
-    e.locks_held = tls_locks;
-    instrumentation().log->emit(std::move(e));
-  }
+  emit_lock_event(trace::EventKind::kLockRelease, id_);
   internal::note_released(id_);
   mu_.unlock();
 }
@@ -85,34 +77,27 @@ void Lock::unlock() {
 bool Lock::try_lock() {
   if (!mu_.try_lock()) return false;
   internal::note_acquired(id_);
-  if (instrumentation().log) {
-    trace::Event e;
-    e.tid = instrumentation().registry ? instrumentation().registry->current_tid()
-                                       : trace::kNoTid;
-    e.rank = instrumentation().registry
-                 ? instrumentation().registry->current_rank()
-                 : trace::kNoRank;
-    e.kind = trace::EventKind::kLockAcquire;
-    e.obj = id_;
-    e.locks_held = tls_locks;
-    instrumentation().log->emit(std::move(e));
-  }
+  emit_lock_event(trace::EventKind::kLockAcquire, id_);
   return true;
 }
 
 Lock& critical_lock(const std::string& name) {
   // OpenMP critical sections are scoped to one *process*.  In the
-  // rank-as-thread substrate all ranks share this address space, so the lock
-  // registry is keyed by (current rank, name): two ranks entering
-  // critical("x") never exclude each other — exactly like two real MPI
-  // processes.
+  // rank-as-thread substrate all ranks (of every running Universe) share this
+  // address space, so each simmpi Process keeps its own locks: two ranks, or
+  // two concurrent runs, entering critical("x") never exclude each other —
+  // exactly like two real MPI processes.
+  simmpi::Process* process = simmpi::Universe::current();
+  if (process != nullptr) {
+    return *static_cast<Lock*>(
+        process->critical_lock(name, [] { return std::make_shared<Lock>(); })
+            .get());
+  }
+  // homp used without simmpi: one process, one table.
   static std::mutex registry_mu;
   static std::map<std::string, std::unique_ptr<Lock>> locks;
-  const simmpi::Process* process = simmpi::Universe::current();
-  const int rank = process ? process->rank() : -1;
-  const std::string key = "r" + std::to_string(rank) + "::" + name;
   std::lock_guard<std::mutex> guard(registry_mu);
-  auto& slot = locks[key];
+  auto& slot = locks[name];
   if (!slot) slot = std::make_unique<Lock>();
   return *slot;
 }

@@ -46,8 +46,8 @@ class LockGuard {
   Lock& lock_;
 };
 
-/// #pragma omp critical(name): one global lock per name ("" = the unnamed
-/// critical, one per program, like OpenMP).
+/// #pragma omp critical(name): one lock per name per rank ("" = the unnamed
+/// critical, one per process, like OpenMP).
 void critical(const std::string& name, const std::function<void()>& body);
 
 /// The lock of a named critical section (tests & static analysis mapping).

@@ -116,16 +116,11 @@ struct Registry::Impl {
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
-Registry::Impl* Registry::impl() {
-  if (impl_ == nullptr) impl_ = new Impl();
-  return impl_;
-}
+// Built eagerly: a lazily created Impl raced when two threads registered
+// their first metrics at once (runs of a sweep start concurrently).
+Registry::Registry() : impl_(std::make_unique<Impl>()) {}
 
-const Registry::Impl* Registry::impl() const {
-  return const_cast<Registry*>(this)->impl();
-}
-
-Registry::~Registry() { delete impl_; }
+Registry::~Registry() = default;
 
 Registry& Registry::global() {
   // Leaked: metric references handed to subsystems must outlive every
@@ -135,7 +130,7 @@ Registry& Registry::global() {
 }
 
 Counter& Registry::counter(const std::string& name) {
-  Impl* im = impl();
+  Impl* im = impl_.get();
   std::lock_guard<std::mutex> lock(im->mu);
   auto& slot = im->counters[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -143,7 +138,7 @@ Counter& Registry::counter(const std::string& name) {
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  Impl* im = impl();
+  Impl* im = impl_.get();
   std::lock_guard<std::mutex> lock(im->mu);
   auto& slot = im->gauges[name];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -151,7 +146,7 @@ Gauge& Registry::gauge(const std::string& name) {
 }
 
 Histogram& Registry::histogram(const std::string& name) {
-  Impl* im = impl();
+  Impl* im = impl_.get();
   std::lock_guard<std::mutex> lock(im->mu);
   auto& slot = im->histograms[name];
   if (!slot) slot = std::make_unique<Histogram>();
@@ -159,7 +154,7 @@ Histogram& Registry::histogram(const std::string& name) {
 }
 
 std::vector<MetricRow> Registry::snapshot() const {
-  const Impl* im = impl();
+  const Impl* im = impl_.get();
   std::vector<MetricRow> rows;
   std::lock_guard<std::mutex> lock(im->mu);
   rows.reserve(im->counters.size() + im->gauges.size() +
@@ -194,7 +189,7 @@ std::vector<MetricRow> Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  Impl* im = impl();
+  Impl* im = impl_.get();
   std::lock_guard<std::mutex> lock(im->mu);
   for (auto& [name, c] : im->counters) c->reset();
   for (auto& [name, g] : im->gauges) g->reset();

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -150,16 +151,14 @@ class Registry {
   /// overhead bench.
   void reset();
 
-  Registry() = default;
+  Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
   ~Registry();
 
  private:
   struct Impl;
-  Impl* impl();
-  const Impl* impl() const;
-  mutable Impl* impl_ = nullptr;
+  const std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace home::obs

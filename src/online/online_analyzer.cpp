@@ -8,6 +8,7 @@
 #include "src/obs/telemetry.hpp"
 #include "src/spec/monitored.hpp"
 #include "src/util/log.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::online {
 
@@ -43,7 +44,8 @@ AnalyzerMetrics& analyzer_metrics() {
 
 OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
                                const trace::StringTable* strings,
-                               const trace::ThreadRegistry* registry)
+                               const trace::ThreadRegistry* registry,
+                               faults::Injector* injector)
     : cfg_(std::move(cfg)),
       registry_(registry),
       queue_(cfg_.queue_capacity, cfg_.backpressure),
@@ -52,7 +54,12 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
       frontier_(cfg_.detector),
       matcher_(strings,
                [this](spec::Violation&& v) { stream_.offer(std::move(v)); }) {
-  worker_ = std::thread([this] { run(); });
+  util::RunContext run_ctx;
+  run_ctx.injector = injector;
+  worker_ = std::thread([this, run_ctx] {
+    util::ScopedRunContext bind(run_ctx);
+    run();
+  });
 }
 
 OnlineAnalyzer::~OnlineAnalyzer() { finish(); }

@@ -48,6 +48,10 @@
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
 
+namespace home::faults {
+class Injector;
+}  // namespace home::faults
+
 namespace home::online {
 
 struct OnlineConfig {
@@ -109,9 +113,12 @@ class OnlineAnalyzer : public trace::EventSink {
   /// `strings` resolves callsite labels (may be null); `registry`, when
   /// given, supplies the thread population for the retirement watermark —
   /// without it only threads observed in the stream count, which is sound
-  /// only when every new thread enters via a kThreadFork edge.
+  /// only when every new thread enters via a kThreadFork edge.  `injector`
+  /// is the run's fault injector (may be null): the analysis thread runs
+  /// with it bound, so its queue-pressure hook belongs to that run.
   OnlineAnalyzer(OnlineConfig cfg, const trace::StringTable* strings,
-                 const trace::ThreadRegistry* registry);
+                 const trace::ThreadRegistry* registry,
+                 faults::Injector* injector = nullptr);
   ~OnlineAnalyzer() override;
   OnlineAnalyzer(const OnlineAnalyzer&) = delete;
   OnlineAnalyzer& operator=(const OnlineAnalyzer&) = delete;

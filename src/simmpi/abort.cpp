@@ -2,41 +2,17 @@
 
 namespace home::simmpi {
 
-namespace {
-
-std::mutex& reason_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::string& reason_storage() {
-  static std::string reason;
-  return reason;
-}
-
-}  // namespace
-
-void request_abort(const std::string& reason) {
+void AbortSignal::raise(const std::string& reason) {
   {
-    std::lock_guard<std::mutex> lock(reason_mu());
-    if (reason_storage().empty()) reason_storage() = reason;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (reason_.empty()) reason_ = reason;
   }
-  internal::abort_flag().store(true, std::memory_order_release);
+  raised_.store(true, std::memory_order_release);
 }
 
-void clear_abort() {
-  internal::abort_flag().store(false, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(reason_mu());
-  reason_storage().clear();
-}
-
-bool abort_requested() {
-  return internal::abort_flag().load(std::memory_order_acquire);
-}
-
-std::string abort_reason() {
-  std::lock_guard<std::mutex> lock(reason_mu());
-  return reason_storage();
+std::string AbortSignal::reason() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return reason_;
 }
 
 }  // namespace home::simmpi

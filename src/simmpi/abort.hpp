@@ -2,15 +2,15 @@
 //
 // A hung run used to be bounded only by block_timeout_ms per blocking call —
 // a watchdog that decides a schedule is dead had no way to tear it down any
-// faster.  request_abort() raises a process-global flag; every blocking
-// simmpi wait goes through abortable_wait(), which slices its condition wait
-// into kAbortPollMs chunks and throws AbortError as soon as the flag is up.
+// faster.  Universe::request_abort() raises that universe's AbortSignal;
+// every blocking simmpi wait goes through abortable_wait(), which slices its
+// condition wait into kAbortPollMs chunks and throws AbortError as soon as
+// the signal of the calling thread's run (util::RunContext::abort) is up.
 // Universe::run catches the error per rank (like TimeoutError), so an abort
 // collapses the whole run within one poll interval instead of one timeout.
 //
-// The flag is process-global (one Universe runs at a time — the same
-// invariant the explore:: and faults:: hook slots rely on) and must be
-// clear_abort()ed before the next run.
+// The signal is per run: aborting one universe leaves every other running
+// universe alone, and a fresh universe starts with a clear signal.
 #pragma once
 
 #include <atomic>
@@ -19,6 +19,8 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+
+#include "src/util/run_context.hpp"
 
 namespace home::simmpi {
 
@@ -30,31 +32,36 @@ class AbortError : public std::runtime_error {
   explicit AbortError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// How often a blocked call re-checks the abort flag (the abort latency).
+/// How often a blocked call re-checks the abort signal (the abort latency).
 inline constexpr int kAbortPollMs = 20;
 
-/// Raise the abort flag with a human-readable reason.  Idempotent; the first
-/// reason wins.  Thread-safe.
-void request_abort(const std::string& reason);
+/// One run's abort flag and the reason it was raised.  Thread-safe.
+class AbortSignal {
+ public:
+  /// Raise the signal.  Idempotent; the first reason wins.
+  void raise(const std::string& reason);
+  bool raised() const { return raised_.load(std::memory_order_acquire); }
+  std::string reason() const;
 
-/// Lower the flag (call between runs).  Thread-safe.
-void clear_abort();
+ private:
+  std::atomic<bool> raised_{false};
+  mutable std::mutex mu_;
+  std::string reason_;
+};
 
-bool abort_requested();
-std::string abort_reason();
-
-namespace internal {
-inline std::atomic<bool>& abort_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
+/// Throws AbortError when the calling thread's run has been aborted.
+inline void throw_if_aborted() {
+  const AbortSignal* signal = util::run_context().abort;
+  if (signal != nullptr && signal->raised()) {
+    throw AbortError("run aborted: " + signal->reason());
+  }
 }
-}  // namespace internal
 
 /// Abort-aware condition wait shared by every blocking simmpi site.
 /// Semantics match cv.wait/wait_for(pred): returns true when pred held,
-/// false on timeout (timeout_ms > 0; <= 0 waits forever).  Checks the abort
-/// flag every kAbortPollMs and throws AbortError when it is up.  `lock` must
-/// hold the mutex guarding pred's state.
+/// false on timeout (timeout_ms > 0; <= 0 waits forever).  Checks the run's
+/// abort signal every kAbortPollMs and throws AbortError when it is up.
+/// `lock` must hold the mutex guarding pred's state.
 template <typename Pred>
 bool abortable_wait(std::condition_variable& cv,
                     std::unique_lock<std::mutex>& lock, int timeout_ms,
@@ -63,9 +70,7 @@ bool abortable_wait(std::condition_variable& cv,
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     if (pred()) return true;
-    if (internal::abort_flag().load(std::memory_order_acquire)) {
-      throw AbortError("run aborted: " + abort_reason());
-    }
+    throw_if_aborted();
     auto slice = std::chrono::milliseconds(kAbortPollMs);
     if (timeout_ms > 0) {
       const auto now = std::chrono::steady_clock::now();

@@ -302,9 +302,7 @@ int Process::waitany(std::vector<Request>& requests, Status* status,
     if (std::chrono::steady_clock::now() > deadline) {
       throw TimeoutError("MPI_Waitany timed out (possible deadlock)");
     }
-    if (abort_requested()) {
-      throw AbortError("run aborted: " + abort_reason());
-    }
+    throw_if_aborted();
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }

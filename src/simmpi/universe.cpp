@@ -4,7 +4,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/simmpi/abort.hpp"
 #include "src/obs/span.hpp"
 #include "src/util/log.hpp"
 
@@ -43,8 +42,8 @@ RunResult Universe::run(const std::function<void(Process&)>& rank_main) {
                      "construct a fresh Universe for another run");
   }
   ran_ = true;
-  // A stale abort from a previous (torn-down) run must not kill this one.
-  clear_abort();
+  util::RunContext ctx = ctx_;
+  ctx.abort = &abort_;
   RunResult result;
   std::mutex result_mu;
 
@@ -65,6 +64,7 @@ RunResult Universe::run(const std::function<void(Process&)>& rank_main) {
   for (auto& process_ptr : processes_) {
     Process* process = process_ptr.get();
     threads.emplace_back([&, process] {
+      util::ScopedRunContext bind(ctx);
       set_current(process);
       if (registry) {
         // Rank main threads are mutually concurrent by construction, so no
@@ -92,6 +92,15 @@ RunResult Universe::run(const std::function<void(Process&)>& rank_main) {
 // --- Process lifecycle -------------------------------------------------------
 
 int Process::size() const { return uni_->nranks(); }
+
+std::shared_ptr<void> Process::critical_lock(
+    const std::string& name,
+    const std::function<std::shared_ptr<void>()>& make) {
+  std::lock_guard<std::mutex> lock(criticals_mu_);
+  std::shared_ptr<void>& slot = criticals_[name];
+  if (!slot) slot = make();
+  return slot;
+}
 
 CallDesc Process::make_desc(trace::MpiCallType type, int peer, int tag,
                             CommId comm, std::uint64_t request,

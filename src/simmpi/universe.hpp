@@ -1,20 +1,27 @@
 // The Universe launches N rank-threads (the "MPI processes") and owns the
-// shared infrastructure: mailboxes, communicator table, hook registry and the
-// optional trace sink.  Process is one rank's context; its pointer is carried
-// in a thread_local so OpenMP-style worker threads spawned by homp inherit
-// the rank of their parent (homp calls Universe::set_current on each worker).
+// shared infrastructure: mailboxes, communicator table, hook registry, the
+// optional trace sink and the run's context (util/run_context.hpp: explorer,
+// injector, homp sinks, team size, abort signal), which run() binds on every
+// rank thread.  Process is one rank's context; its pointer is carried in a
+// thread_local so OpenMP-style worker threads spawned by homp inherit the
+// rank of their parent (homp calls Universe::set_current on each worker and
+// binds the same run context).  Nothing here is process-global, so any
+// number of Universes can run at once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "src/explore/hooks.hpp"
 #include "src/faults/injector.hpp"
+#include "src/simmpi/abort.hpp"
 #include "src/simmpi/comm.hpp"
 #include "src/simmpi/hooks.hpp"
 #include "src/simmpi/mailbox.hpp"
@@ -22,6 +29,7 @@
 #include "src/simmpi/types.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::simmpi {
 
@@ -171,6 +179,14 @@ class Process {
   /// Main-thread tid of this rank (the thread that ran rank_main).
   trace::Tid main_tid() const { return main_tid_; }
 
+  /// The lock object behind homp's `critical(name)` on this rank, built by
+  /// `make` on first use (simmpi does not know homp's lock type).  OpenMP
+  /// scopes a named critical section to one process, so each Process keeps
+  /// its own: two ranks, or two concurrent runs, never exclude each other.
+  std::shared_ptr<void> critical_lock(
+      const std::string& name,
+      const std::function<std::shared_ptr<void>()>& make);
+
  private:
   friend class Universe;
   Process(Universe* uni, int rank) : uni_(uni), rank_(rank) {}
@@ -191,6 +207,8 @@ class Process {
   std::atomic<bool> initialized_{false};
   std::atomic<bool> finalized_{false};
   trace::Tid main_tid_ = trace::kNoTid;
+  std::mutex criticals_mu_;
+  std::map<std::string, std::shared_ptr<void>> criticals_;
 };
 
 class Universe {
@@ -214,6 +232,17 @@ class Universe {
   trace::TraceLog* log() { return cfg_.log; }
   trace::ThreadRegistry* registry() { return cfg_.registry; }
 
+  /// This run's context, bound by run() on every rank thread.  A session's
+  /// attach() fills in its explorer, injector and homp sinks; set fields
+  /// before run().  The bound abort signal is always this universe's own.
+  util::RunContext& run_context() { return ctx_; }
+
+  /// Tear this run down: every blocked MPI call of this universe throws
+  /// AbortError within kAbortPollMs; other universes are unaffected.
+  /// Thread-safe; the first reason wins.
+  void request_abort(const std::string& reason) { abort_.raise(reason); }
+  bool abort_requested() const { return abort_.raised(); }
+
   /// The calling thread's rank context (nullptr outside a run).
   static Process* current();
   /// Install the rank context on the calling thread (used by homp workers).
@@ -226,6 +255,8 @@ class Universe {
   std::vector<std::unique_ptr<Process>> processes_;
   CommTable comms_;
   HookRegistry hooks_;
+  util::RunContext ctx_;
+  AbortSignal abort_;
 };
 
 /// Exploration hook kind for an MPI entry point: blocking/matching calls get
@@ -262,8 +293,8 @@ auto Process::hooked(CallDesc desc, Body&& body) {
                        desc.callsite != nullptr
                            ? desc.callsite
                            : trace::mpi_call_type_name(desc.type));
-  // Fault hook at the same choice point: an installed Injector may stall
-  // this rank or throw RankCrashError (collected by Universe::run into
+  // Fault hook at the same choice point: the run's Injector may stall this
+  // rank or throw RankCrashError (collected by Universe::run into
   // RunResult::failed_ranks).  One load + branch when off.
   faults::mpi_call_point(desc.rank, desc.callsite != nullptr
                                         ? desc.callsite

@@ -8,22 +8,25 @@
 namespace home::trace {
 namespace {
 
-// Cached registration for the calling thread.  The epoch guards against
-// stale tids surviving a ThreadRegistry::reset() (tests run many sessions on
-// the same OS threads).
+// Cached registration for the calling thread, keyed by the registry's id
+// rather than its address: runs reuse OS threads and stack slots, so a new
+// registry at a dead one's address must not inherit its bindings, and a
+// reset() (a new id) drops only its own registry's bindings.
 struct LocalSlot {
-  const ThreadRegistry* registry = nullptr;
-  std::uint64_t epoch = 0;
+  std::uint64_t registry = 0;  ///< ids start at 1.
   Tid tid = kNoTid;
 };
 
 thread_local LocalSlot tls_slot;
 
-std::atomic<std::uint64_t> g_epoch{1};
-
-std::uint64_t current_epoch() { return g_epoch.load(std::memory_order_acquire); }
+std::uint64_t next_registry_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
+
+ThreadRegistry::ThreadRegistry() : id_(next_registry_id()) {}
 
 Tid ThreadRegistry::register_current_thread(Tid parent, int rank, bool is_rank_main) {
   const Tid tid = register_thread(parent, rank, is_rank_main);
@@ -39,7 +42,7 @@ Tid ThreadRegistry::register_thread(Tid parent, int rank, bool is_rank_main) {
 }
 
 void ThreadRegistry::bind_current_thread(Tid tid) {
-  tls_slot = LocalSlot{this, current_epoch(), tid};
+  tls_slot = LocalSlot{id_.load(std::memory_order_relaxed), tid};
   // Name the thread for log lines and the telemetry span timeline:
   // "rank0.main" / "rank1.w3" for rank-attached threads, "t<tid>" otherwise.
   const ThreadInfo ti = info(tid);
@@ -61,7 +64,7 @@ void ThreadRegistry::bind_current_thread(Tid tid) {
 }
 
 Tid ThreadRegistry::current_tid() const {
-  if (tls_slot.registry == this && tls_slot.epoch == current_epoch()) {
+  if (tls_slot.registry == id_.load(std::memory_order_relaxed)) {
     return tls_slot.tid;
   }
   return kNoTid;
@@ -95,7 +98,7 @@ int ThreadRegistry::thread_count() const {
 void ThreadRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   threads_.clear();
-  g_epoch.fetch_add(1, std::memory_order_acq_rel);
+  id_.store(next_registry_id(), std::memory_order_relaxed);
 }
 
 ThreadRegistry& ThreadRegistry::global() {

@@ -1,4 +1,5 @@
-// Process-wide registry assigning dense small ids to every analysed thread.
+// Registry assigning dense small ids to every analysed thread of a run (each
+// Session owns one).
 //
 // simmpi rank-threads and homp worker threads both register here; the
 // vector-clock machinery indexes clocks by these dense Tids.  Each thread also
@@ -7,6 +8,7 @@
 // predicates for MPI_THREAD_FUNNELED and MPI_Finalize need the latter.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -24,7 +26,9 @@ struct ThreadInfo {
 
 class ThreadRegistry {
  public:
-  /// Register the calling thread. Idempotent per thread per registry epoch.
+  ThreadRegistry();
+
+  /// Register the calling thread (a new tid each call).
   Tid register_current_thread(Tid parent, int rank, bool is_rank_main);
 
   /// Allocate a tid for a thread that has not started yet (so the parent can
@@ -55,6 +59,8 @@ class ThreadRegistry {
  private:
   mutable std::mutex mu_;
   std::vector<ThreadInfo> threads_;
+  /// Unique per registry and per reset(); keys the threads' bindings.
+  std::atomic<std::uint64_t> id_;
 };
 
 }  // namespace home::trace

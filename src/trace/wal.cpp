@@ -205,11 +205,12 @@ LoadedTrace salvage_bytes(std::string_view bytes, WalSalvage* stats) {
       // valid CRC is a future-version frame — skip it, keep salvaging.
       const std::string_view payload = bytes.substr(pos + kFrameHead, len);
       if (frame[0] == 'S') {
+        // The writer emits string ids 0, 1, 2, ... in order, so any other
+        // id is damage (and must not size the table).
         Reader r{payload};
         std::uint32_t id = 0;
-        if (r.get(&id) && id < kMaxFrameLen) {
-          if (result.strings.size() <= id) result.strings.resize(id + 1);
-          result.strings[id] = payload.substr(r.pos);
+        if (r.get(&id) && id == result.strings.size()) {
+          result.strings.emplace_back(payload.substr(r.pos));
           ++salvage.strings;
         } else {
           bad = true;

@@ -1,17 +1,22 @@
 // Exploration subsystem tests (ISSUE-7 acceptance):
 //  * schedules round-trip through the text format,
-//  * hooks are inert no-ops while no Explorer is installed,
+//  * hooks are inert no-ops while no Explorer is bound,
 //  * strategies are deterministic in their seed and diverge across seeds,
 //  * replay feeds recorded decisions back at the recorded keys,
 //  * the hidden-race corpus app's V3 is invisible to a single uncontrolled
 //    run but found by a bounded seeded sweep, and
 //  * replaying the finding's schedule reproduces the identical violation
-//    key set, three times over.
+//    key set, three times over, and
+//  * a sweep, whose runs execute concurrently, folds them exactly like a
+//    serial fold over one-schedule sweeps.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/apps/hidden_race.hpp"
@@ -124,7 +129,7 @@ TEST(Strategy, KindNamesParse) {
 
 TEST(Hooks, DisabledHooksAreInert) {
   ASSERT_FALSE(active());
-  // No explorer installed: yields return immediately, picks take default 0.
+  // No explorer bound: yields return immediately, picks take default 0.
   yield_point(HookKind::kBarrier, 0, "test.site");
   EXPECT_EQ(pick_point(HookKind::kWildcardPick, 0, "test.site", 5), 0u);
   EXPECT_EQ(pick_point(HookKind::kRecvMatch, 0, "test.site", 1), 0u);
@@ -132,12 +137,15 @@ TEST(Hooks, DisabledHooksAreInert) {
 
 TEST(Hooks, ExplorerRecordsDecisionsAndOccurrences) {
   Explorer explorer(make_replay_strategy(Schedule{}));  // all-default replay.
-  install(&explorer);
-  ASSERT_TRUE(active());
-  yield_point(HookKind::kCritical, 1, "crit");
-  yield_point(HookKind::kCritical, 1, "crit");
-  EXPECT_EQ(pick_point(HookKind::kWildcardPick, 0, "wc", 3), 0u);
-  uninstall();
+  {
+    util::RunContext run;
+    run.explorer = &explorer;
+    util::ScopedRunContext bind(run);
+    ASSERT_TRUE(active());
+    yield_point(HookKind::kCritical, 1, "crit");
+    yield_point(HookKind::kCritical, 1, "crit");
+    EXPECT_EQ(pick_point(HookKind::kWildcardPick, 0, "wc", 3), 0u);
+  }
   EXPECT_FALSE(active());
   EXPECT_EQ(explorer.hook_hits(), 3u);
   // Default decisions (no delay, pick 0) are not recorded — the log stays
@@ -371,6 +379,145 @@ TEST(Sweep, GuidedFindsHiddenOnFirstScheduleAndPrunesTheRest) {
   Sweeper sweeper(cfg);
   EXPECT_EQ(sweeper.replay(hidden->schedule, hidden_main()).count(kHiddenKey),
             1u);
+}
+
+// ------------------------------------------------- Concurrent sweep fold
+
+/// What a sweep folds, minus `orderings` and `hook_hits`: the order
+/// signature hashes the global order of hook hits, which varies with timing
+/// even in a serial sweep.
+struct Folded {
+  /// (key, seed, schedule_index, in_baseline), in first-seen order.
+  std::vector<std::tuple<std::string, std::uint64_t, int, bool>> findings;
+  std::set<std::string> baseline_keys;
+  std::vector<std::size_t> coverage_curve;
+  int schedules_run = 0;
+  int first_new_schedule = -1;
+  std::vector<std::pair<int, std::uint64_t>> pruned;  ///< (index, seed).
+};
+
+Folded folded(const SweepResult& r) {
+  Folded out;
+  for (const SweepFinding& f : r.findings) {
+    out.findings.emplace_back(f.key, f.seed, f.schedule_index, f.in_baseline);
+  }
+  out.baseline_keys = r.baseline_keys;
+  out.coverage_curve = r.coverage_curve;
+  out.schedules_run = r.schedules_run;
+  out.first_new_schedule = r.first_new_schedule;
+  for (const PrunedSchedule& p : r.pruned) out.pruned.emplace_back(p.index, p.seed);
+  return out;
+}
+
+/// The oracle: `cfg`'s sweep folded serially here, from one-schedule sweeps
+/// (schedules = 1, base_seed = cfg.base_seed + i) and a baseline-only one,
+/// with the fingerprint pruning and the stop rule written out again.
+Folded fold_one_schedule_sweeps(const SweepConfig& cfg) {
+  Folded out;
+  std::set<std::string> seen;
+  auto note = [&](const std::set<std::string>& keys, int index,
+                  std::uint64_t seed) {
+    ++out.schedules_run;
+    for (const std::string& key : keys) {
+      if (!seen.insert(key).second) continue;
+      const bool in_baseline = out.baseline_keys.count(key) > 0;
+      if (index >= 0 && !in_baseline && out.first_new_schedule < 0) {
+        out.first_new_schedule = index;
+      }
+      out.findings.emplace_back(key, seed, index, index < 0 || in_baseline);
+    }
+    out.coverage_curve.push_back(seen.size());
+  };
+  if (cfg.run_baseline) {
+    SweepConfig one = cfg;
+    one.schedules = 0;
+    out.baseline_keys = Sweeper(one).run(hidden_main()).baseline_keys;
+    note(out.baseline_keys, -1, 0);
+  }
+  std::set<std::uint64_t> fingerprints;
+  for (int i = 0; i < cfg.schedules; ++i) {
+    const std::uint64_t seed = cfg.base_seed + static_cast<std::uint64_t>(i);
+    if (cfg.strategy == StrategyKind::kGuided && cfg.guidance &&
+        !fingerprints.insert(guided_fingerprint(*cfg.guidance, seed)).second) {
+      out.pruned.emplace_back(i, seed);
+      out.coverage_curve.push_back(
+          out.coverage_curve.empty() ? 0 : out.coverage_curve.back());
+      continue;
+    }
+    SweepConfig one = cfg;
+    one.schedules = 1;
+    one.base_seed = seed;
+    one.run_baseline = false;
+    one.stop_on_first_new = false;
+    std::set<std::string> keys;
+    for (const SweepFinding& f : Sweeper(one).run(hidden_main()).findings) {
+      keys.insert(f.key);
+    }
+    note(keys, i, seed);
+    if (cfg.stop_on_first_new && out.first_new_schedule >= 0) break;
+  }
+  return out;
+}
+
+void expect_same_fold(const Folded& got, const Folded& want) {
+  EXPECT_EQ(got.findings, want.findings);
+  EXPECT_EQ(got.baseline_keys, want.baseline_keys);
+  EXPECT_EQ(got.coverage_curve, want.coverage_curve);
+  EXPECT_EQ(got.schedules_run, want.schedules_run);
+  EXPECT_EQ(got.first_new_schedule, want.first_new_schedule);
+  EXPECT_EQ(got.pruned, want.pruned);
+}
+
+TEST(SweepFold, WildcardSweepFoldsLikeOneScheduleSweeps) {
+  const SweepConfig cfg = hidden_config(StrategyKind::kWildcardReorder, 24);
+  const Folded want = fold_one_schedule_sweeps(cfg);
+  ASSERT_GE(want.findings.size(), 1u);
+  for (int rep = 0; rep < 3; ++rep) {
+    expect_same_fold(folded(Sweeper(cfg).run(hidden_main())), want);
+  }
+}
+
+TEST(SweepFold, GuidedPruningFoldsLikeOneScheduleSweeps) {
+  SweepConfig cfg = hidden_config(StrategyKind::kGuided, 8);
+  cfg.guidance = hidden_guidance();
+  const Folded want = fold_one_schedule_sweeps(cfg);
+  ASSERT_FALSE(want.pruned.empty());
+  expect_same_fold(folded(Sweeper(cfg).run(hidden_main())), want);
+}
+
+TEST(SweepFold, StopOnFirstNewFoldsUpToTheFirstFinding) {
+  // From base seed 11 the first exploration-only finding is schedule 7 (seed
+  // 18), so the fold stops mid-sweep with later runs in flight.
+  SweepConfig cfg = hidden_config(StrategyKind::kWildcardReorder, 24, 11);
+  cfg.stop_on_first_new = true;
+  const Folded want = fold_one_schedule_sweeps(cfg);
+  ASSERT_GT(want.first_new_schedule, 0);
+  for (int rep = 0; rep < 3; ++rep) {
+    expect_same_fold(folded(Sweeper(cfg).run(hidden_main())), want);
+  }
+}
+
+TEST(SweepFold, JournalListsRecordsInIndexOrderBaselineFirst) {
+  const std::string path = testing::TempDir() + "/home_fold_order.journal";
+  { std::ofstream(path, std::ios::trunc); }
+  SweepConfig cfg = hidden_config(StrategyKind::kWildcardReorder, 16);
+  cfg.journal_path = path;
+  Sweeper(cfg).run(hidden_main());
+
+  std::ifstream in(path);
+  std::vector<int> indices;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("run ", 0) != 0) continue;
+    std::istringstream fields(line.substr(4));
+    int index = 0;
+    fields >> index;
+    indices.push_back(index);
+  }
+  std::vector<int> want;
+  for (int i = -1; i < cfg.schedules; ++i) want.push_back(i);
+  EXPECT_EQ(indices, want);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/sast/diagnostics.hpp"
 #include "src/simmpi/enforcer.hpp"
 #include "src/spec/message_race.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home {
 namespace {
@@ -43,12 +44,15 @@ TEST(PthreadsShim, EmitsForkJoinEvents) {
   trace::TraceLog log;
   trace::ThreadRegistry registry;
   registry.register_current_thread(trace::kNoTid, 0, true);
-  homp::install_instrumentation({&log, &registry});
   {
+    // homp used without a Universe binds its sinks on the calling thread.
+    util::RunContext run;
+    run.log = &log;
+    run.registry = &registry;
+    util::ScopedRunContext bind(run);
     homp::Thread worker([] {});
     worker.join();
   }
-  homp::clear_instrumentation();
   int forks = 0, joins = 0;
   for (const auto& e : log.sorted_events()) {
     if (e.kind == trace::EventKind::kThreadFork) ++forks;
@@ -245,7 +249,7 @@ TEST(Enforcer, FunneledOffMainThreadAborts) {
   ucfg.registry = &registry;
   Universe universe(ucfg);
   universe.hooks().add(&enforcer);
-  homp::install_instrumentation({nullptr, &registry});
+  universe.run_context().registry = &registry;
   auto result = universe.run([](Process& p) {
     p.init_thread(ThreadLevel::kFunneled);
     homp::parallel(2, [&] {
@@ -255,7 +259,6 @@ TEST(Enforcer, FunneledOffMainThreadAborts) {
       }
     });
   });
-  homp::clear_instrumentation();
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.errors[0].find("MPI_THREAD_FUNNELED"), std::string::npos);
 }
@@ -268,7 +271,7 @@ TEST(Enforcer, MultipleAllowsWorkerCalls) {
   ucfg.registry = &registry;
   Universe universe(ucfg);
   universe.hooks().add(&enforcer);
-  homp::install_instrumentation({nullptr, &registry});
+  universe.run_context().registry = &registry;
   auto result = universe.run([](Process& p) {
     p.init_thread(ThreadLevel::kMultiple);
     homp::parallel(2, [&] {
@@ -280,7 +283,6 @@ TEST(Enforcer, MultipleAllowsWorkerCalls) {
     });
     p.finalize();
   });
-  homp::clear_instrumentation();
   EXPECT_TRUE(result.ok()) << (result.errors.empty() ? "" : result.errors[0]);
   EXPECT_GT(enforcer.checked_calls(), 0u);
 }
@@ -293,13 +295,12 @@ TEST(Enforcer, MainThreadOnlyProgramPassesUnderFunneled) {
   ucfg.registry = &registry;
   Universe universe(ucfg);
   universe.hooks().add(&enforcer);
-  homp::install_instrumentation({nullptr, &registry});
+  universe.run_context().registry = &registry;
   auto result = universe.run([](Process& p) {
     p.init_thread(ThreadLevel::kFunneled);
     p.barrier(kCommWorld);
     p.finalize();
   });
-  homp::clear_instrumentation();
   EXPECT_TRUE(result.ok());
 }
 

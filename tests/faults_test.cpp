@@ -186,11 +186,14 @@ TEST(Injector, InstallUninstallGatesTheHooks) {
   spec.rank_stall_p = 1.0;
   spec.max_delay_us = 10;
   faults::Injector inj(spec, 5);
-  faults::install(&inj);
-  EXPECT_TRUE(faults::active());
-  faults::mpi_call_point(0, "t.site");
-  EXPECT_GT(inj.injected_count(), 0u);
-  faults::uninstall();
+  {
+    util::RunContext run;
+    run.injector = &inj;
+    util::ScopedRunContext bind(run);
+    EXPECT_TRUE(faults::active());
+    faults::mpi_call_point(0, "t.site");
+    EXPECT_GT(inj.injected_count(), 0u);
+  }
   EXPECT_FALSE(faults::active());
 }
 

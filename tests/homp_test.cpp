@@ -13,9 +13,19 @@
 #include "src/homp/worksharing.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::homp {
 namespace {
+
+/// homp used without a Universe binds its sinks on the calling thread.
+util::RunContext instrumented(trace::TraceLog* log,
+                              trace::ThreadRegistry* registry) {
+  util::RunContext run;
+  run.log = log;
+  run.registry = registry;
+  return run;
+}
 
 TEST(Parallel, RunsBodyOncePerThread) {
   std::atomic<int> count{0};
@@ -235,9 +245,10 @@ TEST(Instrumented, ParallelEmitsForkJoinAndRegionEvents) {
   trace::TraceLog log;
   trace::ThreadRegistry registry;
   registry.register_current_thread(trace::kNoTid, 0, true);
-  install_instrumentation({&log, &registry});
-  parallel(3, [&] { barrier(); });
-  clear_instrumentation();
+  {
+    util::ScopedRunContext bind(instrumented(&log, &registry));
+    parallel(3, [&] { barrier(); });
+  }
 
   int forks = 0, joins = 0, barriers = 0, begins = 0, ends = 0;
   for (const auto& e : log.sorted_events()) {
@@ -261,12 +272,13 @@ TEST(Instrumented, BarrierArrivalsPrecedeReleases) {
   trace::TraceLog log;
   trace::ThreadRegistry registry;
   registry.register_current_thread(trace::kNoTid, 0, true);
-  install_instrumentation({&log, &registry});
-  parallel(4, [&] {
-    barrier();
-    barrier();
-  });
-  clear_instrumentation();
+  {
+    util::ScopedRunContext bind(instrumented(&log, &registry));
+    parallel(4, [&] {
+      barrier();
+      barrier();
+    });
+  }
 
   // Group barrier events by instance id; within each instance all arrivals
   // must appear before any later event of a participating thread that follows
@@ -287,11 +299,12 @@ TEST(Instrumented, LockEventsCarryLockset) {
   trace::TraceLog log;
   trace::ThreadRegistry registry;
   registry.register_current_thread(trace::kNoTid, 0, true);
-  install_instrumentation({&log, &registry});
   Lock lock;
-  lock.lock();
-  lock.unlock();
-  clear_instrumentation();
+  {
+    util::ScopedRunContext bind(instrumented(&log, &registry));
+    lock.lock();
+    lock.unlock();
+  }
 
   auto events = log.sorted_events();
   ASSERT_EQ(events.size(), 2u);

@@ -1,14 +1,17 @@
 // Sweep-robustness tests (ISSUE-10): cooperative abort, the checkpointed
 // sweep journal, watchdog timeout + quarantine + bounded retry, crash
 // quarantine, kill-and-resume reproducing the uninterrupted sweep's
-// aggregates byte-identically, and exact shed accounting in the online
-// event queue.
+// aggregates byte-identically, exact shed accounting in the online event
+// queue, and runs that execute at once staying isolated: each sees only its
+// own explorer, injector and abort.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <set>
@@ -17,9 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/apps/app.hpp"
 #include "src/apps/hidden_race.hpp"
+#include "src/apps/toolrun.hpp"
 #include "src/explore/journal.hpp"
 #include "src/explore/sweeper.hpp"
+#include "src/home/session.hpp"
 #include "src/online/event_queue.hpp"
 #include "src/simmpi/abort.hpp"
 #include "src/trace/event.hpp"
@@ -40,19 +46,27 @@ std::string slurp(const std::string& path) {
 
 // ------------------------------------------------------ cooperative abort
 
+/// A run context carrying only `signal`, as Universe::run binds it.
+util::RunContext aborted_by(const simmpi::AbortSignal* signal) {
+  util::RunContext run;
+  run.abort = signal;
+  return run;
+}
+
 TEST(Abort, RequestAbortWakesABlockedWaitPromptly) {
-  simmpi::clear_abort();
+  simmpi::AbortSignal signal;
   std::mutex mu;
   std::condition_variable cv;
   bool aborted = false;
   std::chrono::steady_clock::duration waited{};
 
   std::thread waiter([&] {
+    util::ScopedRunContext bind(aborted_by(&signal));
     std::unique_lock<std::mutex> lock(mu);
     const auto t0 = std::chrono::steady_clock::now();
     try {
       // Predicate never holds and the timeout is far away: only the abort
-      // flag can end this wait.
+      // signal can end this wait.
       simmpi::abortable_wait(cv, lock, 60000, [] { return false; });
     } catch (const simmpi::AbortError& e) {
       aborted = true;
@@ -63,18 +77,19 @@ TEST(Abort, RequestAbortWakesABlockedWaitPromptly) {
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  simmpi::request_abort("watchdog test");
+  signal.raise("watchdog test");
+  signal.raise("a later reason");  // the first reason wins.
   waiter.join();
   EXPECT_TRUE(aborted);
   // The wait must collapse within a few poll intervals, not the timeout.
   EXPECT_LT(waited, std::chrono::seconds(5));
-
-  simmpi::clear_abort();
-  EXPECT_FALSE(simmpi::abort_requested());
+  EXPECT_TRUE(signal.raised());
+  EXPECT_EQ(signal.reason(), "watchdog test");
 }
 
 TEST(Abort, WaitSemanticsMatchCvWaitWhenNoAbortIsRequested) {
-  simmpi::clear_abort();
+  const simmpi::AbortSignal signal;  // bound, never raised.
+  util::ScopedRunContext bind(aborted_by(&signal));
   std::mutex mu;
   std::condition_variable cv;
   std::unique_lock<std::mutex> lock(mu);
@@ -332,6 +347,196 @@ TEST(SweepResilience, AMidSweepKillResumesAndCompletesTheRemainder) {
   EXPECT_EQ(resumed.coverage_curve, full.coverage_curve);
   std::remove(ja.c_str());
   std::remove(jc.c_str());
+}
+
+// ------------------------------------------------ isolated concurrent runs
+
+/// What one checked run left behind.
+struct RunRecord {
+  simmpi::RunResult run;
+  std::set<std::string> keys;
+  Schedule schedule;
+  faults::FaultPlan faults;
+};
+
+/// One checked run of `rank_main` on its own Session and Universe.  `ready`
+/// runs after attach(), right before the run starts (a start barrier).
+RunRecord checked_run(const SessionConfig& scfg, int nranks,
+                      const Sweeper::RankMain& rank_main,
+                      const std::function<void()>& ready = {}) {
+  Session session(scfg);
+  simmpi::UniverseConfig ucfg;
+  ucfg.nranks = nranks;
+  session.configure(ucfg);
+  simmpi::Universe universe(ucfg);
+  session.attach(universe);
+  if (ready) ready();
+  RunRecord rec;
+  rec.run = universe.run(rank_main);
+  session.detach(universe);
+  const Report report = session.analyze();
+  for (const spec::Violation& v : report.violations()) {
+    rec.keys.insert(spec::violation_key(v));
+  }
+  rec.schedule = session.recorded_schedule();
+  rec.faults = session.recorded_fault_plan();
+  return rec;
+}
+
+SessionConfig wildcard_session(std::uint64_t seed) {
+  SessionConfig scfg;
+  scfg.explore.enabled = true;
+  scfg.explore.strategy = StrategyKind::kWildcardReorder;
+  scfg.explore.seed = seed;
+  return scfg;
+}
+
+RunRecord hidden_run(std::uint64_t seed,
+                     const std::function<void()>& ready = {}) {
+  return checked_run(wildcard_session(seed), apps::kHiddenRaceRanks,
+                     hidden_main(), ready);
+}
+
+TEST(ConcurrentRuns, EachExplorerRecordsOnlyItsOwnRun) {
+  // Two seeds whose runs differ: one takes the hidden branch, one does not.
+  const char kHiddenKey[] = "2|0|hidden.racy_recv|hidden.racy_recv|comm1";
+  std::uint64_t seeds[2] = {0, 0};
+  for (std::uint64_t seed = 1; seed < 64 && (!seeds[0] || !seeds[1]); ++seed) {
+    const bool hidden = hidden_run(seed).keys.count(kHiddenKey) > 0;
+    std::uint64_t& slot = seeds[hidden ? 0 : 1];
+    if (slot == 0) slot = seed;
+  }
+  ASSERT_NE(seeds[0], 0u);
+  ASSERT_NE(seeds[1], 0u);
+  const RunRecord alone[2] = {hidden_run(seeds[0]), hidden_run(seeds[1])};
+  ASSERT_NE(alone[0].schedule.to_string(), alone[1].schedule.to_string());
+
+  for (int round = 0; round < 8; ++round) {
+    std::latch start(2);
+    RunRecord both[2];
+    std::thread other(
+        [&] { both[1] = hidden_run(seeds[1], [&] { start.arrive_and_wait(); }); });
+    both[0] = hidden_run(seeds[0], [&] { start.arrive_and_wait(); });
+    other.join();
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_TRUE(both[k].run.ok()) << "seed " << seeds[k];
+      EXPECT_EQ(both[k].schedule.to_string(), alone[k].schedule.to_string())
+          << "seed " << seeds[k] << ", round " << round;
+      EXPECT_EQ(both[k].keys, alone[k].keys)
+          << "seed " << seeds[k] << ", round " << round;
+    }
+  }
+}
+
+TEST(ConcurrentRuns, AbortingOneUniverseLeavesTheRunBesideItAlone) {
+  const RunRecord alone = hidden_run(1);
+  ASSERT_TRUE(alone.run.ok());
+
+  simmpi::UniverseConfig hcfg;
+  hcfg.nranks = 2;
+  hcfg.block_timeout_ms = 60000;  // only the abort may end the hang.
+  simmpi::Universe hung(hcfg);
+  simmpi::RunResult hung_result;
+  std::thread hang([&] { hung_result = hung.run(hanging_main()); });
+
+  // The run beside it aborts the hung universe from inside, then keeps
+  // blocking in its own MPI calls across several abort polls.
+  const RunRecord beside = checked_run(
+      wildcard_session(1), apps::kHiddenRaceRanks, [&](simmpi::Process& p) {
+        if (p.rank() == 0) hung.request_abort("test abort");
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(3 * simmpi::kAbortPollMs));
+        apps::run_hidden_race_rank(p);
+      });
+  hang.join();
+
+  ASSERT_EQ(hung_result.failed_ranks, std::vector<int>{0});
+  EXPECT_NE(hung_result.errors[0].find("test abort"), std::string::npos)
+      << hung_result.errors[0];
+  EXPECT_TRUE(hung.abort_requested());
+  EXPECT_TRUE(beside.run.ok())
+      << (beside.run.errors.empty() ? "" : beside.run.errors[0]);
+  EXPECT_EQ(beside.keys, alone.keys);
+  EXPECT_EQ(beside.schedule.to_string(), alone.schedule.to_string());
+}
+
+/// Rank ring of `rounds` sends and receives labelled `<tag>.send`/`.recv`.
+Sweeper::RankMain ring_main(const std::string& tag, int rounds) {
+  return [tag, rounds](simmpi::Process& p) {
+    p.init_thread(simmpi::ThreadLevel::kMultiple);
+    const int next = (p.rank() + 1) % p.size();
+    const int prev = (p.rank() + p.size() - 1) % p.size();
+    const std::string send_site = tag + ".send";
+    const std::string recv_site = tag + ".recv";
+    for (int i = 0; i < rounds; ++i) {
+      int x = i;
+      p.send(&x, 1, simmpi::Datatype::kInt, next, i, simmpi::kCommWorld,
+             {send_site.c_str()});
+      p.recv(&x, 1, simmpi::Datatype::kInt, prev, i, simmpi::kCommWorld,
+             nullptr, {recv_site.c_str()});
+    }
+    p.finalize();
+  };
+}
+
+TEST(ConcurrentRuns, AFaultedRunNeverInjectsIntoTheRunBesideIt) {
+  SessionConfig faulted;
+  faulted.faults.enabled = true;
+  faulted.faults.seed = 3;
+  faulted.faults.spec.rank_stall_p = 1.0;
+  faulted.faults.spec.msg_delay_p = 1.0;
+  faulted.faults.spec.max_delay_us = 200;
+  const SessionConfig clean;
+
+  std::latch start(2);
+  RunRecord faulted_run, clean_run;
+  std::thread other([&] {
+    faulted_run = checked_run(faulted, 2, ring_main("faulted", 64),
+                              [&] { start.arrive_and_wait(); });
+  });
+  clean_run = checked_run(clean, 2, ring_main("clean", 64),
+                          [&] { start.arrive_and_wait(); });
+  other.join();
+
+  EXPECT_TRUE(faulted_run.run.ok());
+  ASSERT_FALSE(faulted_run.faults.empty());
+  for (const faults::FaultDecision& d : faulted_run.faults.decisions) {
+    EXPECT_EQ(d.site.rfind("clean.", 0), std::string::npos)
+        << "the faulted run's injector fired in the clean run at " << d.site;
+  }
+  EXPECT_TRUE(clean_run.run.ok())
+      << (clean_run.run.errors.empty() ? "" : clean_run.run.errors[0]);
+  EXPECT_TRUE(clean_run.faults.empty());
+}
+
+std::set<std::string> report_keys(const Report& report) {
+  std::set<std::string> keys;
+  for (const spec::Violation& v : report.violations()) {
+    keys.insert(spec::violation_key(v));
+  }
+  return keys;
+}
+
+TEST(ConcurrentRuns, AppRunsKeepTheirOwnCriticalsAndTeamState) {
+  // BT's paper configuration holds a named critical across a collective
+  // (the benign bait) and shares one V4 request across each rank's team:
+  // per-run state that two runs at once must not share.
+  const apps::AppConfig cfg = apps::paper_config(apps::AppKind::kBT, 2);
+  const apps::ToolRunResult alone = apps::run_with_tool(apps::Tool::kHome, cfg);
+  ASSERT_TRUE(alone.run.ok());
+  const std::set<std::string> want = report_keys(alone.report);
+
+  for (int round = 0; round < 2; ++round) {
+    apps::ToolRunResult both[2];
+    std::thread other(
+        [&] { both[1] = apps::run_with_tool(apps::Tool::kHome, cfg); });
+    both[0] = apps::run_with_tool(apps::Tool::kHome, cfg);
+    other.join();
+    for (const apps::ToolRunResult& r : both) {
+      EXPECT_TRUE(r.run.ok()) << (r.run.errors.empty() ? "" : r.run.errors[0]);
+      EXPECT_EQ(report_keys(r.report), want) << "round " << round;
+    }
+  }
 }
 
 // ------------------------------------------------- online shed accounting

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,19 @@ TEST(ThreadRegistry, RegistersAndQueriesCurrentThread) {
   EXPECT_TRUE(registry.current_is_rank_main());
   registry.reset();
   EXPECT_EQ(registry.current_tid(), kNoTid);
+}
+
+TEST(ThreadRegistry, AFreshRegistryAtAReusedAddressStartsUnbound) {
+  // Successive runs on one thread build their registries in the same stack
+  // slot: the new one must not inherit the dead one's binding.
+  alignas(ThreadRegistry) unsigned char slot[sizeof(ThreadRegistry)];
+  auto* first = new (slot) ThreadRegistry();
+  first->register_current_thread(kNoTid, 0, true);
+  ASSERT_EQ(first->current_tid(), 0);
+  first->~ThreadRegistry();
+  auto* second = new (slot) ThreadRegistry();
+  EXPECT_EQ(second->current_tid(), kNoTid);
+  second->~ThreadRegistry();
 }
 
 TEST(ThreadRegistry, PreRegistrationAndBinding) {

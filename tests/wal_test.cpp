@@ -419,14 +419,22 @@ TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
   }
   ASSERT_TRUE(clean_salvage.clean());
 
-  std::string huge_id;
-  put_le(&huge_id, std::uint64_t{1} << 24, 4);
-  huge_id += "label";
+  // String frames whose id is not the next one (the writer numbers them
+  // 0, 1, 2, ...): none may size the string table.
+  const auto string_frame = [](std::uint64_t id) {
+    std::string payload;
+    put_le(&payload, id, 4);
+    payload += "label";
+    return make_frame('S', payload);
+  };
+  const std::uint64_t next_id = clean.strings.size();
   const std::string kBadFrames[] = {
       make_frame('E', event_payload(1000, 0)),        // count far too big
       make_frame('E', event_payload(0xFFFFFFFFu, 1)),  // count near 2^32
       make_frame('E', event_payload(2, 1)),            // one lock short
-      make_frame('S', huge_id),                        // id >= 2^24
+      string_frame(std::uint64_t{1} << 24),            // id >= 2^24
+      string_frame(std::uint64_t{1} << 20),            // id far ahead
+      string_frame(next_id + 1),                       // one id skipped
   };
   obs::Counter& corrupt =
       obs::Registry::global().counter("trace.corrupt_records");
