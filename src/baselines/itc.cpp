@@ -4,8 +4,8 @@
 #include <thread>
 
 #include "src/home/session.hpp"
+#include "src/home/wrappers.hpp"
 #include "src/homp/runtime.hpp"
-#include "src/spec/monitored.hpp"
 #include "src/util/stats.hpp"
 
 namespace home::baselines {
@@ -62,57 +62,22 @@ void ItcMemoryTracer::access(const void* addr, bool write) {
 }
 
 void ItcWrappers::on_call_begin(const simmpi::CallDesc& desc) {
-  const bool is_init = desc.type == trace::MpiCallType::kInit ||
-                       desc.type == trace::MpiCallType::kInitThread;
-  if (!is_init) record(desc);
+  if (!trace::routine_of(desc.type).initializes()) record(desc);
 }
 
 void ItcWrappers::on_call_end(const simmpi::CallDesc& desc) {
-  const bool is_init = desc.type == trace::MpiCallType::kInit ||
-                       desc.type == trace::MpiCallType::kInitThread;
-  if (is_init) record(desc);
+  if (trace::routine_of(desc.type).initializes()) record(desc);
 }
 
 void ItcWrappers::record(const simmpi::CallDesc& desc) {
   instrumented_.fetch_add(1, std::memory_order_relaxed);
-
-  trace::MpiCallInfo info;
-  info.type = desc.type;
-  info.peer = desc.peer;
-  info.tag = desc.tag;
-  info.comm = desc.comm;
-  info.request = desc.request;
-  info.on_main_thread = desc.on_main_thread;
-  info.provided = desc.process
-                      ? static_cast<std::uint8_t>(desc.process->provided_level())
-                      : 0;
-  if (desc.callsite) info.callsite = log_->strings().intern(desc.callsite);
-
-  const trace::Tid tid = registry_ ? registry_->current_tid() : trace::kNoTid;
-
-  trace::Event call;
-  call.tid = tid;
-  call.rank = desc.rank;
-  call.kind = trace::EventKind::kMpiCall;
   // No lockset snapshot: ITC does not understand omp critical, so events
-  // carry empty locksets and lock-guarded pairs stay "concurrent".
-  call.mpi = info;
-  const trace::Seq call_seq = log_->emit(std::move(call));
-
-  // Probe blind spot: the source/tag arguments of *blocking* MPI_Probe are
-  // not captured (the paper observes this on LU), so no monitored-variable
-  // writes are produced for it; MPI_Iprobe is handled normally.
-  if (desc.type == trace::MpiCallType::kProbe) return;
-
-  for (spec::MonitoredVar var : spec::monitored_vars_for(desc.type)) {
-    trace::Event write;
-    write.tid = tid;
-    write.rank = desc.rank;
-    write.kind = trace::EventKind::kMemWrite;
-    write.obj = spec::monitored_var_id(desc.rank, var);
-    write.aux = call_seq;
-    log_->emit(std::move(write));
-  }
+  // carry empty locksets and lock-guarded pairs stay "concurrent".  Probe
+  // blind spot: the source/tag arguments of *blocking* MPI_Probe are not
+  // captured (the paper observes this on LU), so it writes no monitored
+  // variable; MPI_Iprobe is handled normally.
+  log_mpi_call(*log_, registry_, desc, {},
+               desc.type != trace::MpiCallType::kProbe);
 }
 
 ItcSession::ItcSession()

@@ -70,7 +70,7 @@ void MarmotChecker::check_against_active(const simmpi::CallDesc& desc, int tid) 
     if (desc.provided == simmpi::ThreadLevel::kFunneled ||
         desc.provided == simmpi::ThreadLevel::kSingle) {
       add_violation(make(spec::ViolationType::kInitialization, nullptr,
-                         std::string(trace::mpi_call_type_name(desc.type)) +
+                         std::string(trace::routine_of(desc.type).name) +
                              " off the main thread under " +
                              simmpi::thread_level_name(desc.provided)));
     }
@@ -81,9 +81,11 @@ void MarmotChecker::check_against_active(const simmpi::CallDesc& desc, int tid) 
   }
 
   // Overlap checks against this rank's currently executing calls.
+  const trace::MpiRoutine& mine = trace::routine_of(desc.type);
   const auto& calls = active_[desc.rank];
   for (const ActiveCall& other : calls) {
     if (other.tid == tid) continue;
+    const trace::MpiRoutine& theirs = trace::routine_of(other.type);
 
     if (desc.provided == simmpi::ThreadLevel::kSerialized) {
       add_violation(make(spec::ViolationType::kInitialization, &other,
@@ -94,30 +96,28 @@ void MarmotChecker::check_against_active(const simmpi::CallDesc& desc, int tid) 
       add_violation(make(spec::ViolationType::kFinalization, &other,
                          "MPI_Finalize overlaps another MPI call"));
     }
-    const bool recv1 = trace::is_receive(desc.type);
-    const bool recv2 = trace::is_receive(other.type);
+    const bool recv1 = mine.receives();
+    const bool recv2 = theirs.receives();
     if (recv1 && recv2 && desc.comm == other.comm &&
         args_equal_overlap(desc.peer, other.peer) &&
         args_equal_overlap(desc.tag, other.tag)) {
       add_violation(make(spec::ViolationType::kConcurrentRecv, &other,
                          "overlapping receives with same (source, tag, comm)"));
     }
-    const bool probe1 = trace::is_probe(desc.type);
-    const bool probe2 = trace::is_probe(other.type);
+    const bool probe1 = mine.probes();
+    const bool probe2 = theirs.probes();
     if (((probe1 && (probe2 || recv2)) || (probe2 && recv1)) &&
         desc.comm == other.comm && args_equal_overlap(desc.peer, other.peer) &&
         args_equal_overlap(desc.tag, other.tag)) {
       add_violation(make(spec::ViolationType::kProbe, &other,
                          "probe overlaps probe/recv with same (source, tag)"));
     }
-    if (trace::is_request_completion(desc.type) &&
-        trace::is_request_completion(other.type) &&
+    if (mine.completes_request() && theirs.completes_request() &&
         desc.request == other.request && desc.request != 0) {
       add_violation(make(spec::ViolationType::kConcurrentRequest, &other,
                          "overlapping Wait/Test on one request"));
     }
-    if (trace::is_collective(desc.type) && trace::is_collective(other.type) &&
-        desc.comm == other.comm) {
+    if (mine.collective() && theirs.collective() && desc.comm == other.comm) {
       add_violation(make(spec::ViolationType::kCollectiveCall, &other,
                          "overlapping collectives on one communicator"));
     }

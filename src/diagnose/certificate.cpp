@@ -30,7 +30,7 @@ Endpoint make_endpoint(const detect::HbIndex& hb, std::size_t idx,
   ep.tid = e.tid;
   ep.rank = e.rank;
   if (e.mpi) {
-    ep.mpi_call = trace::mpi_call_type_name(e.mpi->type);
+    ep.mpi_call = trace::routine_of(e.mpi->type).name;
     if (strings != nullptr && e.mpi->callsite != 0) {
       ep.callsite = strings->lookup(e.mpi->callsite);
     }

@@ -81,7 +81,7 @@ struct Endpoint {
   trace::Seq seq = 0;
   trace::Tid tid = trace::kNoTid;
   int rank = trace::kNoRank;
-  std::string mpi_call;                ///< mpi_call_type_name at the event.
+  std::string mpi_call;                ///< the event's routine name.
   std::string callsite;
   std::vector<trace::ObjId> locks;     ///< lockset snapshot at the event.
   std::uint64_t barrier_phase = 0;     ///< barriers this thread passed before.

@@ -10,6 +10,12 @@ void DeadlockMonitor::on_call_begin(const simmpi::CallDesc& desc) {
   // Every edge of this blocking call carries the waiter's current epoch —
   // the scalar stamp that ties a wait to one specific blocking call.
   const detect::WaitStamp stamp{desc.rank, epochs_[desc.rank]};
+  if (trace::routine_of(desc.type).collective()) {
+    for (int r = 0; r < nranks_; ++r) {
+      if (r != desc.rank) graph_.add_wait(desc.rank, r, stamp);
+    }
+    return;
+  }
   switch (desc.type) {
     case MpiCallType::kRecv:
     case MpiCallType::kProbe:
@@ -21,19 +27,6 @@ void DeadlockMonitor::on_call_begin(const simmpi::CallDesc& desc) {
         for (int r = 0; r < nranks_; ++r) {
           if (r != desc.rank) graph_.add_wait(desc.rank, r, stamp);
         }
-      }
-      break;
-    case MpiCallType::kBarrier:
-    case MpiCallType::kBcast:
-    case MpiCallType::kReduce:
-    case MpiCallType::kAllreduce:
-    case MpiCallType::kGather:
-    case MpiCallType::kScatter:
-    case MpiCallType::kAlltoall:
-    case MpiCallType::kScan:
-    case MpiCallType::kReduceScatter:
-      for (int r = 0; r < nranks_; ++r) {
-        if (r != desc.rank) graph_.add_wait(desc.rank, r, stamp);
       }
       break;
     case MpiCallType::kSend:

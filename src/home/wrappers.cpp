@@ -17,16 +17,9 @@ const char* instrument_filter_name(InstrumentFilter filter) {
 }
 
 bool HomeWrappers::should_instrument(const simmpi::CallDesc& desc) const {
-  switch (desc.type) {
-    // Lifecycle calls carry the thread-level facts V1/V2 need; they are
-    // always recorded (they are rare, so this costs nothing).
-    case trace::MpiCallType::kInit:
-    case trace::MpiCallType::kInitThread:
-    case trace::MpiCallType::kFinalize:
-      return true;
-    default:
-      break;
-  }
+  // Lifecycle calls carry the thread-level facts V1/V2 need; they are
+  // always recorded (they are rare, so this costs nothing).
+  if (trace::routine_of(desc.type).lifecycle()) return true;
   switch (cfg_.filter) {
     case InstrumentFilter::kAll:
       return true;
@@ -42,9 +35,8 @@ bool HomeWrappers::should_instrument(const simmpi::CallDesc& desc) const {
 }
 
 void HomeWrappers::on_call_begin(const simmpi::CallDesc& desc) {
-  const bool is_init = desc.type == trace::MpiCallType::kInit ||
-                       desc.type == trace::MpiCallType::kInitThread;
-  if (is_init) return;  // recorded at end, once `provided` is known.
+  // Init calls are recorded at end, once `provided` is known.
+  if (trace::routine_of(desc.type).initializes()) return;
   if (!should_instrument(desc)) {
     skipped_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -53,19 +45,12 @@ void HomeWrappers::on_call_begin(const simmpi::CallDesc& desc) {
 }
 
 void HomeWrappers::on_call_end(const simmpi::CallDesc& desc) {
-  const bool is_init = desc.type == trace::MpiCallType::kInit ||
-                       desc.type == trace::MpiCallType::kInitThread;
-  if (!is_init) return;
-  record(desc);
+  if (trace::routine_of(desc.type).initializes()) record(desc);
 }
 
-void HomeWrappers::record(const simmpi::CallDesc& desc) {
-  instrumented_.fetch_add(1, std::memory_order_relaxed);
-
-  // Emulated Pin-probe cost (see WrapperConfig::probe_cost_iterations).
-  volatile std::uint64_t sink = 1;
-  for (int i = 0; i < cfg_.probe_cost_iterations; ++i) sink = sink * 31 + 7;
-
+void log_mpi_call(trace::TraceLog& log, const trace::ThreadRegistry* registry,
+                  const simmpi::CallDesc& desc,
+                  const std::vector<trace::ObjId>& locks, bool write_vars) {
   trace::MpiCallInfo info;
   info.type = desc.type;
   info.peer = desc.peer;
@@ -76,10 +61,9 @@ void HomeWrappers::record(const simmpi::CallDesc& desc) {
   info.provided = desc.process
                       ? static_cast<std::uint8_t>(desc.process->provided_level())
                       : 0;
-  if (desc.callsite) info.callsite = log_->strings().intern(desc.callsite);
+  if (desc.callsite) info.callsite = log.strings().intern(desc.callsite);
 
-  const trace::Tid tid = registry_ ? registry_->current_tid() : trace::kNoTid;
-  const auto locks = homp::current_locks();
+  const trace::Tid tid = registry ? registry->current_tid() : trace::kNoTid;
 
   trace::Event call;
   call.tid = tid;
@@ -87,11 +71,12 @@ void HomeWrappers::record(const simmpi::CallDesc& desc) {
   call.kind = trace::EventKind::kMpiCall;
   call.locks_held = locks;
   call.mpi = info;
-  const trace::Seq call_seq = log_->emit(std::move(call));
+  const trace::Seq call_seq = log.emit(std::move(call));
+  if (!write_vars) return;
 
-  // The wrapper body: WRITE this call's monitored variables.  aux back-links
-  // each write to its call event so the matcher can recover the arguments.
-  for (spec::MonitoredVar var : spec::monitored_vars_for(desc.type)) {
+  // aux back-links each write to its call event so the matcher can recover
+  // the arguments.
+  for (trace::MonitoredVar var : trace::routine_of(desc.type).vars()) {
     trace::Event write;
     write.tid = tid;
     write.rank = desc.rank;
@@ -99,8 +84,18 @@ void HomeWrappers::record(const simmpi::CallDesc& desc) {
     write.obj = spec::monitored_var_id(desc.rank, var);
     write.aux = call_seq;
     write.locks_held = locks;
-    log_->emit(std::move(write));
+    log.emit(std::move(write));
   }
+}
+
+void HomeWrappers::record(const simmpi::CallDesc& desc) {
+  instrumented_.fetch_add(1, std::memory_order_relaxed);
+
+  // Emulated Pin-probe cost (see WrapperConfig::probe_cost_iterations).
+  volatile std::uint64_t sink = 1;
+  for (int i = 0; i < cfg_.probe_cost_iterations; ++i) sink = sink * 31 + 7;
+
+  log_mpi_call(*log_, registry_, desc, homp::current_locks(), true);
 }
 
 }  // namespace home

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/simmpi/hooks.hpp"
 #include "src/trace/thread_registry.hpp"
@@ -27,6 +28,14 @@ enum class InstrumentFilter : std::uint8_t {
 };
 
 const char* instrument_filter_name(InstrumentFilter filter);
+
+/// The wrapper body of Section IV.B, shared by the HOME and ITC wrappers:
+/// log the call with its arguments, then (if `write_vars`) WRITE each
+/// monitored variable its routine writes, back-linked to the call by aux.
+/// Every event carries `locks`.
+void log_mpi_call(trace::TraceLog& log, const trace::ThreadRegistry* registry,
+                  const simmpi::CallDesc& desc,
+                  const std::vector<trace::ObjId>& locks, bool write_vars);
 
 struct WrapperConfig {
   InstrumentFilter filter = InstrumentFilter::kParallelOnly;

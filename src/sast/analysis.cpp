@@ -42,6 +42,7 @@ void collect_calls(const Cfg& cfg, const FunctionFacts& ff,
       const NodeFacts& nf = ff.at(node.id);
       MpiCallSite site;
       site.routine = call.callee;
+      site.row = trace::find_routine(call.callee);
       site.args = call.args;
       site.function = function_name;
       site.line = call.line;
@@ -161,13 +162,6 @@ PruneMode prune_mode(const AnalysisResult& result) {
   return PruneMode::kNone;
 }
 
-/// Setup/teardown calls anchor the dynamic tool; never prune them.
-bool never_prunable(const std::string& routine) {
-  return routine == "MPI_Init" || routine == "MPI_Init_thread" ||
-         routine == "MPI_Finalize" || routine == "HMPI_Init" ||
-         routine == "HMPI_Init_thread" || routine == "HMPI_Finalize";
-}
-
 bool locks_disjoint(const std::set<std::string>& a,
                     const std::set<std::string>& b) {
   for (const std::string& x : a) {
@@ -205,7 +199,8 @@ bool has_unguarded_peer(const AnalysisResult& result, std::size_t idx,
 bool prunable(const AnalysisResult& result, std::size_t idx, PruneMode mode) {
   const MpiCallSite& site = result.calls[idx];
   if (mode == PruneMode::kNone || !site.in_parallel) return false;
-  if (never_prunable(site.routine)) return false;
+  // Setup/teardown calls anchor the dynamic tool; never prune them.
+  if (site.row && site.row->lifecycle()) return false;
   if (mode == PruneMode::kMasterOnly && !site.in_master) return false;
   const FunctionFacts& ff =
       result.facts.functions[static_cast<std::size_t>(site.fn_index)];
@@ -300,8 +295,9 @@ AnalysisResult analyze(const TranslationUnit& unit) {
 
   // Init-mode facts first: the prune gate depends on the requested level.
   for (const MpiCallSite& site : result.calls) {
-    if (site.routine == "MPI_Init") result.uses_plain_init = true;
-    if (site.routine == "MPI_Init_thread") {
+    if (!site.row) continue;
+    if (site.row->type == trace::MpiCallType::kInit) result.uses_plain_init = true;
+    if (site.row->type == trace::MpiCallType::kInitThread) {
       result.uses_init_thread = true;
       for (const std::string& arg : site.args) {
         if (util::contains(arg, "MPI_THREAD_")) {

@@ -18,11 +18,16 @@
 #include "src/sast/cfg.hpp"
 #include "src/sast/mhp.hpp"
 #include "src/sast/parser.hpp"
+#include "src/trace/mpi_routines.hpp"
 
 namespace home::sast {
 
 struct MpiCallSite {
   std::string routine;            ///< "MPI_Recv", ...
+  /// The routine's row in the MPI routine table, which alone decides its
+  /// class and argument positions; nullptr for a routine the table does not
+  /// list (MPI_Comm_rank, ...).
+  const trace::MpiRoutine* row = nullptr;
   std::vector<std::string> args;  ///< raw argument texts.
   std::string function;           ///< enclosing function name.
   int line = 0;

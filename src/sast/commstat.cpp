@@ -221,6 +221,7 @@ RankExpr parse_rank_expr(const std::string& text, const std::string& rankvar,
 
 struct ParamOp {
   CommOp op;
+  const trace::MpiRoutine* row = nullptr;
   std::vector<Guard> guards;
 };
 
@@ -242,20 +243,19 @@ struct ExtractState {
   }
 };
 
-bool is_collective_routine(const std::string& name) {
-  static const char* kNames[] = {"MPI_Barrier",  "MPI_Bcast",    "MPI_Reduce",
-                                 "MPI_Allreduce", "MPI_Gather",  "MPI_Scatter",
-                                 "MPI_Allgather", "MPI_Alltoall"};
-  for (const char* n : kNames) {
-    if (name == n) return true;
-  }
-  return false;
+/// Argument position as an index (-1, "none", becomes out of range).
+std::size_t arg_index(std::int8_t pos) {
+  return pos < 0 ? static_cast<std::size_t>(-1) : static_cast<std::size_t>(pos);
 }
 
 void add_op(ExtractState& st, CommOpKind kind, const CallExpr& call,
-            std::size_t peer_arg, std::size_t tag_arg, std::size_t comm_arg,
-            const std::string& fn) {
+            const trace::MpiRoutine& row, std::int8_t peer_pos,
+            std::int8_t tag_pos, const std::string& fn) {
+  const std::size_t peer_arg = arg_index(peer_pos);
+  const std::size_t tag_arg = arg_index(tag_pos);
+  const std::size_t comm_arg = arg_index(row.args.comm);
   ParamOp p;
+  p.row = &row;
   p.op.kind = kind;
   p.op.routine = call.callee;
   p.op.line = call.line;
@@ -317,23 +317,21 @@ void extract_call(ExtractState& st, const CallExpr& call,
     if (!v.empty()) st.sizevar = v;
     return;
   }
-  if (name == "MPI_Send" || name == "MPI_Isend" || name == "MPI_Ssend") {
-    add_op(st, CommOpKind::kSend, call, 3, 4, 5, fn);
-  } else if (name == "MPI_Recv" || name == "MPI_Irecv") {
-    add_op(st, CommOpKind::kRecv, call, 3, 4, 5, fn);
-    if (name == "MPI_Irecv") {
-      st.note("MPI_Irecv modeled as blocking at line " +
+  const trace::MpiRoutine* row = trace::find_routine(name);
+  if (row == nullptr) return;
+  const trace::ArgPositions& a = row->args;
+  if (row->sends()) {
+    add_op(st, CommOpKind::kSend, call, *row, a.dest, a.send_tag, fn);
+  }
+  if (row->receives()) {
+    add_op(st, CommOpKind::kRecv, call, *row, a.source, a.recv_tag, fn);
+    if (row->type == trace::MpiCallType::kIrecv) {
+      st.note(std::string(row->name) + " modeled as blocking at line " +
               std::to_string(call.line));
     }
-  } else if (name == "MPI_Sendrecv") {
-    add_op(st, CommOpKind::kSend, call, 3, 4, 10, fn);
-    add_op(st, CommOpKind::kRecv, call, 8, 9, 10, fn);
-  } else if (is_collective_routine(name)) {
-    add_op(st, CommOpKind::kCollective, call,
-           static_cast<std::size_t>(-1), static_cast<std::size_t>(-1),
-           call.args.empty() ? static_cast<std::size_t>(-1)
-                             : call.args.size() - 1,
-           fn);
+  }
+  if (row->collective()) {
+    add_op(st, CommOpKind::kCollective, call, *row, -1, -1, fn);
   }
 }
 
@@ -826,11 +824,8 @@ CommstatResult analyze_comm(const TranslationUnit& unit,
   // MPI calls living outside main (interprocedural) are not projected; the
   // MHP facts tell us which ops sit inside parallel regions (team-repeated).
   for (const MpiCallSite& c : analysis.calls) {
-    if (c.function != "main" &&
-        (c.routine.rfind("MPI_Send", 0) == 0 ||
-         c.routine.rfind("MPI_Recv", 0) == 0 ||
-         c.routine.rfind("MPI_Isend", 0) == 0 ||
-         c.routine.rfind("MPI_Irecv", 0) == 0)) {
+    if (c.function != "main" && c.row != nullptr &&
+        (c.row->sends() || c.row->receives())) {
       bool noted = false;
       for (const std::string& s : result.imprecision) {
         if (s.rfind("comm ops outside main", 0) == 0) { noted = true; break; }
@@ -912,7 +907,7 @@ CommstatResult analyze_comm(const TranslationUnit& unit,
         proj.op = &p.op;
         proj.phase = phase;
         if (p.op.kind == CommOpKind::kCollective) {
-          if (p.op.routine == "MPI_Barrier") ++phase;
+          if (p.row->type == trace::MpiCallType::kBarrier) ++phase;
         } else {
           proj.peer = p.op.peer.resolve(r, n);
           if (proj.peer == -2) continue;  // out-of-range peer: skip the op.

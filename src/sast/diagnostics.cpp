@@ -8,43 +8,26 @@
 namespace home::sast {
 namespace {
 
-bool is_recv(const MpiCallSite& s) {
-  return s.routine == "MPI_Recv" || s.routine == "MPI_Irecv";
-}
-bool is_probe_site(const MpiCallSite& s) {
-  return s.routine == "MPI_Probe" || s.routine == "MPI_Iprobe";
-}
-bool is_wait_test(const MpiCallSite& s) {
-  return s.routine == "MPI_Wait" || s.routine == "MPI_Test";
-}
-bool is_collective_site(const MpiCallSite& s) {
-  static const char* kNames[] = {"MPI_Barrier", "MPI_Bcast",   "MPI_Reduce",
-                                 "MPI_Allreduce", "MPI_Gather", "MPI_Scatter",
-                                 "MPI_Alltoall"};
-  for (const char* name : kNames) {
-    if (s.routine == name) return true;
-  }
-  return false;
+bool has_class(const MpiCallSite& s, std::uint8_t classes) {
+  return s.row != nullptr && (s.row->classes & classes) != 0;
 }
 
-std::string arg_or(const MpiCallSite& s, std::size_t idx, const char* fallback) {
-  return idx < s.args.size() ? s.args[idx] : fallback;
+/// The argument at `pos` of the routine's C binding, "?" when absent.
+std::string arg_at(const MpiCallSite& s, int pos) {
+  return pos >= 0 && static_cast<std::size_t>(pos) < s.args.size()
+             ? s.args[static_cast<std::size_t>(pos)]
+             : "?";
 }
 
-/// (source, tag, comm) argument positions per routine.
-void src_tag_comm(const MpiCallSite& s, std::string* src, std::string* tag,
-                  std::string* comm) {
-  if (s.routine == "MPI_Recv" || s.routine == "MPI_Irecv") {
-    *src = arg_or(s, 3, "?");
-    *tag = arg_or(s, 4, "?");
-    *comm = arg_or(s, 5, "?");
-  } else if (s.routine == "MPI_Probe" || s.routine == "MPI_Iprobe") {
-    *src = arg_or(s, 0, "?");
-    *tag = arg_or(s, 1, "?");
-    *comm = arg_or(s, 2, "?");
-  } else {
-    *src = *tag = *comm = "?";
-  }
+/// The (source, tag, comm) argument texts of a receive or probe.
+struct RecvKey {
+  std::string src, tag, comm;
+  bool operator==(const RecvKey&) const = default;
+};
+
+RecvKey recv_key(const MpiCallSite& s) {
+  const trace::ArgPositions& a = s.row->args;
+  return {arg_at(s, a.source), arg_at(s, a.recv_tag), arg_at(s, a.comm)};
 }
 
 /// Is there a CFG path between the two nodes (either direction)?  Uses only
@@ -191,7 +174,10 @@ std::vector<StaticWarning> diagnose(const AnalysisResult& analysis) {
       analysis.requested_level != "MPI_THREAD_MULTIPLE") {
     for (std::size_t i = 0; i < analysis.calls.size(); ++i) {
       const MpiCallSite& site = analysis.calls[i];
-      if (!site.in_parallel || site.routine == "MPI_Init_thread") continue;
+      if (!site.in_parallel ||
+          (site.row && site.row->type == trace::MpiCallType::kInitThread)) {
+        continue;
+      }
       if (!site_reachable(analysis, site)) continue;
       if (analysis.requested_level == "MPI_THREAD_FUNNELED") {
         // FUNNELED pins MPI to the main thread: only master bodies comply.
@@ -233,7 +219,10 @@ std::vector<StaticWarning> diagnose(const AnalysisResult& analysis) {
   // V2: MPI_Finalize inside a parallel region.
   for (std::size_t i = 0; i < analysis.calls.size(); ++i) {
     const MpiCallSite& site = analysis.calls[i];
-    if (site.routine != "MPI_Finalize" || !site.in_parallel) continue;
+    if (!site.row || site.row->type != trace::MpiCallType::kFinalize ||
+        !site.in_parallel) {
+      continue;
+    }
     if (!site_reachable(analysis, site)) continue;
     warn(WarningClass::kFinalization,
          site_self_race(analysis, i) ? Severity::kDefinite
@@ -255,34 +244,35 @@ std::vector<StaticWarning> diagnose(const AnalysisResult& analysis) {
       const std::string wit = site_witness(analysis, i);
 
       // V3: receives with identical (source, tag, comm) argument text.
-      if (is_recv(a) && is_recv(b)) {
-        std::string sa, ta, ca, sb, tb, cb;
-        src_tag_comm(a, &sa, &ta, &ca);
-        src_tag_comm(b, &sb, &tb, &cb);
-        if (sa == sb && ta == tb && ca == cb) {
+      if (has_class(a, trace::kReceiveClass) &&
+          has_class(b, trace::kReceiveClass)) {
+        const RecvKey ka = recv_key(a);
+        if (ka == recv_key(b)) {
           warn(WarningClass::kConcurrentRecv,
-               classify_pair(analysis, i, j, {sa, ta, ca}), a.line, a.label,
-               site2, wit,
-               "concurrent receives share source=" + sa + " tag=" + ta +
-                   " comm=" + ca);
+               classify_pair(analysis, i, j, {ka.src, ka.tag, ka.comm}),
+               a.line, a.label, site2, wit,
+               "concurrent receives share source=" + ka.src + " tag=" +
+                   ka.tag + " comm=" + ka.comm);
         }
       }
       // V5: probe racing probe/recv on the same (source, tag, comm).
-      if ((is_probe_site(a) && (is_probe_site(b) || is_recv(b))) ||
-          (is_probe_site(b) && is_recv(a))) {
-        std::string sa, ta, ca, sb, tb, cb;
-        src_tag_comm(a, &sa, &ta, &ca);
-        src_tag_comm(b, &sb, &tb, &cb);
-        if (sa == sb && ta == tb && ca == cb) {
-          warn(WarningClass::kProbe, classify_pair(analysis, i, j, {sa, ta}),
-               a.line, a.label, site2, wit,
-               "probe and receive race on source=" + sa + " tag=" + ta);
+      const std::uint8_t matching = trace::kProbeClass | trace::kReceiveClass;
+      if ((has_class(a, trace::kProbeClass) && has_class(b, matching)) ||
+          (has_class(b, trace::kProbeClass) && has_class(a, matching))) {
+        const RecvKey ka = recv_key(a);
+        if (ka == recv_key(b)) {
+          warn(WarningClass::kProbe,
+               classify_pair(analysis, i, j, {ka.src, ka.tag}), a.line,
+               a.label, site2, wit,
+               "probe and receive race on source=" + ka.src + " tag=" +
+                   ka.tag);
         }
       }
       // V4: Wait/Test on the same request expression.
-      if (is_wait_test(a) && is_wait_test(b)) {
-        const std::string ra = arg_or(a, 0, "?");
-        const std::string rb = arg_or(b, 0, "?");
+      if (has_class(a, trace::kCompletionClass) &&
+          has_class(b, trace::kCompletionClass)) {
+        const std::string ra = arg_at(a, a.row->args.request);
+        const std::string rb = arg_at(b, b.row->args.request);
         if (ra == rb) {
           warn(WarningClass::kConcurrentRequest,
                classify_pair(analysis, i, j, {ra}), a.line, a.label, site2,
@@ -290,9 +280,10 @@ std::vector<StaticWarning> diagnose(const AnalysisResult& analysis) {
         }
       }
       // V6: collectives on the same communicator expression.
-      if (is_collective_site(a) && is_collective_site(b)) {
-        const std::string ca = a.args.empty() ? "?" : a.args.back();
-        const std::string cb = b.args.empty() ? "?" : b.args.back();
+      if (has_class(a, trace::kCollectiveClass) &&
+          has_class(b, trace::kCollectiveClass)) {
+        const std::string ca = arg_at(a, a.row->args.comm);
+        const std::string cb = arg_at(b, b.row->args.comm);
         if (ca == cb) {
           warn(WarningClass::kCollectiveCall,
                classify_pair(analysis, i, j, {ca}), a.line, a.label, site2,

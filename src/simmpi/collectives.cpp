@@ -57,7 +57,7 @@ void fold(std::byte* acc, const std::byte* in, int count, Datatype dt, ReduceOp 
 }  // namespace
 
 void Process::barrier(Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kBarrier, -1, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Barrier"), -1, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -68,7 +68,7 @@ void Process::barrier(Comm comm, const CallOpts& opts) {
 
 void Process::bcast(void* buf, int count, Datatype dt, int root, Comm comm,
                     const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kBcast, root, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Bcast"), root, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -78,18 +78,16 @@ void Process::bcast(void* buf, int count, Datatype dt, int root, Comm comm,
                                       std::move(contribution),
                                       uni_->config().block_timeout_ms);
            if (me != root) {
-             const auto& src = round->slots.at(static_cast<std::size_t>(root));
              const std::size_t nbytes =
                  static_cast<std::size_t>(count) * datatype_size(dt);
-             if (src.size() < nbytes) throw UsageError("bcast size mismatch");
-             std::memcpy(buf, src.data(), nbytes);
+             std::memcpy(buf, round->read(root, nbytes).data(), nbytes);
            }
          });
 }
 
 void Process::reduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
                      ReduceOp op, int root, Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kReduce, root, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Reduce"), root, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -99,11 +97,10 @@ void Process::reduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
            if (me == root) {
              const std::size_t nbytes =
                  static_cast<std::size_t>(count) * datatype_size(dt);
-             std::memcpy(recvbuf, round->slots.at(0).data(), nbytes);
+             std::memcpy(recvbuf, round->read(0, nbytes).data(), nbytes);
              for (int r = 1; r < impl.size(); ++r) {
                fold(static_cast<std::byte*>(recvbuf),
-                    round->slots.at(static_cast<std::size_t>(r)).data(), count, dt,
-                    op);
+                    round->read(r, nbytes).data(), count, dt, op);
              }
            }
          });
@@ -112,7 +109,7 @@ void Process::reduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
 void Process::allreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
                         ReduceOp op, Comm comm, const CallOpts& opts) {
   hooked(
-      make_desc(trace::MpiCallType::kAllreduce, -1, kAnyTag, comm.id, 0, opts),
+      make_desc(trace::logged_as("MPI_Allreduce"), -1, kAnyTag, comm.id, 0, opts),
       [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
@@ -121,17 +118,17 @@ void Process::allreduce(const void* sendbuf, void* recvbuf, int count, Datatype 
                                    uni_->config().block_timeout_ms);
         const std::size_t nbytes =
             static_cast<std::size_t>(count) * datatype_size(dt);
-        std::memcpy(recvbuf, round->slots.at(0).data(), nbytes);
+        std::memcpy(recvbuf, round->read(0, nbytes).data(), nbytes);
         for (int r = 1; r < impl.size(); ++r) {
-          fold(static_cast<std::byte*>(recvbuf),
-               round->slots.at(static_cast<std::size_t>(r)).data(), count, dt, op);
+          fold(static_cast<std::byte*>(recvbuf), round->read(r, nbytes).data(),
+               count, dt, op);
         }
       });
 }
 
 void Process::gather(const void* sendbuf, int sendcount, Datatype dt,
                      void* recvbuf, int root, Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kGather, root, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Gather"), root, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -144,8 +141,7 @@ void Process::gather(const void* sendbuf, int sendcount, Datatype dt,
              auto* out = static_cast<std::byte*>(recvbuf);
              for (int r = 0; r < impl.size(); ++r) {
                std::memcpy(out + static_cast<std::size_t>(r) * chunk,
-                           round->slots.at(static_cast<std::size_t>(r)).data(),
-                           chunk);
+                           round->read(r, chunk).data(), chunk);
              }
            }
          });
@@ -153,7 +149,7 @@ void Process::gather(const void* sendbuf, int sendcount, Datatype dt,
 
 void Process::allgather(const void* sendbuf, int sendcount, Datatype dt,
                         void* recvbuf, Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kGather, -1, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Allgather"), -1, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -165,7 +161,7 @@ void Process::allgather(const void* sendbuf, int sendcount, Datatype dt,
            auto* out = static_cast<std::byte*>(recvbuf);
            for (int r = 0; r < impl.size(); ++r) {
              std::memcpy(out + static_cast<std::size_t>(r) * chunk,
-                         round->slots.at(static_cast<std::size_t>(r)).data(), chunk);
+                         round->read(r, chunk).data(), chunk);
            }
          });
 }
@@ -173,7 +169,7 @@ void Process::allgather(const void* sendbuf, int sendcount, Datatype dt,
 void Process::scatter(const void* sendbuf, int sendcount, Datatype dt,
                       void* recvbuf, int root, Comm comm, const CallOpts& opts) {
   hooked(
-      make_desc(trace::MpiCallType::kScatter, root, kAnyTag, comm.id, 0, opts),
+      make_desc(trace::logged_as("MPI_Scatter"), root, kAnyTag, comm.id, 0, opts),
       [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
@@ -186,19 +182,17 @@ void Process::scatter(const void* sendbuf, int sendcount, Datatype dt,
         auto round = impl.exchange(me, op_tag_for(trace::MpiCallType::kScatter, root),
                                    std::move(contribution),
                                    uni_->config().block_timeout_ms);
-        const auto& all = round->slots.at(static_cast<std::size_t>(root));
-        if (all.size() < chunk * static_cast<std::size_t>(impl.size())) {
-          throw UsageError("scatter size mismatch");
-        }
-        std::memcpy(recvbuf, all.data() + static_cast<std::size_t>(me) * chunk,
-                    chunk);
+        const std::byte* all =
+            round->read(root, chunk * static_cast<std::size_t>(impl.size()))
+                .data();
+        std::memcpy(recvbuf, all + static_cast<std::size_t>(me) * chunk, chunk);
       });
 }
 
 void Process::alltoall(const void* sendbuf, int sendcount, Datatype dt,
                        void* recvbuf, Comm comm, const CallOpts& opts) {
   hooked(
-      make_desc(trace::MpiCallType::kAlltoall, -1, kAnyTag, comm.id, 0, opts),
+      make_desc(trace::logged_as("MPI_Alltoall"), -1, kAnyTag, comm.id, 0, opts),
       [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
@@ -210,12 +204,10 @@ void Process::alltoall(const void* sendbuf, int sendcount, Datatype dt,
             uni_->config().block_timeout_ms);
         auto* out = static_cast<std::byte*>(recvbuf);
         for (int r = 0; r < impl.size(); ++r) {
-          const auto& slot = round->slots.at(static_cast<std::size_t>(r));
-          if (slot.size() < chunk * static_cast<std::size_t>(me + 1)) {
-            throw UsageError("alltoall size mismatch");
-          }
+          const std::byte* slot =
+              round->read(r, chunk * static_cast<std::size_t>(me + 1)).data();
           std::memcpy(out + static_cast<std::size_t>(r) * chunk,
-                      slot.data() + static_cast<std::size_t>(me) * chunk, chunk);
+                      slot + static_cast<std::size_t>(me) * chunk, chunk);
         }
       });
 }
@@ -223,7 +215,7 @@ void Process::alltoall(const void* sendbuf, int sendcount, Datatype dt,
 void Process::gatherv(const void* sendbuf, int sendcount, Datatype dt,
                       void* recvbuf, const int* recvcounts, const int* displs,
                       int root, Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kGather, root, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Gatherv"), root, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -235,15 +227,10 @@ void Process::gatherv(const void* sendbuf, int sendcount, Datatype dt,
              auto* out = static_cast<std::byte*>(recvbuf);
              const std::size_t elem = datatype_size(dt);
              for (int r = 0; r < impl.size(); ++r) {
-               const auto& slot = round->slots.at(static_cast<std::size_t>(r));
                const std::size_t want =
                    static_cast<std::size_t>(recvcounts[r]) * elem;
-               if (slot.size() < want && !(slot.size() == 1 && want == 0)) {
-                 throw UsageError("gatherv: rank " + std::to_string(r) +
-                                  " contributed fewer elements than recvcounts");
-               }
                std::memcpy(out + static_cast<std::size_t>(displs[r]) * elem,
-                           slot.data(), want);
+                           round->read(r, want).data(), want);
              }
            }
          });
@@ -253,7 +240,7 @@ void Process::scatterv(const void* sendbuf, const int* sendcounts,
                        const int* displs, Datatype dt, void* recvbuf,
                        int recvcount, int root, Comm comm, const CallOpts& opts) {
   hooked(
-      make_desc(trace::MpiCallType::kScatter, root, kAnyTag, comm.id, 0, opts),
+      make_desc(trace::logged_as("MPI_Scatterv"), root, kAnyTag, comm.id, 0, opts),
       [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
@@ -286,28 +273,26 @@ void Process::scatterv(const void* sendbuf, const int* sendcounts,
                                    std::move(contribution),
                                    uni_->config().block_timeout_ms);
 
-        const auto& blob = round->slots.at(static_cast<std::size_t>(root));
         const std::size_t header = static_cast<std::size_t>(2 * n) * sizeof(int);
-        if (blob.size() < header) throw UsageError("scatterv: malformed root data");
-        std::vector<int> counts(static_cast<std::size_t>(n));
-        std::vector<int> offsets(static_cast<std::size_t>(n));
-        std::memcpy(counts.data(), blob.data(),
-                    static_cast<std::size_t>(n) * sizeof(int));
-        std::memcpy(offsets.data(),
-                    blob.data() + static_cast<std::size_t>(n) * sizeof(int),
-                    static_cast<std::size_t>(n) * sizeof(int));
-        const int mine = counts[static_cast<std::size_t>(me)];
+        const std::byte* head = round->read(root, header).data();
+        int mine = 0;
+        int offset = 0;
+        std::memcpy(&mine, head + static_cast<std::size_t>(me) * sizeof(int),
+                    sizeof(int));
+        std::memcpy(&offset,
+                    head + static_cast<std::size_t>(n + me) * sizeof(int),
+                    sizeof(int));
         if (mine > recvcount) throw UsageError("scatterv: recv buffer too small");
-        std::memcpy(recvbuf,
-                    blob.data() + header +
-                        static_cast<std::size_t>(offsets[static_cast<std::size_t>(me)]) * elem,
-                    static_cast<std::size_t>(mine) * elem);
+        const std::size_t begin = header + static_cast<std::size_t>(offset) * elem;
+        const std::size_t nbytes = static_cast<std::size_t>(mine) * elem;
+        std::memcpy(recvbuf, round->read(root, begin + nbytes).data() + begin,
+                    nbytes);
       });
 }
 
 void Process::scan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
                    ReduceOp op, Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kScan, -1, kAnyTag, comm.id, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Scan"), -1, kAnyTag, comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -317,11 +302,10 @@ void Process::scan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
            // Inclusive prefix: fold contributions of ranks 0..me.
            const std::size_t nbytes =
                static_cast<std::size_t>(count) * datatype_size(dt);
-           std::memcpy(recvbuf, round->slots.at(0).data(), nbytes);
+           std::memcpy(recvbuf, round->read(0, nbytes).data(), nbytes);
            for (int r = 1; r <= me; ++r) {
              fold(static_cast<std::byte*>(recvbuf),
-                  round->slots.at(static_cast<std::size_t>(r)).data(), count, dt,
-                  op);
+                  round->read(r, nbytes).data(), count, dt, op);
            }
          });
 }
@@ -329,8 +313,8 @@ void Process::scan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
 void Process::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                                    int recvcount, Datatype dt, ReduceOp op,
                                    Comm comm, const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kReduceScatter, -1, kAnyTag, comm.id, 0,
-                   opts),
+  hooked(make_desc(trace::logged_as("MPI_Reduce_scatter_block"), -1, kAnyTag,
+                   comm.id, 0, opts),
          [&] {
            int me = -1;
            CommImpl& impl = resolve(comm, &me);
@@ -339,10 +323,12 @@ void Process::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                me, op_tag_for(trace::MpiCallType::kReduceScatter, -1),
                to_bytes(sendbuf, total, dt), uni_->config().block_timeout_ms);
            // Fold the full vectors, then keep my block.
-           std::vector<std::byte> acc = round->slots.at(0);
+           const std::size_t nbytes =
+               static_cast<std::size_t>(total) * datatype_size(dt);
+           const std::byte* first = round->read(0, nbytes).data();
+           std::vector<std::byte> acc(first, first + nbytes);
            for (int r = 1; r < impl.size(); ++r) {
-             fold(acc.data(), round->slots.at(static_cast<std::size_t>(r)).data(),
-                  total, dt, op);
+             fold(acc.data(), round->read(r, nbytes).data(), total, dt, op);
            }
            const std::size_t block =
                static_cast<std::size_t>(recvcount) * datatype_size(dt);
@@ -353,7 +339,8 @@ void Process::reduce_scatter_block(const void* sendbuf, void* recvbuf,
 
 Comm Process::comm_dup(Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kOther, -1, kAnyTag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Comm_dup"), -1, kAnyTag, comm.id, 0, opts),
+      [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
         // Comm rank 0 allocates the new id and publishes it; a second
@@ -367,14 +354,16 @@ Comm Process::comm_dup(Comm comm, const CallOpts& opts) {
         auto round = impl.exchange(me, /*op_tag=*/900001, std::move(contribution),
                                    uni_->config().block_timeout_ms);
         CommId fresh_id = 0;
-        std::memcpy(&fresh_id, round->slots.at(0).data(), sizeof(CommId));
+        std::memcpy(&fresh_id, round->read(0, sizeof(CommId)).data(),
+                    sizeof(CommId));
         return Comm{fresh_id};
       });
 }
 
 Comm Process::comm_split(Comm comm, int color, int key, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kOther, -1, kAnyTag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Comm_split"), -1, kAnyTag, comm.id, 0, opts),
+      [&] {
         int me = -1;
         CommImpl& impl = resolve(comm, &me);
 
@@ -386,25 +375,23 @@ Comm Process::comm_split(Comm comm, int color, int key, const CallOpts& opts) {
         auto round = impl.exchange(me, /*op_tag=*/900002, std::move(contribution),
                                    uni_->config().block_timeout_ms);
 
-        std::vector<Entry> entries;
-        entries.reserve(round->slots.size());
-        for (const auto& slot : round->slots) {
-          Entry e{};
-          std::memcpy(&e, slot.data(), sizeof(Entry));
-          entries.push_back(e);
+        std::vector<Entry> entries(static_cast<std::size_t>(impl.size()));
+        for (int r = 0; r < impl.size(); ++r) {
+          std::memcpy(&entries[static_cast<std::size_t>(r)],
+                      round->read(r, sizeof(Entry)).data(), sizeof(Entry));
         }
 
         const int my_color = color;
 
         // Round 2: comm-rank 0 creates one communicator per color (in
         // ascending color order) and publishes the (color, id) pairs.
+        struct Pair { int color; CommId id; };
         std::vector<std::byte> ids_blob;
         if (me == 0) {
           std::vector<int> colors;
           for (const Entry& e : entries) colors.push_back(e.color);
           std::sort(colors.begin(), colors.end());
           colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-          struct Pair { int color; CommId id; };
           std::vector<Pair> pairs;
           for (int c : colors) {
             std::vector<int> group;
@@ -428,8 +415,7 @@ Comm Process::comm_split(Comm comm, int color, int key, const CallOpts& opts) {
         }
         auto round2 = impl.exchange(me, /*op_tag=*/900003, std::move(ids_blob),
                                     uni_->config().block_timeout_ms);
-        struct Pair { int color; CommId id; };
-        const auto& blob = round2->slots.at(0);
+        const std::span<const std::byte> blob = round2->read(0, sizeof(Pair));
         const std::size_t npairs = blob.size() / sizeof(Pair);
         for (std::size_t i = 0; i < npairs; ++i) {
           Pair p{};

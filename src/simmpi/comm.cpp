@@ -14,10 +14,26 @@ int CommImpl::comm_rank_of(int world_rank) const {
   return -1;
 }
 
+std::span<const std::byte> CollectiveRound::read(int comm_rank,
+                                                 std::size_t nbytes) const {
+  const std::vector<std::byte>& slot =
+      slots.at(static_cast<std::size_t>(comm_rank));
+  // A filled slot holds at least one byte (exchange marks empty payloads).
+  if (slot.empty() || slot.size() < nbytes) {
+    throw UsageError("collective on comm " + std::to_string(comm) + ": rank " +
+                     std::to_string(comm_rank) + " contributed " +
+                     std::to_string(slot.size()) + " bytes, " +
+                     std::to_string(nbytes) + " needed");
+  }
+  return slot;
+}
+
 std::shared_ptr<const CollectiveRound> CommImpl::exchange(
     int comm_rank, int op_tag, std::vector<std::byte> contribution, int timeout_ms) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!current_) current_ = std::make_shared<CollectiveRound>(members_.size());
+  if (!current_) {
+    current_ = std::make_shared<CollectiveRound>(id_, members_.size());
+  }
   std::shared_ptr<CollectiveRound> round = current_;
 
   if (round->op_tag == -1) {
@@ -35,7 +51,8 @@ std::shared_ptr<const CollectiveRound> CommImpl::exchange(
   // programs (one deposit per member per round) this is identical to counting
   // distinct slots, while under a violation the round still terminates and
   // the program observes corrupted collective semantics instead of a hang,
-  // exactly like a real MPI library's undefined behaviour.
+  // exactly like a real MPI library's undefined behaviour.  A member whose
+  // slot was left empty fails its read (CollectiveRound::read).
   slot = std::move(contribution);
   if (slot.empty()) slot.resize(1);  // mark occupied even for empty payloads.
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/simmpi/types.hpp"
@@ -20,7 +21,17 @@ namespace home::simmpi {
 
 /// One in-flight collective round on a communicator.
 struct CollectiveRound {
-  explicit CollectiveRound(std::size_t n) : slots(n) {}
+  CollectiveRound(CommId comm_id, std::size_t n) : comm(comm_id), slots(n) {}
+
+  /// Member `comm_rank`'s contribution, which must hold at least `nbytes`.
+  /// Every read of a slot goes through here: when two threads of one rank
+  /// enter one round (a CollectiveCallViolation), they fill one slot twice
+  /// and the round completes with another member's slot still empty, so
+  /// reading it throws UsageError (naming the comm and the rank) instead of
+  /// copying from nothing.
+  std::span<const std::byte> read(int comm_rank, std::size_t nbytes) const;
+
+  CommId comm;
   std::vector<std::vector<std::byte>> slots;
   std::size_t arrived = 0;
   bool complete = false;

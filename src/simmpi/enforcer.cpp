@@ -3,24 +3,17 @@
 #include <string>
 
 namespace home::simmpi {
-namespace {
-
-bool is_lifecycle(trace::MpiCallType type) {
-  return type == trace::MpiCallType::kInit ||
-         type == trace::MpiCallType::kInitThread;
-}
-
-}  // namespace
 
 void ThreadLevelEnforcer::on_call_begin(const CallDesc& desc) {
-  if (is_lifecycle(desc.type)) return;  // provided level not final yet.
+  const trace::MpiRoutine& routine = trace::routine_of(desc.type);
+  if (routine.initializes()) return;  // provided level not final yet.
   checked_.fetch_add(1, std::memory_order_relaxed);
 
   switch (desc.provided) {
     case ThreadLevel::kSingle:
     case ThreadLevel::kFunneled:
       if (!desc.on_main_thread) {
-        throw UsageError(std::string(trace::mpi_call_type_name(desc.type)) +
+        throw UsageError(std::string(routine.name) +
                          " called off the main thread under " +
                          thread_level_name(desc.provided));
       }
@@ -28,7 +21,7 @@ void ThreadLevelEnforcer::on_call_begin(const CallDesc& desc) {
     case ThreadLevel::kSerialized: {
       std::lock_guard<std::mutex> lock(mu_);
       if (in_flight_[desc.rank] > 0) {
-        throw UsageError(std::string(trace::mpi_call_type_name(desc.type)) +
+        throw UsageError(std::string(routine.name) +
                          " overlaps another MPI call under "
                          "MPI_THREAD_SERIALIZED in rank " +
                          std::to_string(desc.rank));
@@ -42,7 +35,7 @@ void ThreadLevelEnforcer::on_call_begin(const CallDesc& desc) {
 }
 
 void ThreadLevelEnforcer::on_call_end(const CallDesc& desc) {
-  if (is_lifecycle(desc.type)) return;
+  if (trace::routine_of(desc.type).initializes()) return;
   if (desc.provided == ThreadLevel::kSerialized) {
     std::lock_guard<std::mutex> lock(mu_);
     if (in_flight_[desc.rank] > 0) --in_flight_[desc.rank];

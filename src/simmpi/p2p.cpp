@@ -10,11 +10,50 @@
 namespace home::simmpi {
 namespace {
 
-std::vector<std::byte> copy_payload(const void* buf, int count, Datatype dt) {
-  const std::size_t nbytes = static_cast<std::size_t>(count) * datatype_size(dt);
-  std::vector<std::byte> payload(nbytes);
-  if (nbytes > 0) std::memcpy(payload.data(), buf, nbytes);
-  return payload;
+/// A message from comm rank `src` carrying a copy of the send buffer.
+Envelope make_envelope(int src, int tag, CommId comm, const void* buf,
+                       int count, Datatype dt) {
+  Envelope msg;
+  msg.src = src;
+  msg.tag = tag;
+  msg.comm = comm;
+  msg.dt = dt;
+  msg.count = count;
+  msg.msg_id = next_message_id();
+  msg.payload.resize(static_cast<std::size_t>(count) * datatype_size(dt));
+  if (!msg.payload.empty()) {
+    std::memcpy(msg.payload.data(), buf, msg.payload.size());
+  }
+  return msg;
+}
+
+/// A receive request matching (src, tag, comm) into `buf`, not yet posted.
+std::shared_ptr<RequestState> recv_state(void* buf, int count, Datatype dt,
+                                         int src, int tag, CommId comm,
+                                         const CallOpts& opts) {
+  auto state = std::make_shared<RequestState>(RequestKind::kRecv,
+                                              next_request_id());
+  state->match_src = src;
+  state->match_tag = tag;
+  state->match_comm = comm;
+  state->buf = buf;
+  state->count = count;
+  state->dt = dt;
+  if (opts.callsite) state->site = opts.callsite;
+  return state;
+}
+
+/// Log a cross-rank happens-before edge (kMsgSend / kMsgRecv) when the run
+/// records them.
+void emit_message_edge(Universe& uni, int rank, trace::EventKind kind,
+                       std::uint64_t msg_id) {
+  if (uni.log() == nullptr || !uni.config().emit_message_edges) return;
+  trace::Event e;
+  e.tid = uni.registry() ? uni.registry()->current_tid() : trace::kNoTid;
+  e.rank = rank;
+  e.kind = kind;
+  e.obj = msg_id;
+  uni.log()->emit(std::move(e));
 }
 
 /// Route a delivery through the fault injector: an installed Injector may
@@ -40,19 +79,13 @@ void deliver_faulted(Universe& uni, int src_rank, const char* site,
 Err Process::send(const void* buf, int count, Datatype dt, int dest, int tag,
                   Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kSend, dest, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Send"), dest, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         CommImpl& impl = resolve(comm, &my_comm_rank);
         const int dest_world = impl.world_rank_of(dest);
 
-        Envelope msg;
-        msg.src = my_comm_rank;
-        msg.tag = tag;
-        msg.comm = comm.id;
-        msg.dt = dt;
-        msg.count = count;
-        msg.msg_id = next_message_id();
-        msg.payload = copy_payload(buf, count, dt);
+        Envelope msg =
+            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
 
         std::shared_ptr<SendToken> token;
         if (uni_->config().rendezvous_sends) {
@@ -60,14 +93,7 @@ Err Process::send(const void* buf, int count, Datatype dt, int dest, int tag,
           msg.token = token;
         }
 
-        if (uni_->log() && uni_->config().emit_message_edges) {
-          trace::Event e;
-          e.tid = uni_->registry() ? uni_->registry()->current_tid() : trace::kNoTid;
-          e.rank = rank_;
-          e.kind = trace::EventKind::kMsgSend;
-          e.obj = msg.msg_id;
-          uni_->log()->emit(std::move(e));
-        }
+        emit_message_edge(*uni_, rank_, trace::EventKind::kMsgSend, msg.msg_id);
 
         deliver_faulted(*uni_, rank_, "send", dest_world, std::move(msg));
 
@@ -86,18 +112,10 @@ Err Process::send(const void* buf, int count, Datatype dt, int dest, int tag,
 Request Process::irecv(void* buf, int count, Datatype dt, int src, int tag,
                        Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kIrecv, src, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Irecv"), src, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         resolve(comm, &my_comm_rank);
-        auto state = std::make_shared<RequestState>(RequestKind::kRecv,
-                                                    next_request_id());
-        state->match_src = src;
-        state->match_tag = tag;
-        state->match_comm = comm.id;
-        state->buf = buf;
-        state->count = count;
-        state->dt = dt;
-        if (opts.callsite) state->site = opts.callsite;
+        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
         uni_->mailbox(rank_).post_recv(state);
         return Request(state);
       });
@@ -106,30 +124,15 @@ Request Process::irecv(void* buf, int count, Datatype dt, int src, int tag,
 Err Process::recv(void* buf, int count, Datatype dt, int src, int tag, Comm comm,
                   Status* status, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kRecv, src, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Recv"), src, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         resolve(comm, &my_comm_rank);
-        auto state = std::make_shared<RequestState>(RequestKind::kRecv,
-                                                    next_request_id());
-        state->match_src = src;
-        state->match_tag = tag;
-        state->match_comm = comm.id;
-        state->buf = buf;
-        state->count = count;
-        state->dt = dt;
-        if (opts.callsite) state->site = opts.callsite;
+        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
         uni_->mailbox(rank_).post_recv(state);
         const Err err = state->wait(uni_->config().block_timeout_ms);
         const Status st = state->status();
         if (status) *status = st;
-        if (uni_->log() && uni_->config().emit_message_edges) {
-          trace::Event e;
-          e.tid = uni_->registry() ? uni_->registry()->current_tid() : trace::kNoTid;
-          e.rank = rank_;
-          e.kind = trace::EventKind::kMsgRecv;
-          e.obj = st.msg_id;
-          uni_->log()->emit(std::move(e));
-        }
+        emit_message_edge(*uni_, rank_, trace::EventKind::kMsgRecv, st.msg_id);
         return err;
       });
 }
@@ -137,28 +140,15 @@ Err Process::recv(void* buf, int count, Datatype dt, int src, int tag, Comm comm
 Request Process::isend(const void* buf, int count, Datatype dt, int dest, int tag,
                        Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kIsend, dest, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Isend"), dest, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         CommImpl& impl = resolve(comm, &my_comm_rank);
         const int dest_world = impl.world_rank_of(dest);
 
-        Envelope msg;
-        msg.src = my_comm_rank;
-        msg.tag = tag;
-        msg.comm = comm.id;
-        msg.dt = dt;
-        msg.count = count;
-        msg.msg_id = next_message_id();
-        msg.payload = copy_payload(buf, count, dt);
+        Envelope msg =
+            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
 
-        if (uni_->log() && uni_->config().emit_message_edges) {
-          trace::Event e;
-          e.tid = uni_->registry() ? uni_->registry()->current_tid() : trace::kNoTid;
-          e.rank = rank_;
-          e.kind = trace::EventKind::kMsgSend;
-          e.obj = msg.msg_id;
-          uni_->log()->emit(std::move(e));
-        }
+        emit_message_edge(*uni_, rank_, trace::EventKind::kMsgSend, msg.msg_id);
 
         // Eager semantics: the buffer is copied, so the send completes
         // immediately from the caller's point of view.
@@ -173,19 +163,13 @@ Request Process::isend(const void* buf, int count, Datatype dt, int dest, int ta
 Err Process::wait(Request& request, Status* status, const CallOpts& opts) {
   if (!request.valid()) throw UsageError("MPI_Wait on null request");
   return hooked(
-      make_desc(trace::MpiCallType::kWait, -1, kAnyTag, 0, request.id(), opts),
+      make_desc(trace::logged_as("MPI_Wait"), -1, kAnyTag, 0, request.id(), opts),
       [&] {
         const Err err = request.state()->wait(uni_->config().block_timeout_ms);
         const Status st = request.state()->status();
         if (status) *status = st;
-        if (request.state()->kind() == RequestKind::kRecv && uni_->log() &&
-            uni_->config().emit_message_edges && st.msg_id != 0) {
-          trace::Event e;
-          e.tid = uni_->registry() ? uni_->registry()->current_tid() : trace::kNoTid;
-          e.rank = rank_;
-          e.kind = trace::EventKind::kMsgRecv;
-          e.obj = st.msg_id;
-          uni_->log()->emit(std::move(e));
+        if (request.state()->kind() == RequestKind::kRecv && st.msg_id != 0) {
+          emit_message_edge(*uni_, rank_, trace::EventKind::kMsgRecv, st.msg_id);
         }
         return err;
       });
@@ -194,7 +178,7 @@ Err Process::wait(Request& request, Status* status, const CallOpts& opts) {
 bool Process::test(Request& request, Status* status, const CallOpts& opts) {
   if (!request.valid()) throw UsageError("MPI_Test on null request");
   return hooked(
-      make_desc(trace::MpiCallType::kTest, -1, kAnyTag, 0, request.id(), opts),
+      make_desc(trace::logged_as("MPI_Test"), -1, kAnyTag, 0, request.id(), opts),
       [&] {
         Status st;
         Err err = Err::kOk;
@@ -206,7 +190,7 @@ bool Process::test(Request& request, Status* status, const CallOpts& opts) {
 
 void Process::probe(int src, int tag, Comm comm, Status* status,
                     const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kProbe, src, tag, comm.id, 0, opts), [&] {
+  hooked(make_desc(trace::logged_as("MPI_Probe"), src, tag, comm.id, 0, opts), [&] {
     resolve(comm, nullptr);
     uni_->mailbox(rank_).probe(src, tag, comm.id, status,
                                uni_->config().block_timeout_ms);
@@ -216,7 +200,7 @@ void Process::probe(int src, int tag, Comm comm, Status* status,
 bool Process::iprobe(int src, int tag, Comm comm, Status* status,
                      const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kIprobe, src, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Iprobe"), src, tag, comm.id, 0, opts), [&] {
         resolve(comm, nullptr);
         return uni_->mailbox(rank_).iprobe(src, tag, comm.id, status);
       });
@@ -225,31 +209,18 @@ bool Process::iprobe(int src, int tag, Comm comm, Status* status,
 Err Process::ssend(const void* buf, int count, Datatype dt, int dest, int tag,
                    Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kSend, dest, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Ssend"), dest, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         CommImpl& impl = resolve(comm, &my_comm_rank);
         const int dest_world = impl.world_rank_of(dest);
 
-        Envelope msg;
-        msg.src = my_comm_rank;
-        msg.tag = tag;
-        msg.comm = comm.id;
-        msg.dt = dt;
-        msg.count = count;
-        msg.msg_id = next_message_id();
-        msg.payload = copy_payload(buf, count, dt);
+        Envelope msg =
+            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
         // Synchronous mode: always rendezvous.
         auto token = std::make_shared<SendToken>();
         msg.token = token;
 
-        if (uni_->log() && uni_->config().emit_message_edges) {
-          trace::Event e;
-          e.tid = uni_->registry() ? uni_->registry()->current_tid() : trace::kNoTid;
-          e.rank = rank_;
-          e.kind = trace::EventKind::kMsgSend;
-          e.obj = msg.msg_id;
-          uni_->log()->emit(std::move(e));
-        }
+        emit_message_edge(*uni_, rank_, trace::EventKind::kMsgSend, msg.msg_id);
 
         deliver_faulted(*uni_, rank_, "ssend", dest_world, std::move(msg));
 
@@ -282,7 +253,7 @@ int Process::waitany(std::vector<Request>& requests, Status* status,
   // the thread-safety analysis sees which requests this call may complete.
   for (Request& r : requests) {
     if (!r.valid()) continue;
-    hooked(make_desc(trace::MpiCallType::kWait, -1, kAnyTag, 0, r.id(), opts),
+    hooked(make_desc(trace::logged_as("MPI_Waitany"), -1, kAnyTag, 0, r.id(), opts),
            [] {});
   }
   const int timeout_ms = uni_->config().block_timeout_ms;
@@ -316,10 +287,13 @@ bool Process::testall(std::vector<Request>& requests, const CallOpts& opts) {
   return all_done;
 }
 
+// A persistent request is logged as the nonblocking call it stands for, at
+// creation and at every MPI_Start; the routine table has no rows of its own
+// for them.
 Request Process::send_init(const void* buf, int count, Datatype dt, int dest,
                            int tag, Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kIsend, dest, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Isend"), dest, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         CommImpl& impl = resolve(comm, &my_comm_rank);
         auto state = std::make_shared<RequestState>(RequestKind::kSend,
@@ -342,17 +316,9 @@ Request Process::send_init(const void* buf, int count, Datatype dt, int dest,
 Request Process::recv_init(void* buf, int count, Datatype dt, int src, int tag,
                            Comm comm, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kIrecv, src, tag, comm.id, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Irecv"), src, tag, comm.id, 0, opts), [&] {
         resolve(comm, nullptr);
-        auto state = std::make_shared<RequestState>(RequestKind::kRecv,
-                                                    next_request_id());
-        state->match_src = src;
-        state->match_tag = tag;
-        state->match_comm = comm.id;
-        state->buf = buf;
-        state->count = count;
-        state->dt = dt;
-        if (opts.callsite) state->site = opts.callsite;
+        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
         PersistentInfo info;
         info.is_send = false;
         info.count = count;
@@ -370,8 +336,8 @@ void Process::start(Request& request, const CallOpts& opts) {
     throw UsageError("MPI_Start on a non-persistent request");
   }
   hooked(make_desc(request.state()->persistent->is_send
-                       ? trace::MpiCallType::kIsend
-                       : trace::MpiCallType::kIrecv,
+                       ? trace::logged_as("MPI_Isend")
+                       : trace::logged_as("MPI_Irecv"),
                    -1, request.state()->persistent->tag,
                    request.state()->persistent->comm, request.id(), opts),
          [&] {
@@ -379,16 +345,10 @@ void Process::start(Request& request, const CallOpts& opts) {
            const PersistentInfo& info = *state.persistent;
            state.reset_for_restart();
            if (info.is_send) {
-             Envelope msg;
-             msg.src = info.my_comm_rank;
-             msg.tag = info.tag;
-             msg.comm = info.comm;
-             msg.dt = info.dt;
-             msg.count = info.count;
-             msg.msg_id = next_message_id();
-             msg.payload = copy_payload(info.send_buf, info.count, info.dt);
              deliver_faulted(*uni_, rank_, "start", info.peer_world,
-                             std::move(msg));
+                             make_envelope(info.my_comm_rank, info.tag,
+                                           info.comm, info.send_buf,
+                                           info.count, info.dt));
              state.complete(Status{}, Err::kOk);  // eager send semantics.
            } else {
              uni_->mailbox(rank_).post_recv(request.shared_state());
@@ -400,16 +360,14 @@ Err Process::sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest
                       int sendtag, void* recvbuf, int recvcount, Datatype rdt,
                       int src, int recvtag, Comm comm, Status* status,
                       const CallOpts& opts) {
-  return hooked(
-      make_desc(trace::MpiCallType::kSendrecv, dest, sendtag, comm.id, 0, opts),
-      [&] {
-        // Post the receive first, then send, then complete the receive —
-        // deadlock-free for symmetric exchanges even in rendezvous mode.
-        Request r = irecv(recvbuf, recvcount, rdt, src, recvtag, comm);
-        const Err serr = send(sendbuf, sendcount, sdt, dest, sendtag, comm);
-        const Err rerr = wait(r, status);
-        return serr != Err::kOk ? serr : rerr;
-      });
+  // Reported as the primitive calls it runs, each with the caller's
+  // callsite, as Waitall is: the receive half is then matched like any
+  // receive.  Post the receive first, then send, then complete the receive
+  // — deadlock-free for symmetric exchanges even in rendezvous mode.
+  Request r = irecv(recvbuf, recvcount, rdt, src, recvtag, comm, opts);
+  const Err serr = send(sendbuf, sendcount, sdt, dest, sendtag, comm, opts);
+  const Err rerr = wait(r, status, opts);
+  return serr != Err::kOk ? serr : rerr;
 }
 
 }  // namespace home::simmpi

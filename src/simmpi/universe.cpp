@@ -132,7 +132,7 @@ bool Process::is_thread_main() const {
 void Process::init(const CallOpts& opts) {
   // Plain MPI_Init grants only MPI_THREAD_SINGLE — the root cause of the
   // paper's Figure 1 case study.
-  hooked(make_desc(trace::MpiCallType::kInit, -1, kAnyTag, 0, 0, opts), [&] {
+  hooked(make_desc(trace::logged_as("MPI_Init"), -1, kAnyTag, 0, 0, opts), [&] {
     provided_ = ThreadLevel::kSingle;
     initialized_.store(true);
   });
@@ -140,7 +140,7 @@ void Process::init(const CallOpts& opts) {
 
 ThreadLevel Process::init_thread(ThreadLevel requested, const CallOpts& opts) {
   return hooked(
-      make_desc(trace::MpiCallType::kInitThread, -1, kAnyTag, 0, 0, opts), [&] {
+      make_desc(trace::logged_as("MPI_Init_thread"), -1, kAnyTag, 0, 0, opts), [&] {
         const auto req = static_cast<int>(requested);
         const auto cap = static_cast<int>(uni_->config().max_thread_level);
         provided_ = req <= cap ? requested : uni_->config().max_thread_level;
@@ -150,7 +150,7 @@ ThreadLevel Process::init_thread(ThreadLevel requested, const CallOpts& opts) {
 }
 
 void Process::finalize(const CallOpts& opts) {
-  hooked(make_desc(trace::MpiCallType::kFinalize, -1, kAnyTag, 0, 0, opts),
+  hooked(make_desc(trace::logged_as("MPI_Finalize"), -1, kAnyTag, 0, 0, opts),
          [&] { finalized_.store(true); });
 }
 

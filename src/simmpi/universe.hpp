@@ -259,29 +259,13 @@ class Universe {
   AbortSignal abort_;
 };
 
-/// Exploration hook kind for an MPI entry point: blocking/matching calls get
+/// Exploration hook kind for an MPI routine: blocking/matching calls get
 /// their own kinds so strategies can target them (DESIGN.md §11 inventory).
-inline explore::HookKind explore_kind_for(trace::MpiCallType type) {
-  switch (type) {
-    case trace::MpiCallType::kWait:
-    case trace::MpiCallType::kTest:
-      return explore::HookKind::kWaitTest;
-    case trace::MpiCallType::kProbe:
-    case trace::MpiCallType::kIprobe:
-      return explore::HookKind::kProbe;
-    case trace::MpiCallType::kBarrier:
-    case trace::MpiCallType::kBcast:
-    case trace::MpiCallType::kReduce:
-    case trace::MpiCallType::kAllreduce:
-    case trace::MpiCallType::kGather:
-    case trace::MpiCallType::kScatter:
-    case trace::MpiCallType::kAlltoall:
-    case trace::MpiCallType::kScan:
-    case trace::MpiCallType::kReduceScatter:
-      return explore::HookKind::kCollectiveArrive;
-    default:
-      return explore::HookKind::kMpiCall;
-  }
+inline explore::HookKind explore_kind_for(const trace::MpiRoutine& routine) {
+  if (routine.completes_request()) return explore::HookKind::kWaitTest;
+  if (routine.probes()) return explore::HookKind::kProbe;
+  if (routine.collective()) return explore::HookKind::kCollectiveArrive;
+  return explore::HookKind::kMpiCall;
 }
 
 template <typename Body>
@@ -289,16 +273,13 @@ auto Process::hooked(CallDesc desc, Body&& body) {
   // Yield hook before anything happens (including the wrapper logging), so
   // an injected delay shifts the whole call — this is the per-MPI-call
   // choice point of the schedule explorer.  One load + branch when off.
-  explore::yield_point(explore_kind_for(desc.type), desc.rank,
-                       desc.callsite != nullptr
-                           ? desc.callsite
-                           : trace::mpi_call_type_name(desc.type));
+  const trace::MpiRoutine& routine = trace::routine_of(desc.type);
+  const char* site = desc.callsite != nullptr ? desc.callsite : routine.name;
+  explore::yield_point(explore_kind_for(routine), desc.rank, site);
   // Fault hook at the same choice point: the run's Injector may stall this
   // rank or throw RankCrashError (collected by Universe::run into
   // RunResult::failed_ranks).  One load + branch when off.
-  faults::mpi_call_point(desc.rank, desc.callsite != nullptr
-                                        ? desc.callsite
-                                        : trace::mpi_call_type_name(desc.type));
+  faults::mpi_call_point(desc.rank, site);
   uni_->hooks().begin(desc);
   if constexpr (std::is_void_v<decltype(body())>) {
     body();

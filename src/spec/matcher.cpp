@@ -121,7 +121,7 @@ Matcher::RankState* Matcher::note_call(const CallRef& call,
   RankState& rs = ranks_[e.rank];
   const MpiCallType type = e.mpi->type;
 
-  if (type == MpiCallType::kInit || type == MpiCallType::kInitThread) {
+  if (trace::routine_of(type).initializes()) {
     rs.saw_init = true;
     if (type == MpiCallType::kInitThread) rs.used_init_thread = true;
     rs.provided = static_cast<simmpi::ThreadLevel>(e.mpi->provided);

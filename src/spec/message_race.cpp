@@ -11,16 +11,15 @@ namespace {
 
 using detect::HbIndex;
 using trace::Event;
-using trace::MpiCallType;
 
 bool is_send_call(const Event& e) {
   return e.kind == trace::EventKind::kMpiCall && e.mpi &&
-         (e.mpi->type == MpiCallType::kSend || e.mpi->type == MpiCallType::kIsend);
+         trace::routine_of(e.mpi->type).sends();
 }
 
 bool is_wildcard_recv(const Event& e) {
   return e.kind == trace::EventKind::kMpiCall && e.mpi &&
-         trace::is_receive(e.mpi->type) && e.mpi->peer < 0;
+         trace::routine_of(e.mpi->type).receives() && e.mpi->peer < 0;
 }
 
 }  // namespace

@@ -7,26 +7,23 @@
 // calls of this class can execute concurrently in this rank".
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
+#include <iterator>
+#include <span>
 
 #include "src/trace/event.hpp"
 
 namespace home::spec {
 
-enum class MonitoredVar : std::uint8_t {
-  kSrcTmp = 0,
-  kTagTmp = 1,
-  kCommTmp = 2,
-  kRequestTmp = 3,
-  kCollectiveTmp = 4,
-  kFinalizeTmp = 5,
-};
+using trace::kMonitoredVarCount;
+using trace::MonitoredVar;
 
-inline constexpr int kMonitoredVarCount = 6;
-
-const char* monitored_var_name(MonitoredVar var);
+constexpr const char* monitored_var_name(MonitoredVar var) {
+  constexpr const char* kNames[kMonitoredVarCount] = {
+      "srctmp", "tagtmp", "commtmp", "requesttmp", "collectivetmp", "finalizetmp"};
+  const auto i = static_cast<std::size_t>(var);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
 
 /// Monitored-variable ObjIds live in a reserved range so they can never
 /// collide with lock ids or traced application addresses.
@@ -49,8 +46,11 @@ constexpr MonitoredVar monitored_var_kind(trace::ObjId id) {
   return static_cast<MonitoredVar>((id - kMonitoredBase) % 16);
 }
 
-/// Which monitored variables an MPI call of the given type WRITEs
-/// (the wrapper bodies of Section IV.B).
-std::vector<MonitoredVar> monitored_vars_for(trace::MpiCallType type);
+/// Which monitored variables an MPI call of the given type WRITEs, in write
+/// order (the wrapper bodies of Section IV.B; trace/mpi_routines.hpp).
+constexpr std::span<const MonitoredVar> monitored_vars_for(
+    trace::MpiCallType type) {
+  return trace::routine_of(type).vars();
+}
 
 }  // namespace home::spec

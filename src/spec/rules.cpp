@@ -36,13 +36,14 @@ std::size_t match_call_pair(MonitoredVar kind, const Event& c1, const Event& c2,
                             std::vector<Violation>* out) {
   const trace::MpiCallInfo& m1 = *c1.mpi;
   const trace::MpiCallInfo& m2 = *c2.mpi;
+  const trace::MpiRoutine& r1 = trace::routine_of(m1.type);
+  const trace::MpiRoutine& r2 = trace::routine_of(m2.type);
   std::size_t added = 0;
 
   if (kind == MonitoredVar::kSrcTmp) {
     // V3: both receives, same (source, tag, comm).
-    if (trace::is_receive(m1.type) && trace::is_receive(m2.type) &&
-        m1.comm == m2.comm && args_overlap(m1.peer, m2.peer) &&
-        args_overlap(m1.tag, m2.tag)) {
+    if (r1.receives() && r2.receives() && m1.comm == m2.comm &&
+        args_overlap(m1.peer, m2.peer) && args_overlap(m1.tag, m2.tag)) {
       Violation v;
       v.type = ViolationType::kConcurrentRecv;
       fill_pair(v, c1, c2, strings);
@@ -57,10 +58,9 @@ std::size_t match_call_pair(MonitoredVar kind, const Event& c1, const Event& c2,
     }
     // V5: a probe concurrent with a probe or receive, same (source, tag)
     // on the same communicator.
-    const bool p1 = trace::is_probe(m1.type);
-    const bool p2 = trace::is_probe(m2.type);
-    if ((p1 || p2) &&
-        (p1 ? (p2 || trace::is_receive(m2.type)) : trace::is_receive(m1.type)) &&
+    const bool p1 = r1.probes();
+    const bool p2 = r2.probes();
+    if ((p1 || p2) && (p1 ? (p2 || r2.receives()) : r1.receives()) &&
         m1.comm == m2.comm && args_overlap(m1.peer, m2.peer) &&
         args_overlap(m1.tag, m2.tag)) {
       Violation v;
@@ -68,8 +68,7 @@ std::size_t match_call_pair(MonitoredVar kind, const Event& c1, const Event& c2,
       fill_pair(v, c1, c2, strings);
       v.comm = m1.comm;
       std::ostringstream os;
-      os << trace::mpi_call_type_name(m1.type) << " and "
-         << trace::mpi_call_type_name(m2.type) << " race on source=" << m1.peer
+      os << r1.name << " and " << r2.name << " race on source=" << m1.peer
          << " tag=" << m1.tag << " comm=" << m1.comm;
       v.detail = os.str();
       out->push_back(std::move(v));
@@ -77,16 +76,14 @@ std::size_t match_call_pair(MonitoredVar kind, const Event& c1, const Event& c2,
     }
   } else if (kind == MonitoredVar::kRequestTmp) {
     // V4: both Wait/Test on the same request object.
-    if (trace::is_request_completion(m1.type) &&
-        trace::is_request_completion(m2.type) && m1.request == m2.request &&
-        m1.request != 0) {
+    if (r1.completes_request() && r2.completes_request() &&
+        m1.request == m2.request && m1.request != 0) {
       Violation v;
       v.type = ViolationType::kConcurrentRequest;
       fill_pair(v, c1, c2, strings);
       v.request = m1.request;
       std::ostringstream os;
-      os << trace::mpi_call_type_name(m1.type) << " and "
-         << trace::mpi_call_type_name(m2.type) << " complete the same request "
+      os << r1.name << " and " << r2.name << " complete the same request "
          << m1.request;
       v.detail = os.str();
       out->push_back(std::move(v));
@@ -94,15 +91,13 @@ std::size_t match_call_pair(MonitoredVar kind, const Event& c1, const Event& c2,
     }
   } else if (kind == MonitoredVar::kCollectiveTmp) {
     // V6: two concurrent collectives on the same communicator.
-    if (trace::is_collective(m1.type) && trace::is_collective(m2.type) &&
-        m1.comm == m2.comm) {
+    if (r1.collective() && r2.collective() && m1.comm == m2.comm) {
       Violation v;
       v.type = ViolationType::kCollectiveCall;
       fill_pair(v, c1, c2, strings);
       v.comm = m1.comm;
       std::ostringstream os;
-      os << trace::mpi_call_type_name(m1.type) << " and "
-         << trace::mpi_call_type_name(m2.type) << " concurrently use comm "
+      os << r1.name << " and " << r2.name << " concurrently use comm "
          << m1.comm;
       v.detail = os.str();
       out->push_back(std::move(v));
@@ -132,7 +127,7 @@ Violation funneled_off_main(const Event& call,
   v.tid1 = call.tid;
   v.call1 = call.seq;
   v.callsite1 = call_label(strings, call);
-  v.detail = std::string(trace::mpi_call_type_name(call.mpi->type)) +
+  v.detail = std::string(trace::routine_of(call.mpi->type).name) +
              " issued off the main thread under MPI_THREAD_FUNNELED";
   return v;
 }
@@ -166,7 +161,7 @@ Violation call_after_finalize(const Event& fin, const Event& call,
   Violation v;
   v.type = ViolationType::kFinalization;
   fill_pair(v, fin, call, strings);
-  v.detail = std::string(trace::mpi_call_type_name(call.mpi->type)) +
+  v.detail = std::string(trace::routine_of(call.mpi->type).name) +
              " issued after MPI_Finalize";
   return v;
 }
@@ -176,7 +171,7 @@ Violation finalize_unordered(const Event& fin, const Event& call,
   Violation v;
   v.type = ViolationType::kFinalization;
   fill_pair(v, fin, call, strings);
-  v.detail = std::string(trace::mpi_call_type_name(call.mpi->type)) +
+  v.detail = std::string(trace::routine_of(call.mpi->type).name) +
              " on another thread is not ordered before MPI_Finalize";
   return v;
 }

@@ -23,63 +23,6 @@ const char* event_kind_name(EventKind kind) {
   return "?";
 }
 
-const char* mpi_call_type_name(MpiCallType type) {
-  switch (type) {
-    case MpiCallType::kInit: return "MPI_Init";
-    case MpiCallType::kInitThread: return "MPI_Init_thread";
-    case MpiCallType::kFinalize: return "MPI_Finalize";
-    case MpiCallType::kSend: return "MPI_Send";
-    case MpiCallType::kRecv: return "MPI_Recv";
-    case MpiCallType::kIsend: return "MPI_Isend";
-    case MpiCallType::kIrecv: return "MPI_Irecv";
-    case MpiCallType::kWait: return "MPI_Wait";
-    case MpiCallType::kTest: return "MPI_Test";
-    case MpiCallType::kProbe: return "MPI_Probe";
-    case MpiCallType::kIprobe: return "MPI_Iprobe";
-    case MpiCallType::kBarrier: return "MPI_Barrier";
-    case MpiCallType::kBcast: return "MPI_Bcast";
-    case MpiCallType::kReduce: return "MPI_Reduce";
-    case MpiCallType::kAllreduce: return "MPI_Allreduce";
-    case MpiCallType::kGather: return "MPI_Gather";
-    case MpiCallType::kScatter: return "MPI_Scatter";
-    case MpiCallType::kAlltoall: return "MPI_Alltoall";
-    case MpiCallType::kSendrecv: return "MPI_Sendrecv";
-    case MpiCallType::kScan: return "MPI_Scan";
-    case MpiCallType::kReduceScatter: return "MPI_Reduce_scatter";
-    case MpiCallType::kOther: return "MPI_<other>";
-  }
-  return "?";
-}
-
-bool is_collective(MpiCallType type) {
-  switch (type) {
-    case MpiCallType::kBarrier:
-    case MpiCallType::kBcast:
-    case MpiCallType::kReduce:
-    case MpiCallType::kAllreduce:
-    case MpiCallType::kGather:
-    case MpiCallType::kScatter:
-    case MpiCallType::kAlltoall:
-    case MpiCallType::kScan:
-    case MpiCallType::kReduceScatter:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_probe(MpiCallType type) {
-  return type == MpiCallType::kProbe || type == MpiCallType::kIprobe;
-}
-
-bool is_receive(MpiCallType type) {
-  return type == MpiCallType::kRecv || type == MpiCallType::kIrecv;
-}
-
-bool is_request_completion(MpiCallType type) {
-  return type == MpiCallType::kWait || type == MpiCallType::kTest;
-}
-
 bool locksets_disjoint(const std::vector<ObjId>& a, const std::vector<ObjId>& b) {
   // Both snapshots are sorted; standard merge-scan intersection test.
   std::size_t i = 0;
@@ -125,7 +68,7 @@ std::string event_to_string(const Event& e) {
   }
   if (e.mpi) {
     out += ' ';
-    out += mpi_call_type_name(e.mpi->type);
+    out += routine_of(e.mpi->type).name;
     out += "(peer=";
     out += std::to_string(e.mpi->peer);
     out += ",tag=";

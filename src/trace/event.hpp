@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/mpi_routines.hpp"
+
 namespace home::trace {
 
 using Tid = std::int32_t;        ///< Global (process-wide) small thread id.
@@ -36,39 +38,10 @@ enum class EventKind : std::uint8_t {
   kRegionEnd,    ///< OpenMP parallel region exit (informational).
 };
 
+inline constexpr int kEventKindCount =
+    static_cast<int>(EventKind::kRegionEnd) + 1;
+
 const char* event_kind_name(EventKind kind);
-
-/// The MPI routine classes the thread-safety specification distinguishes.
-enum class MpiCallType : std::uint8_t {
-  kInit,
-  kInitThread,
-  kFinalize,
-  kSend,
-  kRecv,
-  kIsend,
-  kIrecv,
-  kWait,
-  kTest,
-  kProbe,
-  kIprobe,
-  kBarrier,
-  kBcast,
-  kReduce,
-  kAllreduce,
-  kGather,
-  kScatter,
-  kAlltoall,
-  kSendrecv,
-  kScan,
-  kReduceScatter,
-  kOther,
-};
-
-const char* mpi_call_type_name(MpiCallType type);
-bool is_collective(MpiCallType type);
-bool is_probe(MpiCallType type);
-bool is_receive(MpiCallType type);
-bool is_request_completion(MpiCallType type);  ///< Wait / Test.
 
 /// Arguments recorded for one MPI call (the paper's "execution log" entry).
 struct MpiCallInfo {

@@ -75,7 +75,6 @@ namespace {
 /// turn into a multi-gigabyte resize before the record is rejected.
 constexpr std::size_t kMaxLocksPerEvent = 1u << 20;
 constexpr std::uint32_t kMaxStringId = 1u << 24;
-constexpr int kMaxEventKind = 64;
 
 /// Parse one "S"/"E" line into `result`.  Returns false on any malformation
 /// — short record, bad tag, absurd counts — leaving `result` untouched by
@@ -109,7 +108,7 @@ bool parse_trace_line(const std::string& line, LoadedTrace* result,
   // A short E line leaves fail+eof set; iostream extraction "succeeding"
   // with zero-filled fields is exactly the silent corruption this loader
   // must refuse.
-  if (is.fail() || kind < 0 || kind > kMaxEventKind ||
+  if (is.fail() || kind < 0 || kind >= kEventKindCount ||
       nlocks > kMaxLocksPerEvent) {
     *error = "trace_io: malformed event line";
     return false;
@@ -133,6 +132,11 @@ bool parse_trace_line(const std::string& line, LoadedTrace* result,
         main_thread >> provided >> info.callsite;
     if (is.fail()) {
       *error = "trace_io: truncated MPI record";
+      return false;
+    }
+    // The type indexes the MPI routine table.
+    if (type < 0 || static_cast<std::size_t>(type) >= kMpiCallTypeCount) {
+      *error = "trace_io: unknown MPI call type";
       return false;
     }
     info.type = static_cast<MpiCallType>(type);

@@ -122,6 +122,9 @@ bool decode_event(std::string_view payload, Event* e) {
       !r.get(&nlocks)) {
     return false;
   }
+  // An event kind or MPI type outside its enum is corrupt: the type indexes
+  // the MPI routine table.
+  if (kind >= kEventKindCount) return false;
   e->kind = static_cast<EventKind>(kind);
   // A lock count the payload cannot hold is corrupt: refuse it before
   // sizing the lockset from it.
@@ -136,7 +139,8 @@ bool decode_event(std::string_view payload, Event* e) {
     std::uint8_t type = 0, main_thread = 0;
     if (!r.get(&type) || !r.get(&info.peer) || !r.get(&info.tag) ||
         !r.get(&info.comm) || !r.get(&info.request) || !r.get(&main_thread) ||
-        !r.get(&info.provided) || !r.get(&info.callsite)) {
+        !r.get(&info.provided) || !r.get(&info.callsite) ||
+        type >= kMpiCallTypeCount) {
       return false;
     }
     info.type = static_cast<MpiCallType>(type);

@@ -5,6 +5,9 @@
 // variant of each pattern.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/sync.hpp"
@@ -370,6 +373,51 @@ TEST(CollectiveCall, ConcurrentBarriersOnOneCommIsViolation) {
   EXPECT_TRUE(result.report.has(ViolationType::kCollectiveCall));
 }
 
+TEST(CollectiveCall, ConcurrentCommDupOnOneCommIsViolation) {
+  // Creating per-thread communicators from two threads at once is itself a
+  // collective on the parent communicator issued concurrently.
+  CheckConfig cfg = two_by_two();
+  cfg.block_timeout_ms = 300;
+  auto result = check_program(cfg, [](Process& p) {
+    p.init_thread(ThreadLevel::kMultiple);
+    homp::parallel(2, [&] { p.comm_dup(kCommWorld, {"v6.comm_dup"}); });
+    p.finalize();
+  });
+  EXPECT_TRUE(result.report.has(ViolationType::kCollectiveCall))
+      << result.report.to_string();
+}
+
+TEST(CollectiveCall, ConcurrentCollectivesFailTheRankInsteadOfCrashing) {
+  // Two threads of one rank entering one round fill one slot twice and can
+  // complete the round with another member's slot empty; reading it must
+  // fail the rank, never the process.  Repeated to hit that interleaving.
+  CheckConfig cfg = two_by_two();
+  cfg.block_timeout_ms = 100;
+  const std::function<void(Process&)> programs[] = {
+      [](Process& p) {
+        p.init_thread(ThreadLevel::kMultiple);
+        homp::parallel(2, [&] { p.comm_dup(kCommWorld, {"v6.comm_dup"}); });
+        p.finalize();
+      },
+      [](Process& p) {
+        p.init_thread(ThreadLevel::kMultiple);
+        homp::parallel(2, [&] {
+          std::vector<double> in(64, 1.0), out(64, 0.0);
+          p.allreduce(in.data(), out.data(), 64, Datatype::kDouble,
+                      ReduceOp::kSum, kCommWorld, {"v6.allreduce"});
+        });
+        p.finalize();
+      },
+  };
+  for (const auto& program : programs) {
+    for (int rep = 0; rep < 50; ++rep) {
+      auto result = check_program(cfg, program);
+      ASSERT_TRUE(result.report.has(ViolationType::kCollectiveCall))
+          << "rep " << rep << ": " << result.report.to_string();
+    }
+  }
+}
+
 TEST(CollectiveCall, PerThreadCommunicatorsAreClean) {
   auto result = check_program(two_by_two(), [](Process& p) {
     p.init_thread(ThreadLevel::kMultiple);
@@ -470,6 +518,33 @@ TEST(Pipeline, PlanFilterHonorsCallsiteList) {
   // Both recvs instrumented -> ConcurrentRecv found even with the narrow plan.
   EXPECT_TRUE(result.report.has(ViolationType::kConcurrentRecv));
   EXPECT_GT(result.report.stats().skipped_calls, 0u);
+}
+
+TEST(Pipeline, ConcurrentSendrecvIsConcurrentRecvUnderEveryFilter) {
+  // A Sendrecv is reported as the Irecv, Send and Wait it runs, each with
+  // the caller's callsite, so a static plan naming the call keeps its
+  // receive half.
+  for (InstrumentFilter filter :
+       {InstrumentFilter::kParallelOnly, InstrumentFilter::kPlan}) {
+    CheckConfig cfg = two_by_two();
+    cfg.session.filter = filter;
+    cfg.session.plan = {"v3.sendrecv"};
+    auto result = check_program(cfg, [](Process& p) {
+      p.init_thread(ThreadLevel::kMultiple);
+      const int peer = 1 - p.rank();
+      homp::parallel(2, [&] {
+        const int mine = homp::thread_num();
+        int theirs = -1;
+        p.sendrecv(&mine, 1, Datatype::kInt, peer, 5, &theirs, 1,
+                   Datatype::kInt, peer, 5, kCommWorld, nullptr,
+                   {"v3.sendrecv"});
+      });
+      p.finalize();
+    });
+    EXPECT_TRUE(result.run.ok());
+    EXPECT_TRUE(result.report.has(ViolationType::kConcurrentRecv))
+        << instrument_filter_name(filter) << ": " << result.report.to_string();
+  }
 }
 
 TEST(Pipeline, ReportRendersViolations) {

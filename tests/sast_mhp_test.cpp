@@ -1057,6 +1057,66 @@ int main() {
       << warnings_dump(warnings);
 }
 
+/// main() running `first` and `second` in two concurrent omp sections.
+std::string two_sections(const std::string& first, const std::string& second) {
+  return "int main() {\n"
+         "  MPI_Init_thread(&argc, &argv, MPI_THREAD_MULTIPLE, &provided);\n"
+         "  #pragma omp parallel sections\n"
+         "  {\n"
+         "    #pragma omp section\n"
+         "    { " + first + " }\n"
+         "    #pragma omp section\n"
+         "    { " + second + " }\n"
+         "  }\n"
+         "  MPI_Finalize();\n"
+         "  return 0;\n"
+         "}\n";
+}
+
+TEST(Anticipation, AllgatherAndScanPairsAreCollectiveCalls) {
+  const std::string calls[] = {
+      "MPI_Allgather(&a, 1, MPI_INT, b, 1, MPI_INT, MPI_COMM_WORLD);",
+      "MPI_Scan(&a, &b, 1, MPI_INT, MPI_SUM, MPI_COMM_WORLD);",
+  };
+  for (const std::string& call : calls) {
+    const auto warnings = diagnose_source(two_sections(call, call));
+    EXPECT_TRUE(has_definite(warnings, WarningClass::kCollectiveCall))
+        << call << "\n" << warnings_dump(warnings);
+  }
+}
+
+TEST(Anticipation, SendrecvPairMatchesOnItsReceiveHalf) {
+  // Send half (dest 1, tag 5) differs between the two calls; the receive
+  // half (source 0, tag 7) is the same, so the receives race.
+  const auto warnings = diagnose_source(two_sections(
+      "MPI_Sendrecv(&a, 1, MPI_INT, 1, 5, &b, 1, MPI_INT, 0, 7, "
+      "MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+      "MPI_Sendrecv(&a, 1, MPI_INT, 2, 6, &c, 1, MPI_INT, 0, 7, "
+      "MPI_COMM_WORLD, MPI_STATUS_IGNORE);"));
+  bool found = false;
+  for (const auto& w : warnings) {
+    if (w.cls == WarningClass::kConcurrentRecv) {
+      found = true;
+      EXPECT_NE(w.message.find("source=0 tag=7"), std::string::npos)
+          << w.to_string();
+    }
+  }
+  EXPECT_TRUE(found) << warnings_dump(warnings);
+}
+
+TEST(Anticipation, CommDupPairsCompareTheParentCommunicator) {
+  // The last argument is the new communicator; the ranks meet on args[0].
+  const auto same_parent = diagnose_source(
+      two_sections("MPI_Comm_dup(MPI_COMM_WORLD, &left);",
+                   "MPI_Comm_dup(MPI_COMM_WORLD, &right);"));
+  EXPECT_TRUE(has_definite(same_parent, WarningClass::kCollectiveCall))
+      << warnings_dump(same_parent);
+  const auto distinct_parents = diagnose_source(
+      two_sections("MPI_Comm_dup(comm_a, &out);", "MPI_Comm_dup(comm_b, &out);"));
+  EXPECT_FALSE(has_class(distinct_parents, WarningClass::kCollectiveCall))
+      << warnings_dump(distinct_parents);
+}
+
 TEST(Anticipation, SingleGuardedCollectiveIsClean) {
   const auto warnings = diagnose_source(R"(
 int main() {

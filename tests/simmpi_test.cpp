@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <mutex>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/simmpi/api.hpp"
@@ -662,6 +666,321 @@ TEST(Types, Names) {
   EXPECT_STREQ(thread_level_name(ThreadLevel::kFunneled), "MPI_THREAD_FUNNELED");
   EXPECT_STREQ(reduce_op_name(ReduceOp::kSum), "MPI_SUM");
   EXPECT_STREQ(datatype_name(Datatype::kDouble), "MPI_DOUBLE");
+}
+
+
+// --- one user call, as the hooks see it ---------------------------------------
+
+/// Records the (type, callsite) of every hook begin on rank 0 while armed.
+struct HookTap : MpiHooks {
+  std::atomic<bool> armed{false};
+  std::mutex mu;
+  std::vector<std::pair<MpiCallType, std::string>> seen;
+
+  void on_call_begin(const CallDesc& desc) override {
+    if (desc.rank != 0 || !armed.load()) return;
+    std::lock_guard<std::mutex> lock(mu);
+    seen.emplace_back(desc.type, desc.callsite ? desc.callsite : "<none>");
+  }
+  /// Runs `fn` with the tap armed when `p` is rank 0.
+  template <typename Fn>
+  auto during(const Process& p, Fn&& fn) {
+    if (p.rank() == 0) armed.store(true);
+    auto result = fn();
+    if (p.rank() == 0) armed.store(false);
+    return result;
+  }
+};
+
+/// A Process entry point called once by rank 0 with callsite "tap.site",
+/// and the table rows of the routine calls the hooks must see for it.
+struct EntryPoint {
+  const char* name;
+  std::vector<const char*> reported;
+  std::function<void(Process&, HookTap&)> run;
+};
+
+std::vector<EntryPoint> entry_points() {
+  const CallOpts site{"tap.site"};
+  const Datatype dt = Datatype::kInt;
+  const Comm world = kCommWorld;
+  // The partner (rank 1) of a point-to-point entry point.
+  const auto recv_one = [](Process& p, int tag) {
+    int v = 0;
+    p.recv(&v, 1, Datatype::kInt, 0, tag, kCommWorld);
+  };
+  const auto send_one = [](Process& p, int tag) {
+    const int v = 7;
+    p.send(&v, 1, Datatype::kInt, 0, tag, kCommWorld);
+  };
+  return {
+      {"MPI_Init", {"MPI_Init"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { p.init(site); return 0; });
+       }},
+      {"MPI_Init_thread", {"MPI_Init_thread"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { return p.init_thread(ThreadLevel::kMultiple, site); });
+       }},
+      {"MPI_Finalize", {"MPI_Finalize"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { p.finalize(site); return 0; });
+       }},
+      {"MPI_Send", {"MPI_Send"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1);
+         const int v = 1;
+         tap.during(p, [&] { return p.send(&v, 1, dt, 1, 1, world, site); });
+       }},
+      {"MPI_Ssend", {"MPI_Ssend"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1);
+         const int v = 1;
+         tap.during(p, [&] { return p.ssend(&v, 1, dt, 1, 1, world, site); });
+       }},
+      {"MPI_Recv", {"MPI_Recv"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1);
+         int v = 0;
+         tap.during(p, [&] { return p.recv(&v, 1, dt, 1, 1, world, nullptr, site); });
+       }},
+      {"MPI_Isend", {"MPI_Isend"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1);
+         const int v = 1;
+         Request r = tap.during(
+             p, [&] { return p.isend(&v, 1, dt, 1, 1, world, site); });
+         p.wait(r);
+       }},
+      {"MPI_Irecv", {"MPI_Irecv"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1);
+         int v = 0;
+         Request r = tap.during(
+             p, [&] { return p.irecv(&v, 1, dt, 1, 1, world, site); });
+         p.wait(r);
+       }},
+      {"MPI_Wait", {"MPI_Wait"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1);
+         int v = 0;
+         Request r = p.irecv(&v, 1, dt, 1, 1, world);
+         tap.during(p, [&] { return p.wait(r, nullptr, site); });
+       }},
+      {"MPI_Test", {"MPI_Test"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1);
+         const int v = 1;
+         Request r = p.isend(&v, 1, dt, 1, 1, world);
+         tap.during(p, [&] { return p.test(r, nullptr, site); });
+       }},
+      {"MPI_Probe", {"MPI_Probe"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1);
+         Status st;
+         int v = 0;
+         tap.during(p, [&] { p.probe(1, 1, world, &st, site); return 0; });
+         p.recv(&v, 1, dt, 1, 1, world);
+       }},
+      {"MPI_Iprobe", {"MPI_Iprobe"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return;
+         Status st;
+         tap.during(p, [&] { return p.iprobe(1, 1, world, &st, site); });
+       }},
+      {"MPI_Sendrecv", {"MPI_Irecv", "MPI_Send", "MPI_Wait"},
+       [=](Process& p, HookTap& tap) {
+         const int mine = p.rank();
+         int theirs = -1;
+         const int peer = 1 - p.rank();
+         tap.during(p, [&] {
+           return p.sendrecv(&mine, 1, dt, peer, 3, &theirs, 1, dt, peer, 3,
+                             world, nullptr, site);
+         });
+       }},
+      {"MPI_Waitall", {"MPI_Waitall", "MPI_Waitall"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1), send_one(p, 2);
+         int a = 0, b = 0;
+         std::vector<Request> rs{p.irecv(&a, 1, dt, 1, 1, world),
+                                 p.irecv(&b, 1, dt, 1, 2, world)};
+         tap.during(p, [&] { return p.waitall(rs, nullptr, site); });
+       }},
+      {"MPI_Waitany", {"MPI_Waitany", "MPI_Waitany"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1), send_one(p, 2);
+         int a = 0, b = 0;
+         std::vector<Request> rs{p.irecv(&a, 1, dt, 1, 1, world),
+                                 p.irecv(&b, 1, dt, 1, 2, world)};
+         const int done = tap.during(p, [&] { return p.waitany(rs, nullptr, site); });
+         p.wait(rs[static_cast<std::size_t>(1 - done)]);
+       }},
+      {"MPI_Testall", {"MPI_Testall", "MPI_Testall"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1), recv_one(p, 2);
+         const int v = 1;
+         std::vector<Request> rs{p.isend(&v, 1, dt, 1, 1, world),
+                                 p.isend(&v, 1, dt, 1, 2, world)};
+         tap.during(p, [&] { return p.testall(rs, site); });
+       }},
+      // Persistent requests are logged as the nonblocking call they stand
+      // for, at creation and at every MPI_Start.
+      {"MPI_Send_init", {"MPI_Isend"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return recv_one(p, 1);
+         const int v = 1;
+         Request r = tap.during(
+             p, [&] { return p.send_init(&v, 1, dt, 1, 1, world, site); });
+         p.start(r);
+         p.wait(r);
+       }},
+      {"MPI_Recv_init", {"MPI_Irecv"},
+       [=](Process& p, HookTap& tap) {
+         if (p.rank() == 1) return send_one(p, 1);
+         int v = 0;
+         Request r = tap.during(
+             p, [&] { return p.recv_init(&v, 1, dt, 1, 1, world, site); });
+         p.start(r);
+         p.wait(r);
+       }},
+      {"MPI_Start", {"MPI_Isend", "MPI_Irecv"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int got = 0;
+         if (p.rank() == 1) return recv_one(p, 1), send_one(p, 2);
+         Request s = p.send_init(&v, 1, dt, 1, 1, world);
+         Request r = p.recv_init(&got, 1, dt, 1, 2, world);
+         tap.during(p, [&] { p.start(s, site); p.start(r, site); return 0; });
+         p.wait(s);
+         p.wait(r);
+       }},
+      {"MPI_Barrier", {"MPI_Barrier"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { p.barrier(world, site); return 0; });
+       }},
+      {"MPI_Bcast", {"MPI_Bcast"},
+       [=](Process& p, HookTap& tap) {
+         int v = p.rank();
+         tap.during(p, [&] { p.bcast(&v, 1, dt, 0, world, site); return 0; });
+       }},
+      {"MPI_Reduce", {"MPI_Reduce"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out = 0;
+         tap.during(p, [&] {
+           p.reduce(&v, &out, 1, dt, ReduceOp::kSum, 0, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Allreduce", {"MPI_Allreduce"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out = 0;
+         tap.during(p, [&] {
+           p.allreduce(&v, &out, 1, dt, ReduceOp::kSum, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Gather", {"MPI_Gather"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out[2] = {0, 0};
+         tap.during(p, [&] { p.gather(&v, 1, dt, out, 0, world, site); return 0; });
+       }},
+      {"MPI_Allgather", {"MPI_Allgather"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out[2] = {0, 0};
+         tap.during(p, [&] { p.allgather(&v, 1, dt, out, world, site); return 0; });
+       }},
+      {"MPI_Gatherv", {"MPI_Gatherv"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out[2] = {0, 0};
+         const int counts[2] = {1, 1};
+         const int displs[2] = {0, 1};
+         tap.during(p, [&] {
+           p.gatherv(&v, 1, dt, out, counts, displs, 0, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Scatter", {"MPI_Scatter"},
+       [=](Process& p, HookTap& tap) {
+         const int in[2] = {1, 2};
+         int v = 0;
+         tap.during(p, [&] { p.scatter(in, 1, dt, &v, 0, world, site); return 0; });
+       }},
+      {"MPI_Scatterv", {"MPI_Scatterv"},
+       [=](Process& p, HookTap& tap) {
+         const int in[2] = {1, 2};
+         const int counts[2] = {1, 1};
+         const int displs[2] = {0, 1};
+         int v = 0;
+         tap.during(p, [&] {
+           p.scatterv(in, counts, displs, dt, &v, 1, 0, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Alltoall", {"MPI_Alltoall"},
+       [=](Process& p, HookTap& tap) {
+         const int in[2] = {1, 2};
+         int out[2] = {0, 0};
+         tap.during(p, [&] { p.alltoall(in, 1, dt, out, world, site); return 0; });
+       }},
+      {"MPI_Scan", {"MPI_Scan"},
+       [=](Process& p, HookTap& tap) {
+         const int v = 1;
+         int out = 0;
+         tap.during(p, [&] {
+           p.scan(&v, &out, 1, dt, ReduceOp::kSum, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Reduce_scatter_block", {"MPI_Reduce_scatter_block"},
+       [=](Process& p, HookTap& tap) {
+         const int in[2] = {1, 2};
+         int out = 0;
+         tap.during(p, [&] {
+           p.reduce_scatter_block(in, &out, 1, dt, ReduceOp::kSum, world, site);
+           return 0;
+         });
+       }},
+      {"MPI_Comm_dup", {"MPI_Comm_dup"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { return p.comm_dup(world, site); });
+       }},
+      {"MPI_Comm_split", {"MPI_Comm_split"},
+       [=](Process& p, HookTap& tap) {
+         tap.during(p, [&] { return p.comm_split(world, 0, p.rank(), site); });
+       }},
+  };
+}
+
+TEST(Hooks, EveryEntryPointReportsItsTableRows) {
+  for (const EntryPoint& entry : entry_points()) {
+    SCOPED_TRACE(entry.name);
+    std::vector<std::pair<MpiCallType, std::string>> expected;
+    for (const char* routine : entry.reported) {
+      const trace::MpiRoutine* row = trace::find_routine(routine);
+      ASSERT_NE(row, nullptr) << routine;
+      expected.emplace_back(row->type, "tap.site");
+    }
+    HookTap tap;
+    Universe uni(config(2));
+    uni.hooks().add(&tap);
+    const RunResult result =
+        uni.run([&](Process& p) { entry.run(p, tap); });
+    ASSERT_TRUE(result.ok()) << result.errors.front();
+    EXPECT_EQ(tap.seen, expected);
+  }
+}
+
+TEST(Hooks, CommDupAndSplitAreCollectivesOverTheParent) {
+  for (MpiCallType type : {MpiCallType::kCommDup, MpiCallType::kCommSplit}) {
+    const trace::MpiRoutine& row = trace::routine_of(type);
+    EXPECT_TRUE(row.collective()) << row.name;
+    EXPECT_EQ(explore_kind_for(row), explore::HookKind::kCollectiveArrive);
+  }
 }
 
 }  // namespace

@@ -64,14 +64,16 @@ TEST(Monitored, NonMonitoredIdsRejected) {
 
 TEST(Monitored, WriteSetsMatchWrapperListings) {
   using V = MonitoredVar;
-  auto vars = monitored_vars_for(MpiCallType::kRecv);
-  EXPECT_EQ(vars, (std::vector<V>{V::kSrcTmp, V::kTagTmp, V::kCommTmp}));
-  vars = monitored_vars_for(MpiCallType::kWait);
-  EXPECT_EQ(vars, (std::vector<V>{V::kRequestTmp}));
-  vars = monitored_vars_for(MpiCallType::kBarrier);
-  EXPECT_EQ(vars, (std::vector<V>{V::kCollectiveTmp, V::kCommTmp}));
-  vars = monitored_vars_for(MpiCallType::kFinalize);
-  EXPECT_EQ(vars, (std::vector<V>{V::kFinalizeTmp}));
+  const auto vars_of = [](MpiCallType type) {
+    const auto vars = monitored_vars_for(type);
+    return std::vector<V>(vars.begin(), vars.end());
+  };
+  EXPECT_EQ(vars_of(MpiCallType::kRecv),
+            (std::vector<V>{V::kSrcTmp, V::kTagTmp, V::kCommTmp}));
+  EXPECT_EQ(vars_of(MpiCallType::kWait), (std::vector<V>{V::kRequestTmp}));
+  EXPECT_EQ(vars_of(MpiCallType::kBarrier),
+            (std::vector<V>{V::kCollectiveTmp, V::kCommTmp}));
+  EXPECT_EQ(vars_of(MpiCallType::kFinalize), (std::vector<V>{V::kFinalizeTmp}));
   EXPECT_TRUE(monitored_vars_for(MpiCallType::kInit).empty());
 }
 

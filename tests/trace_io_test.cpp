@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
@@ -73,6 +74,38 @@ TEST(TraceIo, RoundTripsMpiCallInfoAndStrings) {
 TEST(TraceIo, RejectsBadHeader) {
   std::stringstream buffer("not a trace\n");
   EXPECT_THROW(trace::read_trace(buffer), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsOutOfRangeEventKindAndMpiType) {
+  // The MPI type indexes the routine table, so both loaders refuse a code
+  // past either enum: strict throws, lenient skips and counts the line.
+  const std::string kind = std::to_string(trace::kEventKindCount);
+  const std::string call =
+      std::to_string(static_cast<int>(trace::EventKind::kMpiCall));
+  const std::string last_type = std::to_string(trace::kMpiCallTypeCount - 1);
+  const std::string bad_type = std::to_string(trace::kMpiCallTypeCount);
+  const std::string good_call =
+      "E 1 0 0 " + call + " 0 0 0 M " + last_type + " 0 5 1 0 1 3 0";
+  const std::string bad_lines[] = {
+      "E 2 0 0 " + kind + " 42 0 0",
+      "E 2 0 0 " + call + " 0 0 0 M " + bad_type + " 0 5 1 0 1 3 0",
+      "E 2 0 0 " + call + " 0 0 0 M 255 0 5 1 0 1 3 0",
+  };
+  for (const std::string& bad : bad_lines) {
+    SCOPED_TRACE(bad);
+    const std::string text =
+        "#home-trace v1\n" + good_call + "\n" + bad + "\n";
+    std::istringstream strict(text);
+    EXPECT_THROW(trace::read_trace(strict), std::runtime_error);
+    std::istringstream lenient(text);
+    trace::ReadStats stats;
+    const trace::LoadedTrace loaded = trace::read_trace_lenient(lenient, &stats);
+    EXPECT_EQ(stats.records, 1u);
+    EXPECT_EQ(stats.corrupt_records, 1u);
+    ASSERT_EQ(loaded.events.size(), 1u);
+    ASSERT_TRUE(loaded.events[0].mpi.has_value());
+    EXPECT_EQ(loaded.events[0].mpi->type, trace::MpiCallType::kCommSplit);
+  }
 }
 
 TEST(TraceIo, OfflineAnalysisMatchesLive) {

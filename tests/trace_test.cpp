@@ -21,17 +21,52 @@ TEST(Event, LocksetDisjointness) {
 
 TEST(Event, KindAndCallNames) {
   EXPECT_STREQ(event_kind_name(EventKind::kMemWrite), "MemWrite");
-  EXPECT_STREQ(mpi_call_type_name(MpiCallType::kRecv), "MPI_Recv");
-  EXPECT_STREQ(mpi_call_type_name(MpiCallType::kInitThread), "MPI_Init_thread");
+  EXPECT_STREQ(routine_of(MpiCallType::kRecv).name, "MPI_Recv");
+  EXPECT_STREQ(routine_of(MpiCallType::kInitThread).name, "MPI_Init_thread");
 }
 
 TEST(Event, Classifiers) {
-  EXPECT_TRUE(is_collective(MpiCallType::kAllreduce));
-  EXPECT_FALSE(is_collective(MpiCallType::kSend));
-  EXPECT_TRUE(is_probe(MpiCallType::kIprobe));
-  EXPECT_TRUE(is_receive(MpiCallType::kIrecv));
-  EXPECT_TRUE(is_request_completion(MpiCallType::kTest));
-  EXPECT_FALSE(is_request_completion(MpiCallType::kRecv));
+  EXPECT_TRUE(routine_of(MpiCallType::kAllreduce).collective());
+  EXPECT_FALSE(routine_of(MpiCallType::kSend).collective());
+  EXPECT_TRUE(routine_of(MpiCallType::kIprobe).probes());
+  EXPECT_TRUE(routine_of(MpiCallType::kIrecv).receives());
+  EXPECT_TRUE(routine_of(MpiCallType::kTest).completes_request());
+  EXPECT_FALSE(routine_of(MpiCallType::kRecv).completes_request());
+}
+
+TEST(RoutineTable, LooksUpByTypeAndBySourceName) {
+  for (std::size_t i = 0; i < kMpiCallTypeCount; ++i) {
+    const auto type = static_cast<MpiCallType>(i);
+    EXPECT_EQ(routine_of(type).type, type);
+    EXPECT_EQ(find_routine(routine_of(type).name), &routine_of(type));
+  }
+  EXPECT_EQ(find_routine("HMPI_Recv"), &routine_of(MpiCallType::kRecv));
+  EXPECT_EQ(find_routine("MPI_Allgather")->type, MpiCallType::kGather);
+  EXPECT_EQ(find_routine("MPI_Ssend")->type, MpiCallType::kSend);
+  EXPECT_EQ(find_routine("MPI_Comm_rank"), nullptr);
+  EXPECT_EQ(find_routine("HMPI_"), nullptr);
+}
+
+TEST(RoutineTable, RowsCarryWhatTheAnalyzersRead) {
+  const MpiRoutine& sendrecv = *find_routine("MPI_Sendrecv");
+  EXPECT_TRUE(sendrecv.sends() && sendrecv.receives());
+  EXPECT_EQ(sendrecv.args.source, 8);
+  EXPECT_EQ(sendrecv.args.recv_tag, 9);
+  EXPECT_EQ(sendrecv.args.comm, 10);
+  for (const char* name : {"MPI_Comm_dup", "MPI_Comm_split"}) {
+    const MpiRoutine& row = *find_routine(name);
+    EXPECT_TRUE(row.collective()) << name;
+    EXPECT_EQ(row.args.comm, 0) << name;
+    EXPECT_GT(static_cast<int>(row.type), static_cast<int>(MpiCallType::kOther));
+  }
+  // Write order is part of the trace: collectivetmp before commtmp.
+  const auto vars = routine_of(MpiCallType::kCommDup).vars();
+  ASSERT_EQ(vars.size(), 2u);
+  EXPECT_EQ(vars[0], MonitoredVar::kCollectiveTmp);
+  EXPECT_EQ(vars[1], MonitoredVar::kCommTmp);
+  int lifecycle = 0;
+  for (const MpiRoutine& row : kMpiRoutines) lifecycle += row.lifecycle();
+  EXPECT_EQ(lifecycle, 3);
 }
 
 TEST(Event, ToStringMentionsCallArgs) {

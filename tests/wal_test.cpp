@@ -133,6 +133,31 @@ std::string event_payload(std::uint32_t nlocks, std::uint32_t locks_present) {
   return p;
 }
 
+/// A lock-free 'E' payload of event kind `kind`, carrying an MPI record of
+/// type `mpi_type` when that is not negative.
+std::string typed_event_payload(int kind, int mpi_type) {
+  std::string p;
+  put_le(&p, 99, 8);  // seq
+  put_le(&p, 1, 4);   // tid
+  put_le(&p, 0, 4);   // rank
+  put_le(&p, static_cast<std::uint64_t>(kind), 1);
+  put_le(&p, 42, 8);  // obj
+  put_le(&p, 0, 8);   // aux
+  put_le(&p, 0, 4);   // no locks
+  put_le(&p, mpi_type < 0 ? 0 : 1, 1);
+  if (mpi_type >= 0) {
+    put_le(&p, static_cast<std::uint64_t>(mpi_type), 1);
+    put_le(&p, 0, 4);   // peer
+    put_le(&p, 5, 4);   // tag
+    put_le(&p, 1, 8);   // comm
+    put_le(&p, 0, 8);   // request
+    put_le(&p, 1, 1);   // on the main thread
+    put_le(&p, 3, 1);   // provided
+    put_le(&p, 0, 4);   // callsite
+  }
+  return p;
+}
+
 /// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, with no
 /// table: it shares nothing with trace::crc32 but the definition.
 std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
@@ -428,6 +453,7 @@ TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
     return make_frame('S', payload);
   };
   const std::uint64_t next_id = clean.strings.size();
+  constexpr int kMpiCallKind = static_cast<int>(trace::EventKind::kMpiCall);
   const std::string kBadFrames[] = {
       make_frame('E', event_payload(1000, 0)),        // count far too big
       make_frame('E', event_payload(0xFFFFFFFFu, 1)),  // count near 2^32
@@ -435,6 +461,13 @@ TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
       string_frame(std::uint64_t{1} << 24),            // id >= 2^24
       string_frame(std::uint64_t{1} << 20),            // id far ahead
       string_frame(next_id + 1),                       // one id skipped
+      // Kinds and MPI types past their enums (the type indexes the MPI
+      // routine table).
+      make_frame('E', typed_event_payload(trace::kEventKindCount, -1)),
+      make_frame('E', typed_event_payload(255, -1)),
+      make_frame('E', typed_event_payload(kMpiCallKind,
+                                          trace::kMpiCallTypeCount)),
+      make_frame('E', typed_event_payload(kMpiCallKind, 255)),
   };
   obs::Counter& corrupt =
       obs::Registry::global().counter("trace.corrupt_records");
@@ -460,6 +493,28 @@ TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
     EXPECT_EQ(salvage.bytes_recovered, clean_bytes.size());
     EXPECT_EQ(salvage.bytes_discarded, bytes.size() - clean_bytes.size());
   }
+}
+
+TEST(Wal, TheLastEventKindAndMpiTypeDecode) {
+  const std::string frame = make_frame(
+      'E', typed_event_payload(trace::kEventKindCount - 1, -1));
+  const std::string call = make_frame(
+      'E', typed_event_payload(static_cast<int>(trace::EventKind::kMpiCall),
+                               trace::kMpiCallTypeCount - 1));
+  std::size_t written = 0;
+  const std::string path = write_sample_wal(&written);
+  const std::string bytes = slurp(path) + frame + call;
+  std::remove(path.c_str());
+  std::istringstream in(bytes);
+  trace::WalSalvage salvage;
+  const trace::LoadedTrace loaded = trace::salvage_wal(in, &salvage);
+  EXPECT_TRUE(salvage.clean());
+  EXPECT_EQ(salvage.events, written + 2);
+  bool found = false;
+  for (const trace::Event& e : loaded.events) {
+    if (e.mpi && e.mpi->type == trace::MpiCallType::kCommSplit) found = true;
+  }
+  EXPECT_TRUE(found);
 }
 
 /// A read-only stream buffer that cannot seek or report its size, like a
