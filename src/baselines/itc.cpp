@@ -14,6 +14,11 @@ std::atomic<ItcMemoryTracer*> g_itc_tracer{nullptr};
 
 namespace {
 
+std::uint64_t next_tracer_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 int cached_tid_key() {
   thread_local int key = static_cast<int>(
       std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0x7fffffff);
@@ -23,16 +28,21 @@ int cached_tid_key() {
 }  // namespace
 
 ItcMemoryTracer::ItcMemoryTracer(int log2_slots)
-    : slots_(static_cast<std::size_t>(1) << log2_slots),
+    : id_(next_tracer_id()),
+      slots_(static_cast<std::size_t>(1) << log2_slots),
       mask_((static_cast<std::uint64_t>(1) << log2_slots) - 1) {}
 
 void ItcMemoryTracer::access(const void* addr, bool write) {
   // The access counter is folded in batches through a thread-local cache so
-  // the hot path carries one atomic exchange, not two RMWs.
+  // the hot path carries one atomic exchange, not two RMWs.  The cache is
+  // keyed by the tracer's id, not its address: runs reuse pooled threads, so
+  // a tracer built where a dead one lived must not inherit the thread's
+  // registration or its unfolded count.
   thread_local std::uint64_t local_count = 0;
-  thread_local const ItcMemoryTracer* registered_with = nullptr;
-  if (registered_with != this) {
-    registered_with = this;
+  thread_local std::uint64_t registered_with = 0;  ///< ids start at 1.
+  if (registered_with != id_) {
+    registered_with = id_;
+    local_count = 0;
     threads_seen_.fetch_add(1, std::memory_order_relaxed);
   }
   if (++local_count >= 256) {

@@ -38,6 +38,7 @@ class ItcMemoryTracer {
   int threads_seen() const { return threads_seen_.load(); }
 
  private:
+  const std::uint64_t id_;  ///< process-unique; keys the per-thread cache.
   /// One packed word per slot: high 48 bits = hashed address tag, bit 15 =
   /// wrote, low 15 bits = thread key. One atomic exchange per access.
   struct Slot {

@@ -7,6 +7,7 @@
 #include "src/detect/frontier.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::detect {
 
@@ -148,12 +149,12 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
   if (nworkers <= 1) {
     sweep_range(&next);
   } else {
-    std::vector<std::thread> workers;
+    std::vector<util::PooledThread> workers;
     workers.reserve(nworkers);
     for (std::size_t w = 0; w < nworkers; ++w) {
-      workers.emplace_back(sweep_range, &next);
+      workers.emplace_back([&] { sweep_range(&next); });
     }
-    for (std::thread& worker : workers) worker.join();
+    for (util::PooledThread& worker : workers) worker.join();
   }
 
   // One batched fold of the per-variable tallies into the registry.

@@ -18,6 +18,7 @@
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/util/stats.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::explore {
 
@@ -100,9 +101,9 @@ namespace {
 /// results buffered behind one slow (e.g. hanging) schedule.
 constexpr std::size_t kRunsAheadPerWorker = 8;
 
-/// Runs a sweep's jobs on worker threads and hands their results back in
-/// job order: take(k) blocks until job k finished and rethrows what it
-/// threw.  Workers claim jobs in order, never more than `window` past the
+/// Runs a sweep's jobs on pooled worker threads and hands their results
+/// back in job order: take(k) blocks until job k finished and rethrows what
+/// it threw.  Workers claim jobs in order, never more than `window` past the
 /// last take(), so at most `window` results wait; stop() (and the
 /// destructor) lets running jobs finish and drops the rest unstarted.
 template <typename Result>
@@ -117,7 +118,7 @@ class OrderedRuns {
   }
   ~OrderedRuns() {
     stop();
-    for (std::thread& t : threads_) t.join();
+    for (util::PooledThread& t : threads_) t.join();
   }
   OrderedRuns(const OrderedRuns&) = delete;
   OrderedRuns& operator=(const OrderedRuns&) = delete;
@@ -174,7 +175,7 @@ class OrderedRuns {
   std::size_t next_ = 0;   ///< next job a worker claims.
   std::size_t taken_ = 0;  ///< jobs the fold has taken.
   bool stopping_ = false;
-  std::vector<std::thread> threads_;
+  std::vector<util::PooledThread> threads_;
 };
 
 }  // namespace
@@ -218,10 +219,10 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
   std::mutex wd_mu;
   std::condition_variable wd_cv;
   bool run_done = false;
-  std::thread watchdog;
+  util::PooledThread watchdog;
   if (watchdogged) {
     universe.hooks().add(&monitor);
-    watchdog = std::thread([&] {
+    watchdog = util::PooledThread([&] {
       std::unique_lock<std::mutex> lock(wd_mu);
       const bool finished =
           wd_cv.wait_for(lock, std::chrono::milliseconds(cfg_.schedule_timeout_ms),

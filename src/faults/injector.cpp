@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "src/obs/telemetry.hpp"
 #include "src/util/rng.hpp"
@@ -235,7 +236,7 @@ void Injector::park_redelivery(std::function<void()> deliver,
     stopping_ = false;
     // Redelivered messages land in the parking run's mailboxes, whose
     // matching consults that run's explorer: hand the worker its context.
-    redeliverer_ = std::thread([this, ctx = util::run_context()] {
+    redeliverer_ = util::PooledThread([this, ctx = util::run_context()] {
       util::ScopedRunContext bind(ctx);
       redelivery_loop();
     });
@@ -270,7 +271,7 @@ void Injector::redelivery_loop() {
 
 void Injector::quiesce() {
   std::vector<std::function<void()>> pending;
-  std::thread worker;
+  util::PooledThread worker;
   {
     std::lock_guard<std::mutex> lock(park_mu_);
     stopping_ = true;

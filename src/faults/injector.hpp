@@ -23,12 +23,12 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/faults/plan.hpp"
 #include "src/util/run_context.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::obs {
 class Counter;
@@ -133,7 +133,7 @@ class Injector {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::vector<Parked> parked_;
-  std::thread redeliverer_;
+  util::PooledThread redeliverer_;
   bool worker_running_ = false;
   bool stopping_ = false;
 

@@ -20,8 +20,8 @@ Thread::Thread(std::function<void()> body) {
                          static_cast<trace::ObjId>(child_tid_));
   }
 
-  thread_ = std::thread([run, registry, process, tid = child_tid_,
-                         fn = std::move(body)] {
+  thread_ = util::PooledThread([run, registry, process, tid = child_tid_,
+                                fn = std::move(body)] {
     util::ScopedRunContext bind(run);
     if (registry && tid != trace::kNoTid) registry->bind_current_thread(tid);
     simmpi::Universe::set_current(process);

@@ -2,21 +2,22 @@
 // HOME beyond OpenMP ("...but also the other distributed and shared memory
 // programming model, like UPC and PThreads Programming").
 //
-// homp::Thread wraps std::thread the way homp::parallel wraps a team: the
-// child registers with the session's thread registry, inherits the parent's
-// simmpi rank context, and fork/join events are emitted so the happens-before
-// analysis sees the same edges pthread_create/pthread_join imply.  A hybrid
-// MPI + raw-threads program checked through this shim gets exactly the same
-// violation detection as an OpenMP one.
+// homp::Thread wraps a pooled thread (util/thread_pool.hpp) the way
+// homp::parallel wraps a team: the child registers with the session's thread
+// registry, inherits the parent's simmpi rank context, and fork/join events
+// are emitted so the happens-before analysis sees the same edges
+// pthread_create/pthread_join imply.  A hybrid MPI + raw-threads program
+// checked through this shim gets exactly the same violation detection as an
+// OpenMP one.
 //
 // homp::Mutex is the pthread_mutex_t counterpart of homp::Lock (same lockset
 // bookkeeping, separate type so call sites read naturally).
 #pragma once
 
 #include <functional>
-#include <thread>
 
 #include "src/homp/sync.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::homp {
 
@@ -38,7 +39,7 @@ class Thread {
   bool joinable() const { return thread_.joinable(); }
 
  private:
-  std::thread thread_;
+  util::PooledThread thread_;
   trace::Tid child_tid_ = trace::kNoTid;
   bool joined_ = false;
 };

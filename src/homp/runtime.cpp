@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <mutex>
-#include <thread>
 
 #include "src/explore/hooks.hpp"
 #include "src/homp/team.hpp"
 #include "src/obs/span.hpp"
 #include "src/simmpi/universe.hpp"
 #include "src/util/run_context.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::homp {
 
@@ -131,7 +131,7 @@ void parallel(int nthreads, const std::function<void()>& body) {
     }
   }
 
-  std::vector<std::thread> workers;
+  std::vector<util::PooledThread> workers;
   workers.reserve(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
   std::exception_ptr first_error;
   std::mutex error_mu;

@@ -1,14 +1,15 @@
 // homp — the OpenMP-style runtime that plays the role of
 // "OpenMP + Intel Pin binary instrumentation" from the paper.
 //
-// homp::parallel forks a team of std::threads (the caller is thread 0, the
-// master, exactly like OpenMP), propagates the simmpi rank context and the
-// run context (util/run_context.hpp) so MPI calls made by workers are
-// attributed to the right "process" and run, and — when the run context
-// carries instrumentation sinks (a tool session's attach() puts them on the
-// Universe; homp used without one binds them on the calling thread) —
-// natively emits the event stream Pin probes would produce: thread
-// fork/join, barriers, lock acquire/release.
+// homp::parallel forks a team of threads from the process's thread pool
+// (util/thread_pool.hpp; the caller is thread 0, the master, exactly like
+// OpenMP, and back-to-back regions reuse the same workers), propagates the
+// simmpi rank context and the run context (util/run_context.hpp) so MPI
+// calls made by workers are attributed to the right "process" and run, and
+// — when the run context carries instrumentation sinks (a tool session's
+// attach() puts them on the Universe; homp used without one binds them on
+// the calling thread) — natively emits the event stream Pin probes would
+// produce: thread fork/join, barriers, lock acquire/release.
 //
 // The directive surface mirrors the constructs the paper's benchmarks use:
 //   parallel / for (static & dynamic) / sections / single / master /

@@ -10,31 +10,50 @@
 #include "src/homp/runtime.hpp"
 #include "src/simmpi/universe.hpp"
 #include "src/util/run_context.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::homp {
 namespace {
 
 std::atomic<trace::ObjId> g_lock_counter{0x1000};
 
-thread_local std::vector<trace::ObjId> tls_locks;  // kept sorted.
+/// The locks the calling thread holds, kept sorted.  Keyed by the pooled job
+/// the thread runs: a rank that ends by an exception while it holds a Lock
+/// taken with lock() must not hand that id to the next job on its thread.
+struct HeldLocks {
+  std::uint64_t job = 0;
+  std::vector<trace::ObjId> ids;
+};
+
+thread_local HeldLocks tls_locks;
+
+std::vector<trace::ObjId>& held_locks() {
+  const std::uint64_t job = util::current_job_id();
+  if (tls_locks.job != job) {
+    tls_locks.job = job;
+    tls_locks.ids.clear();
+  }
+  return tls_locks.ids;
+}
 
 }  // namespace
 
 namespace internal {
 
 void note_acquired(trace::ObjId lock_id) {
-  auto it = std::lower_bound(tls_locks.begin(), tls_locks.end(), lock_id);
-  tls_locks.insert(it, lock_id);
+  std::vector<trace::ObjId>& held = held_locks();
+  held.insert(std::lower_bound(held.begin(), held.end(), lock_id), lock_id);
 }
 
 void note_released(trace::ObjId lock_id) {
-  auto it = std::lower_bound(tls_locks.begin(), tls_locks.end(), lock_id);
-  if (it != tls_locks.end() && *it == lock_id) tls_locks.erase(it);
+  std::vector<trace::ObjId>& held = held_locks();
+  auto it = std::lower_bound(held.begin(), held.end(), lock_id);
+  if (it != held.end() && *it == lock_id) held.erase(it);
 }
 
 }  // namespace internal
 
-std::vector<trace::ObjId> current_locks() { return tls_locks; }
+std::vector<trace::ObjId> current_locks() { return held_locks(); }
 
 namespace {
 
@@ -43,7 +62,7 @@ void emit_lock_event(trace::EventKind kind, trace::ObjId lock_id) {
   trace::Event e;
   e.kind = kind;
   e.obj = lock_id;
-  e.locks_held = tls_locks;
+  e.locks_held = held_locks();
   internal::emit_event(std::move(e));
 }
 

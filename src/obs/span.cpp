@@ -25,6 +25,15 @@ struct SpanRing {
   int display_tid = 0;
 };
 
+/// The label of a ring whose thread has no name: "t<display tid>".
+std::string default_label(int display_tid) {
+  // (built via insert to dodge a GCC 12 -Wrestrict false positive on
+  // char-literal + to_string concatenation)
+  std::string label = std::to_string(display_tid);
+  label.insert(label.begin(), 't');
+  return label;
+}
+
 struct RingDirectory {
   std::mutex mu;
   std::vector<std::unique_ptr<SpanRing>> rings;
@@ -46,11 +55,7 @@ SpanRing* ring_for_this_thread() {
   RingDirectory& dir = directory();
   std::lock_guard<std::mutex> lock(dir.mu);
   raw->display_tid = dir.next_tid++;
-  // (built via insert to dodge a GCC 12 -Wrestrict false positive on
-  // char-literal + to_string concatenation)
-  std::string label = std::to_string(raw->display_tid);
-  label.insert(label.begin(), 't');
-  raw->label = std::move(label);
+  raw->label = default_label(raw->display_tid);
   dir.rings.push_back(std::move(ring));
   t_ring = raw;
   return raw;
@@ -60,13 +65,16 @@ void push_record(FinishedSpan&& rec) {
   SpanRing* ring = ring_for_this_thread();
   std::lock_guard<std::mutex> lock(ring->mu);
   // Refresh the thread label when the registry (or anyone) renamed us since
-  // the last push — one TLS counter compare per record.
+  // the last push — one TLS counter compare per record.  A pooled thread's
+  // name is cleared between jobs, and its records keep the label of the job
+  // that pushed them.
   const std::uint64_t version = util::current_thread_name_version();
   if (version != ring->label_version) {
     ring->label_version = version;
     const std::string& name = util::current_thread_name();
-    if (!name.empty()) ring->label = name;
+    ring->label = name.empty() ? default_label(ring->display_tid) : name;
   }
+  rec.thread = ring->label;
   rec.display_tid = ring->display_tid;
   if (ring->ring.size() < kRingCapacity) {
     ring->ring.push_back(std::move(rec));
@@ -152,8 +160,6 @@ std::vector<FinishedSpan> collect_spans() {
       std::lock_guard<std::mutex> rlock(ring->mu);
       for (const FinishedSpan& rec : ring->ring) {
         out.push_back(rec);
-        out.back().thread = ring->label;
-        out.back().display_tid = ring->display_tid;
       }
     }
   }

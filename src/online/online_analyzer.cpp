@@ -56,7 +56,7 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
                [this](spec::Violation&& v) { stream_.offer(std::move(v)); }) {
   util::RunContext run_ctx;
   run_ctx.injector = injector;
-  worker_ = std::thread([this, run_ctx] {
+  worker_ = util::PooledThread([this, run_ctx] {
     util::ScopedRunContext bind(run_ctx);
     run();
   });

@@ -37,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/detect/incremental.hpp"
@@ -47,6 +46,7 @@
 #include "src/spec/matcher.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::faults {
 class Injector;
@@ -183,7 +183,7 @@ class OnlineAnalyzer : public trace::EventSink {
   std::vector<ShedWindow> shed_;
   bool shed_open_ = false;  ///< emitter-side only; no lock needed.
 
-  std::thread worker_;
+  util::PooledThread worker_;
   bool finished_ = false;
 };
 

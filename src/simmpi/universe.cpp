@@ -2,10 +2,10 @@
 
 #include <exception>
 #include <mutex>
-#include <thread>
 
 #include "src/obs/span.hpp"
 #include "src/util/log.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::simmpi {
 namespace {
@@ -59,7 +59,7 @@ RunResult Universe::run(const std::function<void(Process&)>& rank_main) {
     }
   }
 
-  std::vector<std::thread> threads;
+  std::vector<util::PooledThread> threads;
   threads.reserve(processes_.size());
   for (auto& process_ptr : processes_) {
     Process* process = process_ptr.get();

@@ -1,8 +1,9 @@
-// The Universe launches N rank-threads (the "MPI processes") and owns the
-// shared infrastructure: mailboxes, communicator table, hook registry, the
-// optional trace sink and the run's context (util/run_context.hpp: explorer,
-// injector, homp sinks, team size, abort signal), which run() binds on every
-// rank thread.  Process is one rank's context; its pointer is carried in a
+// The Universe runs N rank-threads (the "MPI processes", jobs on the
+// process's thread pool, util/thread_pool.hpp) and owns the shared
+// infrastructure: mailboxes, communicator table, hook registry, the optional
+// trace sink and the run's context (util/run_context.hpp: explorer, injector,
+// homp sinks, team size, abort signal), which run() binds on every rank
+// thread.  Process is one rank's context; its pointer is carried in a
 // thread_local so OpenMP-style worker threads spawned by homp inherit the
 // rank of their parent (homp calls Universe::set_current on each worker and
 // binds the same run context).  Nothing here is process-global, so any

@@ -3,8 +3,11 @@
 // matrix at small scale.
 #include <gtest/gtest.h>
 
+#include <new>
+
 #include "src/apps/app.hpp"
 #include "src/apps/toolrun.hpp"
+#include "src/baselines/itc.hpp"
 #include "src/spec/violations.hpp"
 
 namespace home::apps {
@@ -151,6 +154,26 @@ TEST(Injection, ItcFalsePositiveOnBaitIsCollectiveClass) {
     }
   }
   EXPECT_TRUE(bait_report);
+}
+
+TEST(ItcTracer, ATracerWhereADeadOneLivedStartsItsOwnThreadState) {
+  // Runs reuse pooled threads, and a tracer may be built at a dead one's
+  // address: the thread that touches it must register anew and must not
+  // fold the dead tracer's unfolded access count into it.
+  using baselines::ItcMemoryTracer;
+  alignas(ItcMemoryTracer) unsigned char storage[sizeof(ItcMemoryTracer)];
+  int x = 0;
+  auto* first = new (storage) ItcMemoryTracer(4);
+  for (int i = 0; i < 255; ++i) first->access(&x, true);
+  EXPECT_EQ(first->threads_seen(), 1);
+  first->~ItcMemoryTracer();
+
+  auto* second = new (storage) ItcMemoryTracer(4);
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  second->access(&x, true);
+  EXPECT_EQ(second->threads_seen(), 1);
+  EXPECT_EQ(second->accesses(), 0u);  // one access, not yet folded.
+  second->~ItcMemoryTracer();
 }
 
 TEST(Injection, MarmotMissesLatentConcurrentRecvOnSp) {

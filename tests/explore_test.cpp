@@ -8,14 +8,17 @@
 //  * replaying the finding's schedule reproduces the identical violation
 //    key set, three times over, and
 //  * a sweep, whose runs execute concurrently, folds them exactly like a
-//    serial fold over one-schedule sweeps.
+//    serial fold over one-schedule sweeps, and
+//  * repeated sweeps reuse their threads, so span rings stop growing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -24,6 +27,9 @@
 #include "src/explore/schedule.hpp"
 #include "src/explore/strategy.hpp"
 #include "src/explore/sweeper.hpp"
+#include "src/obs/span.hpp"
+#include "src/obs/telemetry.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::explore {
 namespace {
@@ -518,6 +524,44 @@ TEST(SweepFold, JournalListsRecordsInIndexOrderBaselineFirst) {
   for (int i = -1; i < cfg.schedules; ++i) want.push_back(i);
   EXPECT_EQ(indices, want);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- thread reuse
+
+std::size_t span_threads() {
+  std::set<int> tids;
+  for (const obs::FinishedSpan& s : obs::collect_spans()) {
+    tids.insert(s.display_tid);
+  }
+  return tids.size();
+}
+
+TEST(SweepThreads, SpanRingsStopGrowingAcrossSweeps) {
+  // Every thread that records a span keeps a ring for the life of the
+  // process.  A sweep takes its workers and rank and team threads from the
+  // pool, so the rings are this thread's and the pool's, and the pool holds
+  // no more threads than ran at once, however many sweeps ran: with a fresh
+  // thread per rank per run the third sweep would add ~3 rings per schedule.
+  // (Which threads ran at once depends on timing, so a later sweep may still
+  // add a pooled thread or two.)
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_spans();
+  const SweepConfig cfg = hidden_config(StrategyKind::kWildcardReorder, 24);
+  const std::size_t workers = std::min<std::size_t>(
+      cfg.schedules + 1, std::max(1u, std::thread::hardware_concurrency()));
+  const std::size_t at_once = workers * (1 + cfg.nranks * cfg.nthreads);
+  const std::size_t pool_before = util::pooled_thread_count();
+  std::size_t after_first = 0;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    Sweeper(cfg).run(hidden_main());
+    const std::size_t rings = span_threads();
+    if (sweep == 0) after_first = rings;
+    EXPECT_LE(rings, util::pooled_thread_count() + 1) << "sweep " << sweep;
+  }
+  obs::set_enabled(was_enabled);
+  EXPECT_GE(after_first, 1u + cfg.nranks);
+  EXPECT_LE(util::pooled_thread_count(), pool_before + at_once);
 }
 
 }  // namespace

@@ -59,6 +59,23 @@ TEST(Parallel, CallerIsMaster) {
   EXPECT_EQ(master_count.load(), 1);
 }
 
+TEST(Parallel, BackToBackRegionsReuseTheirWorkers) {
+  // An OpenMP runtime keeps its workers between regions; so does homp: a
+  // finished worker is parked again before the master's join returns.
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  for (int region = 0; region < 100; ++region) {
+    parallel(4, [&] {
+      if (thread_num() == 0) return;
+      std::lock_guard<std::mutex> lock(mu);
+      workers.insert(std::this_thread::get_id());
+    });
+  }
+  EXPECT_GE(workers.size(), 1u);
+  EXPECT_LE(workers.size(), 3u);
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+}
+
 TEST(Parallel, DefaultThreadsRespected) {
   set_default_threads(3);
   std::atomic<int> count{0};

@@ -26,6 +26,8 @@
 #include "src/explore/journal.hpp"
 #include "src/explore/sweeper.hpp"
 #include "src/home/session.hpp"
+#include "src/homp/runtime.hpp"
+#include "src/homp/sync.hpp"
 #include "src/online/event_queue.hpp"
 #include "src/simmpi/abort.hpp"
 #include "src/trace/event.hpp"
@@ -537,6 +539,106 @@ TEST(ConcurrentRuns, AppRunsKeepTheirOwnCriticalsAndTeamState) {
       EXPECT_EQ(report_keys(r.report), want) << "round " << round;
     }
   }
+}
+
+// ------------------------------------------- pooled threads start clean
+
+/// The OS threads that ran a rank or team body, noted as they run.
+struct ThreadsSeen {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  void note() {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  }
+};
+
+/// Figure 2's same-tag ping-pong (a V3) with a named critical in the team,
+/// so lock events and locksets are part of what the run emits.
+Sweeper::RankMain locked_pingpong(ThreadsSeen* seen) {
+  return [seen](simmpi::Process& p) {
+    p.init_thread(simmpi::ThreadLevel::kMultiple);
+    homp::parallel(2, [&] {
+      seen->note();
+      int a = homp::thread_num();
+      homp::critical("reuse.count", [&] { ++a; });
+      if (p.rank() == 0) {
+        p.send(&a, 1, simmpi::Datatype::kInt, 1, 0, simmpi::kCommWorld,
+               {"reuse.send0"});
+        p.recv(&a, 1, simmpi::Datatype::kInt, 1, 0, simmpi::kCommWorld,
+               nullptr, {"reuse.recv0"});
+      } else {
+        p.recv(&a, 1, simmpi::Datatype::kInt, 0, 0, simmpi::kCommWorld,
+               nullptr, {"reuse.recv1"});
+        p.send(&a, 1, simmpi::Datatype::kInt, 0, 0, simmpi::kCommWorld,
+               {"reuse.send1"});
+      }
+    });
+    p.finalize();
+  };
+}
+
+TEST(ThreadReuse, ARunAfterARankAbortedHoldingALockStartsClean) {
+  ThreadsSeen solo_threads;
+  const RunRecord solo =
+      checked_run(SessionConfig{}, 2, locked_pingpong(&solo_threads));
+  ASSERT_TRUE(solo.run.ok());
+  ASSERT_FALSE(solo.keys.empty());
+
+  // Every rank takes its lock with lock() and is aborted before it can
+  // release it.  The locks are never destroyed: a locked mutex may not be.
+  static homp::Lock* const held = new homp::Lock[2];
+  ThreadsSeen aborted_threads;
+  const RunRecord aborted =
+      checked_run(SessionConfig{}, 2, [&](simmpi::Process& p) {
+        aborted_threads.note();
+        p.init_thread(simmpi::ThreadLevel::kMultiple);
+        held[p.rank()].lock();
+        if (p.rank() == 0) p.universe().request_abort("aborted holding a lock");
+        int x = 0;
+        p.recv(&x, 1, simmpi::Datatype::kInt, 1 - p.rank(), 99,
+               simmpi::kCommWorld);
+      });
+  ASSERT_EQ(aborted.run.failed_ranks.size(), 2u);
+
+  ThreadsSeen after_threads;
+  Session session;
+  simmpi::UniverseConfig ucfg;
+  ucfg.nranks = 2;
+  session.configure(ucfg);
+  simmpi::Universe universe(ucfg);
+  session.attach(universe);
+  const simmpi::RunResult run = universe.run([&](simmpi::Process& p) {
+    after_threads.note();
+    locked_pingpong(&after_threads)(p);
+  });
+  session.detach(universe);
+  ASSERT_TRUE(run.ok()) << (run.errors.empty() ? "" : run.errors[0]);
+  EXPECT_EQ(report_keys(session.analyze()), solo.keys);
+
+  // A lockset holds only locks this run acquired.
+  const std::vector<trace::Event> events = session.log().sorted_events();
+  std::set<trace::ObjId> acquired;
+  for (const trace::Event& e : events) {
+    if (e.kind == trace::EventKind::kLockAcquire) acquired.insert(e.obj);
+  }
+  ASSERT_FALSE(acquired.empty());
+  for (const trace::Event& e : events) {
+    for (const trace::ObjId id : e.locks_held) {
+      EXPECT_EQ(acquired.count(id), 1u)
+          << "event " << e.seq << " carries lock " << id
+          << " this run never acquired";
+      EXPECT_NE(id, held[0].id());
+      EXPECT_NE(id, held[1].id());
+    }
+  }
+
+  // Not vacuous: the aborted ranks' threads ran this run's bodies.
+  std::size_t reused = 0;
+  for (const std::thread::id id : after_threads.ids) {
+    reused += aborted_threads.ids.count(id);
+  }
+  EXPECT_GE(reused, 1u);
 }
 
 // ------------------------------------------------- online shed accounting

@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "src/util/flags.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/strings.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::util {
 namespace {
@@ -133,6 +144,131 @@ TEST(Log, ThreadNameVersionBumpsOnRename) {
   set_current_thread_name("renamed");
   EXPECT_GT(current_thread_name_version(), before);
   EXPECT_EQ(current_thread_name(), "renamed");
+}
+
+// ------------------------------------------------------------ thread pool
+
+constexpr auto kPoolWait = std::chrono::seconds(10);
+
+TEST(ThreadPool, AJobBlockedOnTheNextJobDoesNotHoldItUp) {
+  // The pool starts a thread rather than queue: a job that waits for the
+  // job started after it must see that job run.
+  std::promise<void> released;
+  std::future<void> release = released.get_future();
+  bool freed = false;
+  PooledThread waiter(
+      [&] { freed = release.wait_for(kPoolWait) == std::future_status::ready; });
+  PooledThread releaser([&] { released.set_value(); });
+  releaser.join();
+  waiter.join();
+  EXPECT_TRUE(freed);
+}
+
+TEST(ThreadPool, JoinWaitsForARunningJobAndReturnsForAFinishedOne) {
+  // Join before the job finished: join() returns only after it did.
+  std::promise<void> go;
+  std::shared_future<void> started = go.get_future().share();
+  std::atomic<bool> finished{false};
+  PooledThread running([&] {
+    started.wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished = true;
+  });
+  EXPECT_TRUE(running.joinable());
+  go.set_value();
+  running.join();
+  EXPECT_TRUE(finished);
+  EXPECT_FALSE(running.joinable());
+
+  // Join after the job finished: join() returns, and the job's captures are
+  // gone by then, as they are once a std::thread is joined.
+  auto token = std::make_shared<int>(7);
+  std::promise<void> ran;
+  std::future<void> done = ran.get_future();
+  PooledThread quick([token, &ran] { ran.set_value(); });
+  ASSERT_EQ(done.wait_for(kPoolWait), std::future_status::ready);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  quick.join();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(ThreadPool, NeverGrowsBeyondThePeakOfJobsInFlight) {
+  constexpr int kInFlight = 5;
+  const std::size_t before = pooled_thread_count();
+  auto round = [] {
+    // Every job waits until all are running, so kInFlight run at once.
+    std::latch all_running(kInFlight);
+    std::vector<PooledThread> jobs;
+    for (int i = 0; i < kInFlight; ++i) {
+      jobs.emplace_back([&] { all_running.arrive_and_wait(); });
+    }
+    for (PooledThread& job : jobs) job.join();
+  };
+  round();
+  const std::size_t peak = pooled_thread_count();
+  EXPECT_GE(peak, static_cast<std::size_t>(kInFlight));
+  EXPECT_LE(peak, before + kInFlight);
+  for (int r = 0; r < 20; ++r) round();
+  for (int r = 0; r < 50; ++r) {
+    PooledThread one([] {});
+    one.join();
+  }
+  EXPECT_EQ(pooled_thread_count(), peak);
+}
+
+TEST(ThreadPool, AJobStartsAndJoinsNestedJobs) {
+  std::atomic<int> leaves{0};
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  auto note = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  PooledThread outer([&] {
+    note();
+    std::latch children_running(3);
+    std::vector<PooledThread> inner;
+    for (int i = 0; i < 3; ++i) {
+      inner.emplace_back([&] {
+        note();
+        children_running.arrive_and_wait();
+        PooledThread leaf([&] { ++leaves; });
+        leaf.join();
+      });
+    }
+    for (PooledThread& t : inner) t.join();
+  });
+  outer.join();
+  EXPECT_EQ(leaves.load(), 3);
+  // The outer job and its three children ran at once, on four threads.
+  EXPECT_EQ(threads.size(), 4u);
+}
+
+TEST(ThreadPool, EachJobStartsWithItsOwnIdAndNoThreadName) {
+  EXPECT_EQ(current_job_id(), 0u);  // this thread is not pooled.
+  struct Seen {
+    std::thread::id thread;
+    std::uint64_t job = 0;
+    std::string name;
+  };
+  auto observe = [](Seen* seen) {
+    return PooledThread([seen] {
+      seen->thread = std::this_thread::get_id();
+      seen->job = current_job_id();
+      seen->name = current_thread_name();
+      set_current_thread_name("rank1.main");
+    });
+  };
+  Seen first, second;
+  PooledThread a = observe(&first);
+  a.join();
+  PooledThread b = observe(&second);
+  b.join();
+  // Back to back, the second job reuses the first one's parked thread.
+  EXPECT_EQ(second.thread, first.thread);
+  EXPECT_NE(first.job, 0u);
+  EXPECT_NE(second.job, first.job);
+  EXPECT_EQ(second.name, "");
 }
 
 }  // namespace
