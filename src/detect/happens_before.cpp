@@ -1,8 +1,19 @@
 #include "src/detect/happens_before.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
+#include <exception>
+#include <latch>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "src/detect/incremental.hpp"
+#include "src/obs/telemetry.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::detect {
 
@@ -110,9 +121,13 @@ void HbRecorder::joined(const trace::Event& e, EdgeKind kind) {
   const auto i = static_cast<std::uint32_t>(index_.stamps_.size());
   thread(e.tid).changed = true;
   switch (kind) {
-    case EdgeKind::kMessage:
-      index_.sync_in_.push_back({i, kind, *sends_.find(e.obj)});
+    case EdgeKind::kMessage: {
+      // No local send list: the clock came from another partition, and the
+      // merge resolves the list.
+      const std::uint32_t* list = sends_.find(e.obj);
+      index_.sync_in_.push_back({i, kind, list != nullptr ? *list : kNone});
       break;
+    }
     case EdgeKind::kLock:
       index_.sync_in_.push_back({i, kind, *releases_.find(e.obj)});
       break;
@@ -138,16 +153,22 @@ void HbRecorder::joined(const trace::Event& e, EdgeKind kind) {
 
 bool HbRecorder::frame_matches(std::uint32_t frame,
                                const StampView& view) const {
-  // The own component is stored inline, so it need not match.
+  // The own component is stored inline, so it need not match.  Compare
+  // the common prefix on both sides of it, then the longer tail for zeros.
   const HbIndex::Frame& f = index_.frames_[frame];
-  const std::uint64_t* data = index_.frame_data_.data() + f.offset;
-  const std::size_t n = std::max<std::size_t>(f.size, view.size);
+  const std::uint64_t* a = index_.frame_data_.data() + f.offset;
+  const std::uint64_t* b = view.clock;
   const auto own = static_cast<std::size_t>(view.tid);
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t == own) continue;
-    const std::uint64_t a = t < f.size ? data[t] : 0;
-    const std::uint64_t b = t < view.size ? view.clock[t] : 0;
-    if (a != b) return false;
+  const std::size_t common = std::min<std::size_t>(f.size, view.size);
+  const std::size_t split = std::min(own, common);
+  if (!std::equal(a, a + split, b)) return false;
+  if (split + 1 < common && !std::equal(a + split + 1, a + common, b + split + 1)) {
+    return false;
+  }
+  const std::uint64_t* longer = f.size > view.size ? a : b;
+  const std::size_t n = std::max<std::size_t>(f.size, view.size);
+  for (std::size_t t = common; t < n; ++t) {
+    if (longer[t] != 0 && t != own) return false;
   }
   return true;
 }
@@ -242,12 +263,143 @@ void HbRecorder::completed(const trace::Event& e, const VectorClock& joined) {
 }
 
 HbIndex HbRecorder::finish(std::vector<trace::Event> events) && {
+  // Edges were recorded in replay order, so each target's run is adjacent.
   std::vector<std::uint32_t>& start = index_.sync_start_;
-  start.assign(index_.stamps_.size() + 1, 0);
-  for (const HbIndex::SyncIn& in : index_.sync_in_) ++start[in.target + 1];
-  for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+  start.assign(index_.stamps_.size(), kNone);
+  for (std::size_t g = index_.sync_in_.size(); g-- > 0;) {
+    start[index_.sync_in_[g].target] = static_cast<std::uint32_t>(g);
+  }
   index_.events_ = std::move(events);
   return std::move(index_);
+}
+
+// ------------------------------------------------------------------ HbMerge
+
+/// Merges the recorders of a partitioned replay into one HbIndex.
+/// `members[p]` lists, in seq order, the global indices of the events
+/// `parts[p]` recorded; every thread's events lie in one partition, and a
+/// message whose receive another partition recorded was sent exactly once.
+/// The constructor lays out and sizes the index for every partition;
+/// part(p) then moves partition p's records into place, and the parts may
+/// run concurrently (each writes only its own slots).
+class HbMerge {
+ public:
+  HbMerge(std::vector<HbRecorder>& parts,
+          const std::vector<std::vector<std::uint32_t>>& members,
+          const std::vector<trace::Event>& events);
+
+  void part(std::size_t p);
+  HbIndex finish(std::vector<trace::Event> events) &&;
+
+ private:
+  /// Where a partition's frames, frame data, source lists and edges start.
+  struct Base {
+    std::uint32_t frame = 0;
+    std::uint32_t data = 0;
+    std::uint32_t list = 0;
+    std::uint32_t sync = 0;
+  };
+
+  std::uint32_t remote_list(trace::ObjId msg) const;
+
+  std::vector<HbRecorder>& parts_;
+  const std::vector<std::vector<std::uint32_t>>& members_;
+  const std::vector<trace::Event>& events_;
+  std::vector<Base> bases_;
+  HbIndex out_;
+};
+
+HbMerge::HbMerge(std::vector<HbRecorder>& parts,
+                 const std::vector<std::vector<std::uint32_t>>& members,
+                 const std::vector<trace::Event>& events)
+    : parts_(parts), members_(members), events_(events) {
+  Base next;
+  std::size_t threads = 0;
+  for (const HbRecorder& part : parts_) {
+    const HbIndex& in = part.index_;
+    bases_.push_back(next);
+    next.frame += static_cast<std::uint32_t>(in.frames_.size());
+    next.data += static_cast<std::uint32_t>(in.frame_data_.size());
+    next.list += static_cast<std::uint32_t>(in.source_lists_.size());
+    next.sync += static_cast<std::uint32_t>(in.sync_in_.size());
+    threads = std::max(threads, in.thread_events_.size());
+    out_.dense_stamp_bytes_ += in.dense_stamp_bytes_;
+  }
+  const std::size_t n = events_.size();
+  out_.stamps_.resize(n);
+  out_.po_prev_.resize(n);
+  out_.sync_start_.resize(n);
+  out_.frames_.resize(next.frame);
+  out_.frame_data_.resize(next.data);
+  out_.source_lists_.resize(next.list);
+  out_.sync_in_.resize(next.sync);
+  out_.thread_events_.resize(threads);
+  out_.thread_barriers_.resize(threads);
+}
+
+std::uint32_t HbMerge::remote_list(trace::ObjId msg) const {
+  for (std::size_t q = 0; q < parts_.size(); ++q) {
+    if (const std::uint32_t* list = parts_[q].sends_.find(msg)) {
+      return bases_[q].list + *list;
+    }
+  }
+  return HbIndex::kNone;
+}
+
+void HbMerge::part(std::size_t p) {
+  constexpr std::uint32_t kNone = HbIndex::kNone;
+  HbIndex& in = parts_[p].index_;
+  const Base& base = bases_[p];
+  const std::vector<std::uint32_t>& global = members_[p];
+
+  for (std::size_t f = 0; f < in.frames_.size(); ++f) {
+    out_.frames_[base.frame + f] = {in.frames_[f].offset + base.data,
+                                    in.frames_[f].size};
+  }
+  std::copy(in.frame_data_.begin(), in.frame_data_.end(),
+            out_.frame_data_.begin() + base.data);
+  for (std::size_t k = 0; k < in.stamps_.size(); ++k) {
+    const HbIndex::FrameStamp& st = in.stamps_[k];
+    const std::uint32_t g = global[k];
+    out_.stamps_[g] = {st.tid, st.frame + base.frame, st.own};
+    out_.po_prev_[g] = in.po_prev_[k] == kNone ? kNone : global[in.po_prev_[k]];
+    out_.sync_start_[g] = kNone;
+  }
+  for (std::size_t l = 0; l < in.source_lists_.size(); ++l) {
+    std::vector<std::uint32_t>& list = out_.source_lists_[base.list + l];
+    list = std::move(in.source_lists_[l]);
+    for (std::uint32_t& i : list) i = global[i];
+  }
+  // A thread's events, and so its barriers, lie in one partition.
+  for (std::size_t t = 0; t < in.thread_events_.size(); ++t) {
+    if (in.thread_events_[t].empty()) continue;
+    std::vector<std::uint32_t>& mine = out_.thread_events_[t];
+    mine = std::move(in.thread_events_[t]);
+    for (std::uint32_t& i : mine) i = global[i];
+    out_.thread_barriers_[t] = std::move(in.thread_barriers_[t]);
+  }
+  for (std::size_t k = 0; k < in.sync_in_.size(); ++k) {
+    const HbIndex::SyncIn& edge = in.sync_in_[k];
+    const std::uint32_t target = global[edge.target];
+    std::uint32_t ref = edge.ref;
+    if (edge.kind == EdgeKind::kFork || edge.kind == EdgeKind::kJoin) {
+      ref = global[ref];
+    } else if (ref != kNone) {
+      ref += base.list;
+    } else {  // a message sent in another partition.
+      ref = remote_list(events_[target].obj);
+    }
+    const auto at = static_cast<std::uint32_t>(base.sync + k);
+    out_.sync_in_[at] = {target, edge.kind, ref};
+    if (k == 0 || in.sync_in_[k - 1].target != edge.target) {
+      out_.sync_start_[target] = at;
+    }
+  }
+}
+
+HbIndex HbMerge::finish(std::vector<trace::Event> events) && {
+  out_.events_ = std::move(events);
+  return std::move(out_);
 }
 
 // ----------------------------------------------------------------- analysis
@@ -262,15 +414,343 @@ bool is_potential_hb_race(const HbIndex& hb, std::size_t i, std::size_t j) {
   return hb.concurrent(i, j);
 }
 
-HbIndex HappensBeforeAnalysis::run(std::vector<trace::Event> events) const {
+namespace {
+
+obs::Counter& partitions_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("detect.hb_partitions");
+  return c;
+}
+
+/// Union-find over tids, grown as tids appear; a group's root is its
+/// smallest tid.
+class ThreadGroups {
+ public:
+  void add(trace::Tid t) {
+    const auto i = static_cast<std::size_t>(t);
+    for (std::size_t j = parent_.size(); j <= i; ++j) {
+      parent_.push_back(static_cast<trace::Tid>(j));
+    }
+  }
+  trace::Tid find(trace::Tid t) {
+    while (parent_[static_cast<std::size_t>(t)] != t) {
+      trace::Tid& up = parent_[static_cast<std::size_t>(t)];
+      up = parent_[static_cast<std::size_t>(up)];
+      t = up;
+    }
+    return t;
+  }
+  void unite(trace::Tid a, trace::Tid b) {
+    add(std::max(a, b));
+    a = find(a);
+    b = find(b);
+    if (a != b) parent_[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+  }
+  std::size_t size() const { return parent_.size(); }
+
+ private:
+  std::vector<trace::Tid> parent_;
+};
+
+/// A message as the grouping sees it: it may cross groups only if its first
+/// event is its one send.
+struct MessageUse {
+  trace::Tid first = trace::kNoTid;  ///< thread of its first event.
+  std::uint32_t sends = 0;
+  bool shared = false;  ///< a second send, or a receive before the send.
+};
+
+/// A message clock handed from the partition that sent it to those that
+/// receive it.
+struct MessageSlot {
+  std::uint32_t sender = 0;  ///< partition that replays the send.
+  VectorClock clock;         ///< the send's clock, once published.
+  std::atomic<bool> published{false};
+
+  void publish() {
+    published.store(true);
+    published.notify_all();
+  }
+};
+
+/// Events a partition's replay prefetches ahead of the one it replays.
+constexpr std::size_t kPrefetchAhead = 8;
+
+/// One partitioned replay: the grouping pre-pass, the packing, the
+/// concurrent per-partition replays and their merge.
+class PartitionedReplay {
+ public:
+  PartitionedReplay(const std::vector<trace::Event>& events,
+                    HappensBeforeConfig cfg)
+      : events_(events), cfg_(cfg) {}
+
+  /// Splits the events into at most `max_parts` partitions.
+  void split(std::size_t max_parts);
+  /// Replays every partition and merges the records, each partition's on
+  /// its own thread, the first on the calling thread.
+  void replay();
+  HbIndex finish(std::vector<trace::Event> events) {
+    if (merge_) return std::move(*merge_).finish(std::move(events));
+    return std::move(parts_.front()).finish(std::move(events));
+  }
+  std::size_t partitions() const { return members_.size(); }
+
+ private:
+  void one_partition();
+  void replay_partition(std::uint32_t p);
+  void replay_guarded(std::uint32_t p);
+
+  const std::vector<trace::Event>& events_;
+  HappensBeforeConfig cfg_;
+  std::vector<std::vector<std::uint32_t>> members_;
+  std::vector<HbRecorder> parts_;
+  std::vector<std::exception_ptr> errors_;
+  std::deque<MessageSlot> slots_;
+  FlatMap<std::uint32_t> slot_of_;  ///< message -> its slot in slots_.
+  std::optional<HbMerge> merge_;
+};
+
+void PartitionedReplay::one_partition() {
+  members_.assign(1, std::vector<std::uint32_t>(events_.size()));
+  std::iota(members_[0].begin(), members_[0].end(), 0u);
+}
+
+void PartitionedReplay::split(std::size_t max_parts) {
+  const auto n = static_cast<std::uint32_t>(events_.size());
+  const auto refuse = [](const trace::Event& e) {
+    throw std::invalid_argument("HappensBeforeAnalysis: thread id out of "
+                                "range at seq " + std::to_string(e.seq));
+  };
+  if (max_parts <= 1) {
+    for (const trace::Event& e : events_) {
+      if (!trace::tids_in_range(e)) refuse(e);
+    }
+    return one_partition();
+  }
+
+  // One pass: group the threads that share a fork/join, a barrier instance,
+  // a lock (with lock edges) or any message but a send-once-then-receive
+  // one, and count each thread's events.
+  ThreadGroups groups;
+  std::vector<std::uint32_t> load;  // by tid: events, then by group root.
+  std::vector<trace::Tid> tids(n);
+  FlatMap<trace::Tid> barrier_first, lock_first;
+  FlatMap<MessageUse> messages;
+  std::vector<std::uint32_t> message_events;
+  const auto link = [&groups](FlatMap<trace::Tid>& first,
+                              const trace::Event& e) {
+    if (const trace::Tid* t = first.find(e.obj)) {
+      groups.unite(*t, e.tid);
+    } else {
+      first[e.obj] = e.tid;
+    }
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const trace::Event& e = events_[i];
+    if (!trace::tids_in_range(e)) refuse(e);
+    const auto t = static_cast<std::size_t>(e.tid);
+    tids[i] = e.tid;
+    if (t >= load.size()) {
+      load.resize(t + 1, 0);
+      groups.add(e.tid);
+    }
+    ++load[t];
+    switch (e.kind) {
+      case trace::EventKind::kThreadFork:
+      case trace::EventKind::kThreadJoin:
+        groups.unite(e.tid, static_cast<trace::Tid>(e.obj));
+        break;
+      case trace::EventKind::kBarrier:
+        link(barrier_first, e);
+        break;
+      case trace::EventKind::kLockAcquire:
+      case trace::EventKind::kLockRelease:
+        if (cfg_.lock_edges) link(lock_first, e);
+        break;
+      case trace::EventKind::kMsgSend:
+      case trace::EventKind::kMsgRecv: {
+        if (!cfg_.message_edges) break;
+        MessageUse& m = messages[e.obj];
+        if (m.first == trace::kNoTid) m.first = e.tid;
+        if (e.kind == trace::EventKind::kMsgSend) {
+          if (m.sends++ > 0) m.shared = true;
+        } else if (m.sends == 0) {
+          m.shared = true;
+        }
+        message_events.push_back(i);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  for (const std::uint32_t i : message_events) {
+    const MessageUse& m = *messages.find(events_[i].obj);
+    if (m.shared) groups.unite(events_[i].tid, m.first);
+  }
+
+  // Pack the groups, largest first, each onto the least loaded partition.
+  const std::size_t ntids = groups.size();
+  load.resize(ntids, 0);
+  for (std::size_t t = 0; t < ntids; ++t) {
+    const auto root = static_cast<std::size_t>(groups.find(static_cast<trace::Tid>(t)));
+    if (root != t) {
+      load[root] += load[t];
+      load[t] = 0;
+    }
+  }
+  std::vector<trace::Tid> roots;
+  for (std::size_t t = 0; t < ntids; ++t) {
+    if (load[t] > 0) roots.push_back(static_cast<trace::Tid>(t));
+  }
+  const std::size_t parts = std::min(roots.size(), max_parts);
+  if (parts <= 1) return one_partition();
+  std::stable_sort(roots.begin(), roots.end(), [&load](trace::Tid a, trace::Tid b) {
+    return load[static_cast<std::size_t>(a)] > load[static_cast<std::size_t>(b)];
+  });
+  std::vector<std::size_t> part_load(parts, 0);
+  std::vector<std::uint32_t> part_of(ntids, 0);
+  for (const trace::Tid root : roots) {
+    const auto p = static_cast<std::uint32_t>(
+        std::min_element(part_load.begin(), part_load.end()) - part_load.begin());
+    part_load[p] += load[static_cast<std::size_t>(root)];
+    part_of[static_cast<std::size_t>(root)] = p;
+  }
+  for (std::size_t t = 0; t < ntids; ++t) {
+    const trace::Tid root = groups.find(static_cast<trace::Tid>(t));
+    part_of[t] = part_of[static_cast<std::size_t>(root)];
+  }
+  members_.resize(parts);
+  for (std::size_t p = 0; p < parts; ++p) members_[p].reserve(part_load[p]);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    members_[part_of[static_cast<std::size_t>(tids[i])]].push_back(i);
+  }
+
+  // A slot for each message some partition receives but another sent.
+  for (const std::uint32_t i : message_events) {
+    const trace::Event& e = events_[i];
+    const MessageUse& m = *messages.find(e.obj);
+    if (m.shared || e.kind != trace::EventKind::kMsgRecv) continue;
+    const std::uint32_t sender = part_of[static_cast<std::size_t>(m.first)];
+    if (sender == part_of[static_cast<std::size_t>(e.tid)] ||
+        slot_of_.find(e.obj) != nullptr) {
+      continue;
+    }
+    slot_of_[e.obj] = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back().sender = sender;
+  }
+}
+
+void PartitionedReplay::replay_partition(std::uint32_t p) {
   // One IncrementalHb step per event: the offline replay IS the streaming
   // replay over a buffered stream, so the online engine (src/online/) and
   // this pass can never diverge on stamps, and the recorder keeps the edges
   // each step applied instead of deriving them a second time.
   IncrementalHb inc(cfg_);
-  HbRecorder recorder(events.size());
-  for (const trace::Event& e : events) inc.advance(e, &recorder);
-  return std::move(recorder).finish(std::move(events));
+  HbRecorder& recorder = parts_[p];
+  const std::vector<std::uint32_t>& mine = members_[p];
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    // A partition's events are strided through the trace, which the
+    // hardware prefetcher does not follow.
+    if (k + kPrefetchAhead < mine.size()) {
+      const auto* ahead =
+          reinterpret_cast<const char*>(&events_[mine[k + kPrefetchAhead]]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + 64);
+    }
+    const trace::Event& e = events_[mine[k]];
+    MessageSlot* slot = nullptr;
+    if (!slots_.empty() && (e.kind == trace::EventKind::kMsgSend ||
+                            e.kind == trace::EventKind::kMsgRecv)) {
+      if (const std::uint32_t* s = slot_of_.find(e.obj)) slot = &slots_[*s];
+    }
+    if (slot != nullptr && slot->sender != p) {
+      // A receive: its send has a smaller seq, so the partition replaying
+      // it never waits on this one first (DESIGN.md §10).
+      slot->published.wait(false);
+      inc.import_message_clock(e.obj, slot->clock);
+    }
+    inc.advance(e, &recorder);
+    if (slot != nullptr && slot->sender == p) {
+      slot->clock = *inc.message_clock(e.obj);
+      slot->publish();
+    }
+  }
+}
+
+void PartitionedReplay::replay_guarded(std::uint32_t p) {
+  try {
+    replay_partition(p);
+  } catch (...) {
+    errors_[p] = std::current_exception();
+    // Release every receive still waiting on this partition's sends.
+    for (MessageSlot& slot : slots_) {
+      if (slot.sender == p) slot.publish();
+    }
+  }
+}
+
+void PartitionedReplay::replay() {
+  const std::size_t parts = members_.size();
+  for (const std::vector<std::uint32_t>& m : members_) {
+    parts_.emplace_back(m.size());
+  }
+  errors_.assign(parts, nullptr);
+  // Once every partition replayed, the calling thread lays the index out;
+  // then every partition moves its records into place.
+  std::latch replayed(static_cast<std::ptrdiff_t>(parts));
+  std::latch laid_out(1);
+  const auto replay_and_merge = [&](std::uint32_t p) {
+    replay_guarded(p);
+    replayed.count_down();
+    if (parts == 1) return;
+    if (p == 0) {
+      replayed.wait();
+      const auto failed = [](const std::exception_ptr& e) { return e != nullptr; };
+      if (std::none_of(errors_.begin(), errors_.end(), failed)) {
+        try {
+          merge_.emplace(parts_, members_, events_);
+        } catch (...) {
+          errors_[0] = std::current_exception();
+        }
+      }
+      laid_out.count_down();
+    }
+    laid_out.wait();
+    if (merge_) merge_->part(p);
+  };
+  std::vector<util::PooledThread> workers;
+  workers.reserve(parts - 1);
+  for (std::uint32_t p = 1; p < parts; ++p) {
+    workers.emplace_back([&replay_and_merge, p] { replay_and_merge(p); });
+  }
+  replay_and_merge(0);
+  for (util::PooledThread& w : workers) w.join();
+  for (const std::exception_ptr& error : errors_) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace
+
+HbIndex HappensBeforeAnalysis::run(std::vector<trace::Event> events,
+                                   std::size_t workers) const {
+  // hardware_concurrency() reads sysfs on Linux: ask only when it can matter.
+  if (events.size() < kParallelAnalysisThreshold) {
+    workers = 1;
+  } else if (workers == 0) {
+    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  return run_partitioned(std::move(events), workers);
+}
+
+HbIndex HappensBeforeAnalysis::run_partitioned(std::vector<trace::Event> events,
+                                               std::size_t partitions) const {
+  PartitionedReplay replay(events, cfg_);
+  replay.split(partitions);
+  replay.replay();
+  partitions_counter().add(replay.partitions());
+  return replay.finish(std::move(events));
 }
 
 }  // namespace home::detect

@@ -47,6 +47,8 @@ enum class EdgeKind : std::uint8_t {
   kLock,          ///< kLockRelease -> later kLockAcquire (lock_edges only).
 };
 
+class HbMerge;  // happens_before.cpp: merges a partitioned replay.
+
 /// Per-event clock stamps, ordering queries, and the sync structure the
 /// replay applied: per-thread event and barrier positions and the sources of
 /// every non-program-order edge.
@@ -59,8 +61,8 @@ enum class EdgeKind : std::uint8_t {
 /// participants of one completed barrier share one frame.  Resident stamp
 /// bytes are O(sync events * threads), not O(events * threads).
 ///
-/// Built only by HappensBeforeAnalysis::run, through the HbRecorder that
-/// IncrementalHb::advance reports to.
+/// Built only by HappensBeforeAnalysis::run, through the HbRecorders that
+/// IncrementalHb::advance reports to (one per partition, merged by HbMerge).
 class HbIndex {
  public:
   const std::vector<trace::Event>& events() const { return events_; }
@@ -123,6 +125,7 @@ class HbIndex {
 
  private:
   friend class HbRecorder;
+  friend class HbMerge;
 
   static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
@@ -155,8 +158,11 @@ class HbIndex {
   std::vector<std::vector<std::uint32_t>> thread_events_;
   /// Per thread: in-thread positions of its barrier arrivals.
   std::vector<std::vector<std::uint32_t>> thread_barriers_;
-  std::vector<SyncIn> sync_in_;  ///< sorted by target.
-  /// Event i's groups are sync_in_[sync_start_[i] .. sync_start_[i + 1]).
+  /// Each target's groups are adjacent, in the order the replay applied
+  /// them; the runs of a partitioned replay lie in partition blocks.
+  std::vector<SyncIn> sync_in_;
+  /// Event i's groups are the run of sync_in_ from sync_start_[i] whose
+  /// target is i (kNone when it has none).
   std::vector<std::uint32_t> sync_start_;
   std::vector<std::vector<std::uint32_t>> source_lists_;
   std::size_t dense_stamp_bytes_ = 0;
@@ -165,7 +171,8 @@ class HbIndex {
 template <class Fn>
 void HbIndex::for_each_source(std::size_t i, Fn&& fn) const {
   if (po_prev_[i] != kNone) fn(std::size_t{po_prev_[i]}, EdgeKind::kProgramOrder);
-  for (std::uint32_t g = sync_start_[i]; g < sync_start_[i + 1]; ++g) {
+  for (std::uint32_t g = sync_start_[i];
+       g < sync_in_.size() && sync_in_[g].target == i; ++g) {
     const SyncIn& in = sync_in_[g];
     if (in.kind == EdgeKind::kFork || in.kind == EdgeKind::kJoin) {
       fn(std::size_t{in.ref}, in.kind);
@@ -184,6 +191,11 @@ void HbIndex::for_each_source(std::size_t i, Fn&& fn) const {
 /// the recorder keeps the stamp as (own, frame), the thread's positions, and
 /// the sources of each edge, resolving a fork or barrier write at the first
 /// event that reads the written clock.  The online analyzer passes none.
+///
+/// A partitioned replay keeps one recorder per partition, indexing that
+/// partition's events 0..n-1; a receive whose send another partition
+/// replayed records its message source list as unresolved, and HbMerge
+/// rebases every partition into the one index.
 class HbRecorder {
  public:
   explicit HbRecorder(std::size_t events);
@@ -205,6 +217,7 @@ class HbRecorder {
   HbIndex finish(std::vector<trace::Event> events) &&;
 
  private:
+  friend class HbMerge;
   static constexpr std::uint32_t kNone = HbIndex::kNone;
 
   struct Thread {
@@ -232,12 +245,36 @@ class HbRecorder {
 /// different threads, at least one write, unordered in HB.
 bool is_potential_hb_race(const HbIndex& hb, std::size_t i, std::size_t j);
 
+/// Traces with fewer events than this replay on the calling thread, and
+/// per-variable sweeps with fewer accesses run serially, whatever worker
+/// count is allowed (starting jobs would dominate).
+inline constexpr std::size_t kParallelAnalysisThreshold = 4096;
+
+/// Replays a seq-ordered trace through IncrementalHb into an HbIndex.
+///
+/// Threads that share a fork/join, a barrier instance or (with lock edges)
+/// a lock form one group.  Happens-before crosses groups only along a
+/// message sent exactly once, before each of its receives; any other
+/// message puts all its threads in one group.  Groups are packed by event
+/// count into partitions that replay concurrently, one on the calling
+/// thread and the others on pooled threads; a receive whose send another
+/// partition replays waits for that send's clock.  The merged index answers
+/// every query as a one-partition replay does (DESIGN.md §10).
 class HappensBeforeAnalysis {
  public:
   explicit HappensBeforeAnalysis(HappensBeforeConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Events must be sorted by seq (TraceLog::sorted_events()).
-  HbIndex run(std::vector<trace::Event> events) const;
+  /// Events must be sorted by seq (TraceLog::sorted_events()).  Replays on
+  /// up to `workers` threads (0 = hardware_concurrency, 1 = the calling
+  /// thread only); a trace below kParallelAnalysisThreshold events replays
+  /// on the calling thread.  Throws std::invalid_argument on an event whose
+  /// tid or fork/join child is out of range (trace::tids_in_range).
+  HbIndex run(std::vector<trace::Event> events, std::size_t workers = 0) const;
+
+  /// run() in at most `partitions` partitions whatever the trace's size, so
+  /// tests can split small traces.
+  HbIndex run_partitioned(std::vector<trace::Event> events,
+                          std::size_t partitions) const;
 
  private:
   HappensBeforeConfig cfg_;

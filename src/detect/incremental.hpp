@@ -92,6 +92,17 @@ class IncrementalHb {
   /// in-flight barrier still owes its arrivals a join.
   void retire(const VectorClock& watermark);
 
+  /// Message `obj`'s clock, the join of its sends so far (null before the
+  /// first).  With import_message_clock it hands a message from the replay
+  /// that sent it to one that receives it (HappensBeforeAnalysis's
+  /// partitions).
+  const VectorClock* message_clock(trace::ObjId obj) const {
+    return message_clock_.find(obj);
+  }
+  void import_message_clock(trace::ObjId obj, const VectorClock& clock) {
+    message_clock_[obj] = clock;
+  }
+
   /// Retained lock/message/barrier entries plus thread clocks (diagnostic;
   /// feeds the bounded-memory accounting).
   std::size_t resident_entries() const;

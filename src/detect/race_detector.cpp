@@ -1,9 +1,12 @@
 #include "src/detect/race_detector.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <sstream>
 #include <thread>
 
+#include "src/detect/flat_map.hpp"
 #include "src/detect/frontier.hpp"
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
@@ -35,7 +38,7 @@ DetectMetrics& detect_metrics() {
 
 VariableVerdict sweep_variable(const HbIndex& hb, const RaceDetectorConfig& cfg,
                                trace::ObjId var,
-                               const std::vector<std::size_t>& indices) {
+                               std::span<const std::uint32_t> indices) {
   VariableVerdict verdict;
   verdict.var = var;
   // Event indices are the handles and the feed order (ascending in seq).
@@ -98,36 +101,57 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
   HbIndex hb = [&] {
     obs::Span span("detect.hb");
     return HappensBeforeAnalysis(happens_before_config(cfg_.mode))
-        .run(std::move(events));
+        .run(std::move(events), cfg_.analysis_threads);
   }();
 
   obs::Span sweep_span("detect.sweep");
 
-  // Group access-event indices by variable (seq order preserved).
-  std::map<trace::ObjId, std::vector<std::size_t>> by_var;
+  // Group access-event indices by variable into one array, variables in
+  // ObjId order and each one's accesses in seq order: count per variable,
+  // lay the ranges out in key order, then drop each access into its range.
+  const std::vector<trace::Event>& all = hb.events();
+  FlatMap<std::uint32_t> cursor;  // var -> access count, then next free slot.
   std::size_t total_accesses = 0;
-  for (std::size_t i = 0; i < hb.events().size(); ++i) {
-    if (hb.events()[i].is_access()) {
-      by_var[hb.events()[i].obj].push_back(i);
+  for (const trace::Event& e : all) {
+    if (e.is_access()) {
+      ++cursor[e.obj];
       ++total_accesses;
     }
   }
+  std::vector<trace::ObjId> vars;
+  vars.reserve(cursor.size());
+  cursor.for_each([&vars](trace::ObjId var, std::uint32_t) { vars.push_back(var); });
+  std::sort(vars.begin(), vars.end());
+  std::vector<std::uint32_t> start(vars.size() + 1, 0);
+  for (std::size_t k = 0; k < vars.size(); ++k) {
+    std::uint32_t& slot = *cursor.find(vars[k]);
+    start[k + 1] = start[k] + slot;
+    slot = start[k];
+  }
+  std::vector<std::uint32_t> by_var(total_accesses);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].is_access()) {
+      by_var[(*cursor.find(all[i].obj))++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  const auto accesses_of = [&](std::size_t k) {
+    return std::span<const std::uint32_t>(by_var).subspan(
+        start[k], start[k + 1] - start[k]);
+  };
 
   // Variables are independent once grouped: fan the per-variable sweeps
-  // across a worker pool and merge deterministically (results are indexed by
-  // the variable's position in key order, so scheduling never shows).
-  std::vector<const std::pair<const trace::ObjId, std::vector<std::size_t>>*>
-      vars;
-  vars.reserve(by_var.size());
-  for (const auto& entry : by_var) vars.push_back(&entry);
+  // across the calling thread and pooled workers and merge deterministically
+  // (results are indexed by the variable's position in key order, so
+  // scheduling never shows).
   std::vector<VariableVerdict> results(vars.size());
 
-  std::size_t nworkers =
-      cfg_.analysis_threads != 0
-          ? cfg_.analysis_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  nworkers = std::min(nworkers, vars.size());
-  if (total_accesses < kParallelAnalysisThreshold) nworkers = 1;
+  std::size_t nworkers = 1;
+  if (total_accesses >= kParallelAnalysisThreshold) {
+    nworkers = cfg_.analysis_threads != 0
+                   ? cfg_.analysis_threads
+                   : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    nworkers = std::min(nworkers, vars.size());
+  }
 
   // Time individual sweeps only when telemetry is on: two clock reads per
   // variable are cheap, but the disabled path should not touch the clock.
@@ -137,7 +161,7 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
          k < vars.size();
          k = next->fetch_add(1, std::memory_order_relaxed)) {
       const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-      results[k] = sweep_variable(hb, cfg_, vars[k]->first, vars[k]->second);
+      results[k] = sweep_variable(hb, cfg_, vars[k], accesses_of(k));
       if (timed) {
         detect_metrics().sweep_ns.observe(
             static_cast<double>(obs::now_ns() - t0));
@@ -146,16 +170,17 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
   };
 
   std::atomic<std::size_t> next{0};
-  if (nworkers <= 1) {
-    sweep_range(&next);
-  } else {
-    std::vector<util::PooledThread> workers;
-    workers.reserve(nworkers);
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      workers.emplace_back([&] { sweep_range(&next); });
-    }
-    for (util::PooledThread& worker : workers) worker.join();
+  std::vector<util::PooledThread> workers;
+  for (std::size_t w = 1; w < nworkers; ++w) {
+    workers.emplace_back([&] { sweep_range(&next); });
   }
+  try {
+    sweep_range(&next);
+  } catch (...) {
+    for (util::PooledThread& worker : workers) worker.join();
+    throw;
+  }
+  for (util::PooledThread& worker : workers) worker.join();
 
   // One batched fold of the per-variable tallies into the registry.
   // `pruned` is the gap to the exhaustive k*(k-1)/2 enumeration — pairs the
@@ -169,9 +194,9 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
     checked += results[k].pairs_checked;
     found += results[k].pairs.size();
     epoch_hits += results[k].epoch_hits;
-    const std::size_t n = vars[k]->second.size();
+    const std::size_t n = start[k + 1] - start[k];
     exhaustive += n * (n - 1) / 2;
-    verdicts.emplace_hint(verdicts.end(), vars[k]->first, std::move(results[k]));
+    verdicts.emplace_hint(verdicts.end(), vars[k], std::move(results[k]));
   }
   DetectMetrics& metrics = detect_metrics();
   metrics.vars.add(vars.size());

@@ -95,15 +95,12 @@ struct RaceDetectorConfig {
   /// Cap on reported pairs per variable (keeps quadratic scans bounded on
   /// adversarial traces; 0 = unlimited).
   std::size_t max_pairs_per_var = 64;
-  /// Worker threads for the per-variable sweeps (variables are independent
-  /// after grouping).  0 = auto (hardware_concurrency); 1 = serial.  Small
-  /// traces always run serially regardless (see kParallelAnalysisThreshold).
+  /// Worker threads for the HB replay's thread groups and the per-variable
+  /// sweeps (both independent once grouped).  0 = auto
+  /// (hardware_concurrency); 1 = serial.  Small traces always run serially
+  /// regardless (see kParallelAnalysisThreshold).
   std::size_t analysis_threads = 0;
 };
-
-/// Per-variable sweeps with fewer accesses than this run serially even when
-/// analysis_threads allows more workers (thread spawn would dominate).
-inline constexpr std::size_t kParallelAnalysisThreshold = 4096;
 
 class RaceDetector {
  public:

@@ -23,6 +23,12 @@ using ObjId = std::uint64_t;     ///< Memory location / lock / barrier / message
 inline constexpr Tid kNoTid = -1;
 inline constexpr int kNoRank = -1;
 
+/// Sanity ceiling on thread ids.  Registry tids are small dense ints and the
+/// analyses size per-thread state by tid, so a tid at or above this is
+/// damage, not data: both trace loaders reject such an event and the HB
+/// replay refuses it (tids_in_range).
+inline constexpr Tid kMaxTid = 1 << 16;
+
 enum class EventKind : std::uint8_t {
   kMemRead,      ///< obj = variable id.
   kMemWrite,     ///< obj = variable id.
@@ -71,6 +77,17 @@ struct Event {
   }
   bool is_write() const { return kind == EventKind::kMemWrite; }
 };
+
+/// True if e's tid, and the child a kThreadFork or kThreadJoin names, lie in
+/// [0, kMaxTid).
+inline bool tids_in_range(const Event& e) {
+  if (static_cast<std::uint32_t>(e.tid) >= static_cast<std::uint32_t>(kMaxTid)) {
+    return false;
+  }
+  const bool names_child =
+      e.kind == EventKind::kThreadFork || e.kind == EventKind::kThreadJoin;
+  return !names_child || e.obj < static_cast<ObjId>(kMaxTid);
+}
 
 /// True if the two sorted lockset snapshots share no lock.
 bool locksets_disjoint(const std::vector<ObjId>& a, const std::vector<ObjId>& b);

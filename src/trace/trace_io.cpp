@@ -114,6 +114,10 @@ bool parse_trace_line(const std::string& line, LoadedTrace* result,
     return false;
   }
   e.kind = static_cast<EventKind>(kind);
+  if (!tids_in_range(e)) {
+    *error = "trace_io: thread id out of range";
+    return false;
+  }
   e.locks_held.resize(nlocks);
   for (std::size_t i = 0; i < nlocks; ++i) is >> e.locks_held[i];
   if (is.fail()) {

@@ -126,6 +126,8 @@ bool decode_event(std::string_view payload, Event* e) {
   // the MPI routine table.
   if (kind >= kEventKindCount) return false;
   e->kind = static_cast<EventKind>(kind);
+  // The analyses size per-thread state by tid.
+  if (!tids_in_range(*e)) return false;
   // A lock count the payload cannot hold is corrupt: refuse it before
   // sizing the lockset from it.
   if (nlocks > (payload.size() - r.pos) / 8) return false;

@@ -1,6 +1,7 @@
 // The process's one pool of parked threads.  Every thread the library starts
-// (rank threads, homp team threads, sweep workers and watchdogs, detector
-// workers, the injector's redelivery worker, the online analyzer's consumer)
+// (rank threads, homp team threads, sweep workers and watchdogs, the HB
+// replay's partitions and the detector's sweep workers, the injector's
+// redelivery worker, the online analyzer's consumer)
 // is a job on it: a job goes to a parked thread, or to a new thread when none
 // is parked, so the pool never queues work and a job may start and join
 // others.  A finished thread is parked again before its joiner wakes, so

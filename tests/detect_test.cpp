@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/detect/happens_before.hpp"
@@ -331,6 +332,40 @@ TEST(HappensBefore, IndexOfSeq) {
   EXPECT_EQ(hb.index_of_seq(10), 0u);
   EXPECT_EQ(hb.index_of_seq(20), 1u);
   EXPECT_EQ(hb.index_of_seq(15), HbIndex::npos);
+}
+
+TEST(HappensBefore, RefusesOutOfRangeThreadIds) {
+  // The replay sizes per-thread state by tid, so a tid or a fork/join child
+  // outside [0, kMaxTid) is refused instead of indexed.
+  const std::vector<Event> kBad[] = {
+      {make_event(1, 0, EventKind::kMemWrite, 5),
+       make_event(2, -1, EventKind::kMemWrite, 5)},
+      {make_event(1, 0, EventKind::kThreadFork, 0xFFFFFFFFu)},
+      {make_event(1, trace::kMaxTid, EventKind::kMemRead, 5)},
+      {make_event(1, 0, EventKind::kThreadJoin,
+                  static_cast<trace::ObjId>(trace::kMaxTid))},
+  };
+  for (const std::vector<Event>& events : kBad) {
+    SCOPED_TRACE(events.back().seq);
+    EXPECT_THROW(HappensBeforeAnalysis().run(events), std::invalid_argument);
+    EXPECT_THROW(RaceDetector().analyze(events), std::invalid_argument);
+    // Past the parallel threshold the grouping pass refuses it too.
+    std::vector<Event> long_trace;
+    for (trace::Seq s = 1; s <= kParallelAnalysisThreshold; ++s) {
+      long_trace.push_back(make_event(s, static_cast<trace::Tid>(s % 4),
+                                      EventKind::kMemWrite, 5));
+    }
+    for (Event e : events) {
+      e.seq += kParallelAnalysisThreshold;
+      long_trace.push_back(e);
+    }
+    EXPECT_THROW(HappensBeforeAnalysis().run(long_trace, 4),
+                 std::invalid_argument);
+  }
+  // The last tid below the ceiling replays.
+  const HbIndex hb = HappensBeforeAnalysis().run(
+      {make_event(1, trace::kMaxTid - 1, EventKind::kMemWrite, 5)});
+  EXPECT_EQ(hb.stamp_get(0, trace::kMaxTid - 1), 1u);
 }
 
 // --------------------------------------------------------------- RaceDetector

@@ -108,6 +108,41 @@ TEST(TraceIo, RejectsOutOfRangeEventKindAndMpiType) {
   }
 }
 
+TEST(TraceIo, RejectsOutOfRangeThreadIds) {
+  // The analyses size per-thread state by tid, so both loaders refuse a tid
+  // or a fork/join child outside [0, kMaxTid): strict throws, lenient skips
+  // and counts the line.
+  const std::string fork =
+      std::to_string(static_cast<int>(trace::EventKind::kThreadFork));
+  const std::string join =
+      std::to_string(static_cast<int>(trace::EventKind::kThreadJoin));
+  const std::string ceiling = std::to_string(trace::kMaxTid);
+  const std::string bad_lines[] = {
+      "E 2 -1 0 0 42 0 0",
+      "E 2 " + ceiling + " 0 0 42 0 0",
+      "E 2 100000000 0 0 42 0 0",
+      "E 2 0 0 " + fork + " 4294967295 0 0",
+      "E 2 0 0 " + join + " " + ceiling + " 0 0",
+  };
+  for (const std::string& bad : bad_lines) {
+    SCOPED_TRACE(bad);
+    const std::string text = "#home-trace v1\nE 1 0 0 0 42 0 0\n" + bad + "\n";
+    std::istringstream strict(text);
+    EXPECT_THROW(trace::read_trace(strict), std::runtime_error);
+    std::istringstream lenient(text);
+    trace::ReadStats stats;
+    const trace::LoadedTrace loaded = trace::read_trace_lenient(lenient, &stats);
+    EXPECT_EQ(stats.records, 1u);
+    EXPECT_EQ(stats.corrupt_records, 1u);
+    ASSERT_EQ(loaded.events.size(), 1u);
+    EXPECT_EQ(loaded.events[0].tid, 0);
+  }
+  // The last tid below the ceiling still loads.
+  std::istringstream ok("#home-trace v1\nE 1 " +
+                        std::to_string(trace::kMaxTid - 1) + " 0 0 42 0 0\n");
+  EXPECT_EQ(trace::read_trace(ok).events.size(), 1u);
+}
+
 TEST(TraceIo, OfflineAnalysisMatchesLive) {
   CheckConfig cfg;
   cfg.nranks = 2;

@@ -2,7 +2,7 @@
 // CRC32-framed WAL round trips, the salvage loader's longest-valid-prefix
 // discipline over torn/corrupt files and hand-built damaged frames,
 // degraded-mode analysis of salvaged traces, and the hardened (lenient)
-// text-trace loader over the committed 20-case corrupted corpus.
+// text-trace loader over the committed corrupted corpus.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -495,6 +495,57 @@ TEST(Wal, CrcValidFramesThatDoNotDecodeCountAsOneCorruptFrame) {
   }
 }
 
+TEST(Wal, AnOutOfRangeThreadIdIsOneCorruptFrame) {
+  // Two CRC-valid event frames; the second names a thread the analyses
+  // cannot size state for.  Recovery ends at it, and the analysis of what
+  // was recovered runs degraded instead of indexing per-thread state by it.
+  const auto make_event_frame = [](const trace::Event& e) {
+    std::string payload;
+    put_le(&payload, e.seq, 8);
+    put_le(&payload, static_cast<std::uint32_t>(e.tid), 4);
+    put_le(&payload, 0, 4);  // rank
+    put_le(&payload, static_cast<std::uint8_t>(e.kind), 1);
+    put_le(&payload, e.obj, 8);
+    put_le(&payload, 0, 8);  // aux
+    put_le(&payload, 0, 4);  // no locks
+    put_le(&payload, 0, 1);  // no MPI detail
+    return make_frame('E', payload);
+  };
+  const std::string head = std::string("HOMEWAL1") +
+      make_event_frame(make_event(1, 0, trace::EventKind::kMemWrite, 42));
+  const trace::Event kBad[] = {
+      make_event(2, -1, trace::EventKind::kMemWrite, 42),
+      make_event(2, trace::kMaxTid, trace::EventKind::kMemRead, 42),
+      make_event(2, 100'000'000, trace::EventKind::kMemRead, 42),
+      make_event(2, 0, trace::EventKind::kThreadFork, 0xFFFFFFFFu),
+      make_event(2, 0, trace::EventKind::kThreadJoin,
+                 static_cast<trace::ObjId>(trace::kMaxTid)),
+  };
+  const std::string path = testing::TempDir() + "/home_wal_bad_tid.bin";
+  for (const trace::Event& bad : kBad) {
+    SCOPED_TRACE(bad.tid);
+    const std::string bytes = head + make_event_frame(bad);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    trace::WalSalvage salvage;
+    const trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
+    EXPECT_EQ(salvage.events, 1u);
+    EXPECT_EQ(salvage.corrupt_frames, 1u);
+    EXPECT_TRUE(salvage.torn);
+    EXPECT_EQ(salvage.bytes_recovered, head.size());
+    EXPECT_EQ(salvage.bytes_discarded, bytes.size() - head.size());
+    ASSERT_EQ(loaded.events.size(), 1u);
+    EXPECT_EQ(loaded.events[0].tid, 0);
+
+    Report report({}, {});
+    ASSERT_NO_THROW(report = analyze_wal_file(path, {}, &salvage));
+    EXPECT_EQ(report.verdict(), Verdict::kDegraded);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Wal, TheLastEventKindAndMpiTypeDecode) {
   const std::string frame = make_frame(
       'E', typed_event_payload(trace::kEventKindCount - 1, -1));
@@ -681,6 +732,22 @@ TEST(CorruptCorpus, LenientLoaderSurvivesAllTwentyCases) {
     EXPECT_EQ(loaded.events.size(), c.events) << c.file;
     EXPECT_EQ(stats.corrupt_records, c.corrupt) << c.file;
   }
+}
+
+TEST(CorruptCorpus, AnOutOfRangeThreadIdIsOneMalformedLine) {
+  // Case 21: an event of thread -1 among four good ones.  The lenient
+  // loader skips and counts it; the strict one refuses the file.
+  const std::string path =
+      std::string(HOME_CORPUS_DIR) + "/case21_out_of_range_tid.trace";
+  std::ifstream lenient(path);
+  ASSERT_TRUE(lenient.is_open()) << "missing corpus file " << path;
+  trace::ReadStats stats;
+  const trace::LoadedTrace loaded = trace::read_trace_lenient(lenient, &stats);
+  EXPECT_EQ(loaded.events.size(), 4u);
+  EXPECT_EQ(stats.corrupt_records, 1u);
+  for (const trace::Event& e : loaded.events) EXPECT_GE(e.tid, 0);
+  std::ifstream strict(path);
+  EXPECT_THROW(trace::read_trace(strict), std::runtime_error);
 }
 
 TEST(CorruptCorpus, StrictLoaderRejectsWhatLenientSkips) {
