@@ -736,7 +736,7 @@ void PartitionedReplay::replay() {
 HbIndex HappensBeforeAnalysis::run(std::vector<trace::Event> events,
                                    std::size_t workers) const {
   // hardware_concurrency() reads sysfs on Linux: ask only when it can matter.
-  if (events.size() < kParallelAnalysisThreshold) {
+  if (events.size() < util::kParallelAnalysisThreshold) {
     workers = 1;
   } else if (workers == 0) {
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());

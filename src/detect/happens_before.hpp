@@ -245,11 +245,6 @@ class HbRecorder {
 /// different threads, at least one write, unordered in HB.
 bool is_potential_hb_race(const HbIndex& hb, std::size_t i, std::size_t j);
 
-/// Traces with fewer events than this replay on the calling thread, and
-/// per-variable sweeps with fewer accesses run serially, whatever worker
-/// count is allowed (starting jobs would dominate).
-inline constexpr std::size_t kParallelAnalysisThreshold = 4096;
-
 /// Replays a seq-ordered trace through IncrementalHb into an HbIndex.
 ///
 /// Threads that share a fork/join, a barrier instance or (with lock edges)
@@ -266,9 +261,10 @@ class HappensBeforeAnalysis {
 
   /// Events must be sorted by seq (TraceLog::sorted_events()).  Replays on
   /// up to `workers` threads (0 = hardware_concurrency, 1 = the calling
-  /// thread only); a trace below kParallelAnalysisThreshold events replays
-  /// on the calling thread.  Throws std::invalid_argument on an event whose
-  /// tid or fork/join child is out of range (trace::tids_in_range).
+  /// thread only); a trace below util::kParallelAnalysisThreshold events
+  /// replays on the calling thread.  Throws std::invalid_argument on an
+  /// event whose tid or fork/join child is out of range
+  /// (trace::tids_in_range).
   HbIndex run(std::vector<trace::Event> events, std::size_t workers = 0) const;
 
   /// run() in at most `partitions` partitions whatever the trace's size, so

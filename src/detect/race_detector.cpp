@@ -5,6 +5,7 @@
 #include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "src/detect/flat_map.hpp"
 #include "src/detect/frontier.hpp"
@@ -62,6 +63,73 @@ VariableVerdict sweep_variable(const HbIndex& hb, const RaceDetectorConfig& cfg,
   return verdict;
 }
 
+/// Access-event indices grouped by variable in one array: variables in
+/// ObjId order, each one's accesses in seq order.
+struct AccessGroups {
+  std::vector<trace::ObjId> vars;
+  std::vector<std::uint32_t> start;  ///< vars.size() + 1 offsets into by_var.
+  std::vector<std::uint32_t> by_var;
+
+  std::size_t count(std::size_t k) const { return start[k + 1] - start[k]; }
+  std::span<const std::uint32_t> of(std::size_t k) const {
+    return std::span<const std::uint32_t>(by_var).subspan(start[k], count(k));
+  }
+};
+
+/// Groups in three steps: each of `ranges` contiguous event ranges counts its
+/// accesses per variable; the calling thread lays the variables out in key
+/// order, and within a variable gives each range its slots after those of
+/// the ranges before it; then each range drops its accesses into its own
+/// slots, so a variable's accesses stay in seq order.  The ranges run as
+/// jobs (util::run_jobs); one range is one serial pass.
+AccessGroups group_accesses(const std::vector<trace::Event>& all,
+                            std::size_t ranges) {
+  const auto first = [&all, ranges](std::size_t r) {
+    return all.size() * r / ranges;
+  };
+  // Per range: var -> access count, then the range's next free slot.
+  std::vector<FlatMap<std::uint32_t>> cursor(ranges);
+  util::run_jobs(ranges, [&](std::size_t r) {
+    FlatMap<std::uint32_t>& mine = cursor[r];
+    for (std::size_t i = first(r); i < first(r + 1); ++i) {
+      if (all[i].is_access()) ++mine[all[i].obj];
+    }
+  });
+
+  AccessGroups g;
+  g.vars.reserve(cursor[0].size());
+  for (const FlatMap<std::uint32_t>& mine : cursor) {
+    mine.for_each(
+        [&g](trace::ObjId var, std::uint32_t) { g.vars.push_back(var); });
+  }
+  std::sort(g.vars.begin(), g.vars.end());
+  if (ranges > 1) {
+    g.vars.erase(std::unique(g.vars.begin(), g.vars.end()), g.vars.end());
+  }
+  g.start.resize(g.vars.size() + 1);
+  std::uint32_t next = 0;
+  for (std::size_t k = 0; k < g.vars.size(); ++k) {
+    g.start[k] = next;
+    for (FlatMap<std::uint32_t>& mine : cursor) {
+      if (std::uint32_t* slot = mine.find(g.vars[k])) {
+        next += std::exchange(*slot, next);
+      }
+    }
+  }
+  g.start.back() = next;
+
+  g.by_var.resize(next);
+  util::run_jobs(ranges, [&](std::size_t r) {
+    FlatMap<std::uint32_t>& mine = cursor[r];
+    for (std::size_t i = first(r); i < first(r + 1); ++i) {
+      if (all[i].is_access()) {
+        g.by_var[(*mine.find(all[i].obj))++] = static_cast<std::uint32_t>(i);
+      }
+    }
+  });
+  return g;
+}
+
 }  // namespace
 
 const char* detector_mode_name(DetectorMode mode) {
@@ -98,60 +166,32 @@ std::string ConcurrencyReport::summary() const {
 }
 
 ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const {
+  // hardware_concurrency() reads sysfs on Linux: ask only when it can matter.
+  std::size_t workers = 1;
+  if (events.size() >= util::kParallelAnalysisThreshold) {
+    workers = cfg_.analysis_threads != 0
+                  ? cfg_.analysis_threads
+                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
   HbIndex hb = [&] {
     obs::Span span("detect.hb");
     return HappensBeforeAnalysis(happens_before_config(cfg_.mode))
-        .run(std::move(events), cfg_.analysis_threads);
+        .run(std::move(events), workers);
   }();
 
   obs::Span sweep_span("detect.sweep");
-
-  // Group access-event indices by variable into one array, variables in
-  // ObjId order and each one's accesses in seq order: count per variable,
-  // lay the ranges out in key order, then drop each access into its range.
-  const std::vector<trace::Event>& all = hb.events();
-  FlatMap<std::uint32_t> cursor;  // var -> access count, then next free slot.
-  std::size_t total_accesses = 0;
-  for (const trace::Event& e : all) {
-    if (e.is_access()) {
-      ++cursor[e.obj];
-      ++total_accesses;
-    }
-  }
-  std::vector<trace::ObjId> vars;
-  vars.reserve(cursor.size());
-  cursor.for_each([&vars](trace::ObjId var, std::uint32_t) { vars.push_back(var); });
-  std::sort(vars.begin(), vars.end());
-  std::vector<std::uint32_t> start(vars.size() + 1, 0);
-  for (std::size_t k = 0; k < vars.size(); ++k) {
-    std::uint32_t& slot = *cursor.find(vars[k]);
-    start[k + 1] = start[k] + slot;
-    slot = start[k];
-  }
-  std::vector<std::uint32_t> by_var(total_accesses);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].is_access()) {
-      by_var[(*cursor.find(all[i].obj))++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  const auto accesses_of = [&](std::size_t k) {
-    return std::span<const std::uint32_t>(by_var).subspan(
-        start[k], start[k + 1] - start[k]);
-  };
+  const AccessGroups groups = group_accesses(hb.events(), workers);
+  const std::vector<trace::ObjId>& vars = groups.vars;
 
   // Variables are independent once grouped: fan the per-variable sweeps
   // across the calling thread and pooled workers and merge deterministically
   // (results are indexed by the variable's position in key order, so
   // scheduling never shows).
   std::vector<VariableVerdict> results(vars.size());
-
-  std::size_t nworkers = 1;
-  if (total_accesses >= kParallelAnalysisThreshold) {
-    nworkers = cfg_.analysis_threads != 0
-                   ? cfg_.analysis_threads
-                   : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    nworkers = std::min(nworkers, vars.size());
-  }
+  const std::size_t nworkers =
+      groups.by_var.size() >= util::kParallelAnalysisThreshold
+          ? std::min(workers, vars.size())
+          : 1;
 
   // Time individual sweeps only when telemetry is on: two clock reads per
   // variable are cheap, but the disabled path should not touch the clock.
@@ -161,7 +201,7 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
          k < vars.size();
          k = next->fetch_add(1, std::memory_order_relaxed)) {
       const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-      results[k] = sweep_variable(hb, cfg_, vars[k], accesses_of(k));
+      results[k] = sweep_variable(hb, cfg_, vars[k], groups.of(k));
       if (timed) {
         detect_metrics().sweep_ns.observe(
             static_cast<double>(obs::now_ns() - t0));
@@ -170,17 +210,7 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
   };
 
   std::atomic<std::size_t> next{0};
-  std::vector<util::PooledThread> workers;
-  for (std::size_t w = 1; w < nworkers; ++w) {
-    workers.emplace_back([&] { sweep_range(&next); });
-  }
-  try {
-    sweep_range(&next);
-  } catch (...) {
-    for (util::PooledThread& worker : workers) worker.join();
-    throw;
-  }
-  for (util::PooledThread& worker : workers) worker.join();
+  util::run_jobs(nworkers, [&](std::size_t) { sweep_range(&next); });
 
   // One batched fold of the per-variable tallies into the registry.
   // `pruned` is the gap to the exhaustive k*(k-1)/2 enumeration — pairs the
@@ -194,7 +224,7 @@ ConcurrencyReport RaceDetector::analyze(std::vector<trace::Event> events) const 
     checked += results[k].pairs_checked;
     found += results[k].pairs.size();
     epoch_hits += results[k].epoch_hits;
-    const std::size_t n = start[k + 1] - start[k];
+    const std::size_t n = groups.count(k);
     exhaustive += n * (n - 1) / 2;
     verdicts.emplace_hint(verdicts.end(), vars[k], std::move(results[k]));
   }

@@ -95,10 +95,10 @@ struct RaceDetectorConfig {
   /// Cap on reported pairs per variable (keeps quadratic scans bounded on
   /// adversarial traces; 0 = unlimited).
   std::size_t max_pairs_per_var = 64;
-  /// Worker threads for the HB replay's thread groups and the per-variable
-  /// sweeps (both independent once grouped).  0 = auto
+  /// Worker threads for the HB replay's thread groups, the access
+  /// grouping's event ranges and the per-variable sweeps.  0 = auto
   /// (hardware_concurrency); 1 = serial.  Small traces always run serially
-  /// regardless (see kParallelAnalysisThreshold).
+  /// regardless (see util::kParallelAnalysisThreshold).
   std::size_t analysis_threads = 0;
 };
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <istream>
 #include <string_view>
+#include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "src/obs/telemetry.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::trace {
 
@@ -21,9 +25,22 @@ constexpr std::uint32_t kMaxFrameLen = 1u << 24;
 /// type:u8 + len:u32le ahead of the payload, crc:u32le after it.
 constexpr std::size_t kFrameHead = 5;
 constexpr std::size_t kFrameOverhead = kFrameHead + 4;
-/// The smallest 'E' frame (seq..aux, lock count and MPI flag: 38 payload
-/// bytes): bounds how many events a file of a given size can hold.
-constexpr std::size_t kMinEventFrame = kFrameOverhead + 38;
+/// The smallest 'E' payload (seq..aux, lock count and MPI flag) and 'S'
+/// payload (the id).
+constexpr std::size_t kMinEventPayload = 38;
+constexpr std::size_t kMinStringPayload = 4;
+/// The smallest 'E' frame: bounds how many events a file of a given size
+/// can hold.
+constexpr std::size_t kMinEventFrame = kFrameOverhead + kMinEventPayload;
+/// Files too small to hold this many events salvage on the calling thread.
+constexpr std::size_t kParallelSalvageBytes =
+    util::kParallelAnalysisThreshold * kMinEventFrame;
+/// Chunks per salvage worker.  Workers take chunks from a shared counter, so
+/// a worker whose parked thread wakes late (tens to hundreds of
+/// microseconds on a virtual machine) takes fewer, and the calling thread,
+/// which starts at once, takes more.
+constexpr std::size_t kChunksPerWorker = 8;
+constexpr std::size_t kNoDamage = static_cast<std::size_t>(-1);
 
 /// Slice-by-8 tables: table[0] is the classic byte-at-a-time table, and
 /// table[k][i] advances table[k-1][i] over one more zero byte, so eight
@@ -177,8 +194,113 @@ std::string read_all(std::istream& in) {
   return bytes;
 }
 
-/// The salvage parser: frames are validated and decoded in place.
-LoadedTrace salvage_bytes(std::string_view bytes, WalSalvage* stats) {
+/// A run of whole frames that one job checks and decodes in place.
+struct Chunk {
+  std::size_t begin = 0;         ///< offset of its first frame.
+  std::size_t end = 0;           ///< one past its last frame.
+  std::size_t first_event = 0;   ///< slot of its first 'E' frame's event.
+  std::size_t first_string = 0;  ///< id its first 'S' frame must carry.
+  // What decode_chunk found:
+  std::size_t damaged = kNoDamage;  ///< offset of its first damaged frame.
+  std::size_t frames = 0;           ///< valid frames before that one.
+  std::size_t events = 0;
+  std::size_t strings = 0;
+  bool sorted = true;  ///< its events are in seq order.
+};
+
+/// Where the header walk found the frames.
+struct FrameLayout {
+  std::vector<Chunk> chunks;
+  std::size_t end = 0;  ///< offset of the first frame it could not frame.
+  std::size_t events = 0;
+  std::size_t strings = 0;
+};
+
+/// The header walk reads types and lengths only.  It stops at the first
+/// frame it cannot frame, which is the first damaged frame unless a CRC or
+/// a decode fails earlier; an 'E' frame too short for an event and an 'S'
+/// frame too short for its id are such frames, so no counted event frame
+/// is under kMinEventFrame bytes.  Whole frames are cut into at most
+/// `max_chunks` runs of about equal bytes.
+FrameLayout walk_frames(std::string_view bytes, std::size_t max_chunks) {
+  FrameLayout layout;
+  std::size_t pos = sizeof(kMagic);
+  const std::size_t target =
+      (bytes.size() - pos + max_chunks - 1) / max_chunks;
+  layout.chunks.emplace_back().begin = pos;
+  while (bytes.size() - pos >= kFrameOverhead) {
+    const char type = bytes[pos];
+    const std::uint32_t len = load<std::uint32_t>(bytes.data() + pos + 1);
+    if (len > kMaxFrameLen || len > bytes.size() - pos - kFrameOverhead ||
+        (type == 'E' && len < kMinEventPayload) ||
+        (type == 'S' && len < kMinStringPayload)) {
+      break;
+    }
+    if (pos - layout.chunks.back().begin >= target &&
+        layout.chunks.size() < max_chunks) {
+      layout.chunks.back().end = pos;
+      Chunk& next = layout.chunks.emplace_back();
+      next.begin = pos;
+      next.first_event = layout.events;
+      next.first_string = layout.strings;
+    }
+    layout.events += type == 'E' ? 1 : 0;
+    layout.strings += type == 'S' ? 1 : 0;
+    pos += kFrameOverhead + len;
+  }
+  layout.chunks.back().end = pos;
+  layout.end = pos;
+  return layout;
+}
+
+/// Checks the CRC of each of `c`'s frames and decodes it into its slot, up
+/// to its first damaged frame.  The slots were sized by the walk.
+void decode_chunk(std::string_view bytes, Chunk* c, LoadedTrace* out) {
+  Seq last_seq = 0;
+  for (std::size_t pos = c->begin; pos < c->end;) {
+    const char* frame = bytes.data() + pos;
+    const std::uint32_t len = load<std::uint32_t>(frame + 1);
+    bool bad = crc32(frame, kFrameHead + len) !=
+               load<std::uint32_t>(frame + kFrameHead + len);
+    if (!bad) {
+      // Framed bytes are intact; decode by type.  An unknown type with a
+      // valid CRC is a future-version frame — skip it, keep salvaging.
+      const std::string_view payload = bytes.substr(pos + kFrameHead, len);
+      if (frame[0] == 'S') {
+        // The writer emits string ids 0, 1, 2, ... in order, so any other
+        // id is damage (and must not size the table).
+        Reader r{payload};
+        std::uint32_t id = 0;
+        bad = !r.get(&id) || id != c->first_string + c->strings;
+        if (!bad) {
+          out->strings[id] = payload.substr(r.pos);
+          ++c->strings;
+        }
+      } else if (frame[0] == 'E') {
+        Event& e = out->events[c->first_event + c->events];
+        bad = !decode_event(payload, &e);
+        if (!bad) {
+          c->sorted = c->sorted && (c->events == 0 || last_seq <= e.seq);
+          last_seq = e.seq;
+          ++c->events;
+        }
+      }
+    }
+    if (bad) {
+      c->damaged = pos;
+      return;
+    }
+    ++c->frames;
+    pos += kFrameOverhead + len;
+  }
+}
+
+/// The salvage parser.  The calling thread walks the frame headers and
+/// sizes the event and string vectors once; then `workers` jobs check and
+/// decode the chunks in place, and the chunks before the first damaged
+/// frame are kept.
+LoadedTrace salvage_bytes(std::string_view bytes, std::size_t workers,
+                          WalSalvage* stats) {
   LoadedTrace result;
   WalSalvage salvage;
   obs::Counter& corrupt_counter =
@@ -194,63 +316,56 @@ LoadedTrace salvage_bytes(std::string_view bytes, WalSalvage* stats) {
     if (stats != nullptr) *stats = salvage;
     return result;
   }
-  result.events.reserve((bytes.size() - sizeof(kMagic)) / kMinEventFrame);
 
-  std::size_t pos = sizeof(kMagic);
-  while (pos < bytes.size()) {
-    const char* frame = bytes.data() + pos;
-    const std::size_t avail = bytes.size() - pos;
-    const std::uint32_t len =
-        avail >= kFrameOverhead ? load<std::uint32_t>(frame + 1) : 0;
-    bool bad = avail < kFrameOverhead || len > kMaxFrameLen ||
-               len > avail - kFrameOverhead ||
-               crc32(frame, kFrameHead + len) !=
-                   load<std::uint32_t>(frame + kFrameHead + len);
-    if (!bad) {
-      // Framed bytes are intact; decode by type.  An unknown type with a
-      // valid CRC is a future-version frame — skip it, keep salvaging.
-      const std::string_view payload = bytes.substr(pos + kFrameHead, len);
-      if (frame[0] == 'S') {
-        // The writer emits string ids 0, 1, 2, ... in order, so any other
-        // id is damage (and must not size the table).
-        Reader r{payload};
-        std::uint32_t id = 0;
-        if (r.get(&id) && id == result.strings.size()) {
-          result.strings.emplace_back(payload.substr(r.pos));
-          ++salvage.strings;
-        } else {
-          bad = true;
-        }
-      } else if (frame[0] == 'E') {
-        if (decode_event(payload, &result.events.emplace_back())) {
-          ++salvage.events;
-        } else {
-          result.events.pop_back();
-          bad = true;
-        }
-      }
+  workers = std::max<std::size_t>(1, workers);
+  FrameLayout layout =
+      walk_frames(bytes, workers == 1 ? 1 : workers * kChunksPerWorker);
+  result.events.resize(layout.events);
+  result.strings.resize(layout.strings);
+  std::vector<Chunk>& chunks = layout.chunks;
+  std::atomic<std::size_t> next{0};
+  util::run_jobs(std::min(workers, chunks.size()), [&](std::size_t) {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < chunks.size(); k = next.fetch_add(1, std::memory_order_relaxed)) {
+      decode_chunk(bytes, &chunks[k], &result);
     }
-    if (bad) {
-      // Longest-valid-prefix discipline: the first damaged frame ends
-      // recovery — after it, frame boundaries can't be trusted.
-      ++salvage.corrupt_frames;
-      salvage.torn = true;
-      salvage.bytes_discarded = bytes.size() - pos;
-      corrupt_counter.add();
+  });
+
+  // Longest-valid-prefix discipline: the first damaged frame by position
+  // ends recovery — after it, frame boundaries can't be trusted.  What the
+  // chunks behind it decoded is dropped.
+  std::size_t end = layout.end;
+  bool sorted = true;
+  const Event* last = nullptr;  // the kept chunks' last event so far.
+  for (const Chunk& c : chunks) {
+    salvage.frames += c.frames;
+    salvage.events += c.events;
+    salvage.strings += c.strings;
+    if (c.events > 0) {
+      const Event* first = &result.events[c.first_event];
+      sorted = sorted && c.sorted && (last == nullptr || last->seq <= first->seq);
+      last = first + (c.events - 1);
+    }
+    if (c.damaged != kNoDamage) {
+      end = c.damaged;
       break;
     }
-    ++salvage.frames;
-    pos += kFrameOverhead + len;
   }
-  salvage.bytes_recovered = pos;
+  result.events.resize(salvage.events);
+  result.strings.resize(salvage.strings);
+  if (end < bytes.size()) {
+    ++salvage.corrupt_frames;
+    salvage.torn = true;
+    salvage.bytes_discarded = bytes.size() - end;
+    corrupt_counter.add();
+  }
+  salvage.bytes_recovered = end;
 
   // Frames are journaled in publish order, which is almost always seq
-  // order: a linear check skips the sort then.
-  const auto by_seq = [](const Event& a, const Event& b) {
-    return a.seq < b.seq;
-  };
-  if (!std::is_sorted(result.events.begin(), result.events.end(), by_seq)) {
-    std::stable_sort(result.events.begin(), result.events.end(), by_seq);
+  // order: the chunks' linear checks skip the sort then.
+  if (!sorted) {
+    std::stable_sort(result.events.begin(), result.events.end(),
+                     [](const Event& a, const Event& b) { return a.seq < b.seq; });
   }
   if (stats != nullptr) *stats = salvage;
   return result;
@@ -337,7 +452,20 @@ void WalWriter::close() {
 }
 
 LoadedTrace salvage_wal(std::istream& in, WalSalvage* stats) {
-  return salvage_bytes(read_all(in), stats);
+  const std::string bytes = read_all(in);
+  // One worker per hardware thread once the file can hold
+  // util::kParallelAnalysisThreshold events.  hardware_concurrency() reads
+  // sysfs on Linux: ask only when it can matter.
+  const std::size_t workers =
+      bytes.size() < kParallelSalvageBytes
+          ? 1
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return salvage_bytes(bytes, workers, stats);
+}
+
+LoadedTrace salvage_wal_on_workers(std::istream& in, std::size_t workers,
+                                   WalSalvage* stats) {
+  return salvage_bytes(read_all(in), workers, stats);
 }
 
 LoadedTrace salvage_wal_file(const std::string& path, WalSalvage* stats) {

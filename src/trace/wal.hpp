@@ -95,8 +95,18 @@ class WalWriter : public EventSink {
 /// seq-sorted, strings indexed by id — the same LoadedTrace shape
 /// read_trace produces, so salvaged traces feed straight into
 /// home::analyze_trace.
+///
+/// Frames are checked and decoded in byte-balanced chunks of whole frames on
+/// one worker per hardware thread (util::run_jobs); a file too small to hold
+/// util::kParallelAnalysisThreshold events is one chunk on the calling
+/// thread.  The result does not depend on the chunking.
 LoadedTrace salvage_wal(std::istream& in, WalSalvage* stats = nullptr);
 LoadedTrace salvage_wal_file(const std::string& path,
                              WalSalvage* stats = nullptr);
+
+/// salvage_wal() on `workers` workers whatever the file's size (1 = one
+/// chunk on the calling thread), so tests can cut small files into chunks.
+LoadedTrace salvage_wal_on_workers(std::istream& in, std::size_t workers,
+                                   WalSalvage* stats = nullptr);
 
 }  // namespace home::trace

@@ -133,4 +133,35 @@ std::size_t pooled_thread_count() {
   return p.threads;
 }
 
+namespace internal {
+
+void run_pooled_jobs(std::size_t n,
+                     const std::function<void(std::size_t)>& job) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto guarded = [&job, &errors](std::size_t k) {
+    try {
+      job(k);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  };
+  std::vector<PooledThread> workers;
+  workers.reserve(n - 1);
+  for (std::size_t k = 1; k < n; ++k) {
+    try {
+      workers.emplace_back([&guarded, k] { guarded(k); });
+    } catch (...) {
+      errors[k] = std::current_exception();
+      break;
+    }
+  }
+  guarded(0);
+  for (PooledThread& worker : workers) worker.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace internal
+
 }  // namespace home::util

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "src/detect/happens_before.hpp"
@@ -9,12 +11,14 @@
 #include "src/detect/vector_clock.hpp"
 #include "src/trace/event.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace home::detect {
 namespace {
 
 using trace::Event;
 using trace::EventKind;
+using util::kParallelAnalysisThreshold;
 
 Event make_event(trace::Seq seq, trace::Tid tid, EventKind kind, trace::ObjId obj,
                  std::vector<trace::ObjId> locks = {}, std::uint64_t aux = 0) {
@@ -463,6 +467,78 @@ TEST(RaceDetector, PairCapRespected) {
 TEST(RaceDetector, SummaryMentionsMode) {
   auto report = RaceDetector().analyze({});
   EXPECT_NE(report.summary().find("hybrid"), std::string::npos);
+}
+
+TEST(RaceDetector, GroupingInRangesKeepsEveryVerdictAtOneToFourWorkers) {
+  // Above the parallel threshold, accesses are grouped over 1-4 contiguous
+  // event ranges.  Forty variables are hit throughout, by six threads with
+  // and without a lock, plus one variable hit only on both sides of every
+  // range seam (event n*r/w for w = 2, 3, 4), with a fork and barriers in
+  // between.  Every worker count must feed each variable's accesses in seq
+  // order, so the verdicts, their pairs and their tallies match exactly.
+  constexpr std::size_t kEvents = 6000;
+  constexpr trace::ObjId kSeamVar = 900;
+  std::vector<std::size_t> seams;
+  for (std::size_t w = 2; w <= 4; ++w) {
+    for (std::size_t r = 1; r < w; ++r) seams.push_back(kEvents * r / w);
+  }
+  util::Rng rng(23);
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    const auto seq = static_cast<trace::Seq>(i + 1);
+    const auto tid = static_cast<trace::Tid>(rng.next_below(6));
+    const bool at_seam = std::find(seams.begin(), seams.end(), i) != seams.end() ||
+                         std::find(seams.begin(), seams.end(), i + 1) != seams.end();
+    if (i == 0) {
+      events.push_back(make_event(seq, 0, EventKind::kThreadFork, 5));
+    } else if (i % 1000 == 700 || i % 1000 == 701) {
+      // A two-party barrier of threads 0 and 1.
+      events.push_back(make_event(seq, static_cast<trace::Tid>(i % 2),
+                                  EventKind::kBarrier, 700 + i / 1000, {}, 2));
+    } else if (at_seam) {
+      events.push_back(make_event(seq, tid, EventKind::kMemWrite, kSeamVar));
+    } else {
+      const EventKind kind = rng.next_bool(0.6) ? EventKind::kMemWrite
+                                                : EventKind::kMemRead;
+      std::vector<trace::ObjId> locks;
+      if (rng.next_bool(0.3)) locks = {500};
+      events.push_back(make_event(seq, tid, kind, 100 + rng.next_below(40),
+                                  std::move(locks)));
+    }
+  }
+  ASSERT_GT(events.size(), kParallelAnalysisThreshold);
+
+  const auto run = [&events](std::size_t workers) {
+    RaceDetectorConfig cfg;
+    cfg.analysis_threads = workers;
+    return RaceDetector(cfg).analyze(events);
+  };
+  const ConcurrencyReport serial = run(1);
+  ASSERT_EQ(serial.verdicts().size(), 41u);
+  ASSERT_NE(serial.verdict(kSeamVar), nullptr);
+  EXPECT_TRUE(serial.concurrent(kSeamVar));
+  for (std::size_t workers = 2; workers <= 4; ++workers) {
+    SCOPED_TRACE(workers);
+    const ConcurrencyReport got = run(workers);
+    ASSERT_EQ(got.verdicts().size(), serial.verdicts().size());
+    auto want = serial.verdicts().begin();
+    for (const auto& [var, verdict] : got.verdicts()) {
+      const VariableVerdict& expected = (want++)->second;
+      ASSERT_EQ(var, expected.var);
+      EXPECT_EQ(verdict.var, var);
+      EXPECT_EQ(verdict.concurrent, expected.concurrent) << var;
+      EXPECT_EQ(verdict.pairs_checked, expected.pairs_checked) << var;
+      EXPECT_EQ(verdict.epoch_hits, expected.epoch_hits) << var;
+      ASSERT_EQ(verdict.pairs.size(), expected.pairs.size()) << var;
+      for (std::size_t k = 0; k < verdict.pairs.size(); ++k) {
+        const ConcurrentPair& a = verdict.pairs[k];
+        const ConcurrentPair& b = expected.pairs[k];
+        EXPECT_EQ(std::tie(a.first, a.second, a.tid1, a.tid2),
+                  std::tie(b.first, b.second, b.tid1, b.tid2))
+            << var << " pair " << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "src/obs/telemetry.hpp"
 #include "src/spec/matcher.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/thread_pool.hpp"
 #include "tests/oracle/fixtures.hpp"
 
 namespace home {
@@ -342,7 +343,7 @@ TEST_F(HbPartition, AFourRankTraceReplaysInFourPartitions) {
   grouped_trace(/*seed=*/8, &tb, /*steps=*/3000, /*ranks=*/4);
   ASSERT_EQ(shared_for(8), Shared::kNone);
   const std::vector<Event> events = tb.events();
-  ASSERT_GE(events.size(), detect::kParallelAnalysisThreshold);
+  ASSERT_GE(events.size(), util::kParallelAnalysisThreshold);
   HbIndex one;
   HbIndex four;
   EXPECT_EQ(replay_partitions({}, events, 1, &one), 1u);
@@ -363,7 +364,7 @@ TEST_F(HbPartition, DetectorAndMatcherAgreeAtEveryWorkerCount) {
   oracle::TraceBuilder tb;
   grouped_trace(/*seed=*/16, &tb, /*steps=*/3000, /*ranks=*/3);
   const std::vector<Event> events = tb.events();
-  ASSERT_GE(events.size(), detect::kParallelAnalysisThreshold);
+  ASSERT_GE(events.size(), util::kParallelAnalysisThreshold);
   for (const detect::DetectorMode mode :
        {detect::DetectorMode::kHybrid, detect::DetectorMode::kHbOnly,
         detect::DetectorMode::kLocksetOnly}) {

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -269,6 +271,64 @@ TEST(ThreadPool, EachJobStartsWithItsOwnIdAndNoThreadName) {
   EXPECT_NE(first.job, 0u);
   EXPECT_NE(second.job, first.job);
   EXPECT_EQ(second.name, "");
+}
+
+TEST(ThreadPool, RunJobsRethrowsAPooledJobsExceptionOnTheCaller) {
+  constexpr std::size_t kJobs = 4;
+  struct Round {
+    std::vector<std::thread::id> threads = std::vector<std::thread::id>(kJobs);
+    std::vector<int> finished = std::vector<int>(kJobs, 0);
+  };
+  // Every job waits until all four run; then the ones in `throwers` throw
+  // and the others finish a little later.
+  const auto round = [](Round* r, std::set<std::size_t> throwers) {
+    std::latch all_running(kJobs);
+    run_jobs(kJobs, [&](std::size_t k) {
+      r->threads[k] = std::this_thread::get_id();
+      all_running.arrive_and_wait();
+      if (throwers.count(k) != 0) {
+        throw std::runtime_error("job " + std::to_string(k));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      r->finished[k] = 1;
+    });
+  };
+
+  Round first;
+  try {
+    round(&first, {2});
+    ADD_FAILURE() << "the exception of job 2 was lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 2");
+  }
+  // Job 0 ran on the caller, and every other job ran to its end.
+  EXPECT_EQ(first.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(first.finished, (std::vector<int>{1, 1, 0, 1}));
+
+  // The pool runs new jobs on the same threads, and of two failures the
+  // lower-numbered job's exception reaches the caller.
+  const std::size_t threads = pooled_thread_count();
+  Round second;
+  try {
+    round(&second, {3, 1});
+    ADD_FAILURE() << "the exceptions of jobs 1 and 3 were lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 1");
+  }
+  EXPECT_EQ(second.finished, (std::vector<int>{1, 0, 1, 0}));
+  EXPECT_EQ(std::set<std::thread::id>(second.threads.begin() + 1,
+                                      second.threads.end()),
+            std::set<std::thread::id>(first.threads.begin() + 1,
+                                      first.threads.end()));
+  Round third;
+  round(&third, {});
+  EXPECT_EQ(third.finished, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(pooled_thread_count(), threads);
+
+  // A throw on the calling thread is rethrown after the pooled jobs end.
+  Round fourth;
+  EXPECT_THROW(round(&fourth, {0}), std::runtime_error);
+  EXPECT_EQ(fourth.finished, (std::vector<int>{0, 1, 1, 1}));
 }
 
 }  // namespace

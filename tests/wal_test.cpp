@@ -5,6 +5,8 @@
 // text-trace loader over the committed corrupted corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -686,6 +688,307 @@ TEST(Wal, SessionWalMatchesPostMortemAnalysis) {
   EXPECT_FALSE(degraded.degraded_reasons().empty());
   std::remove(path.c_str());
   std::remove(torn_path.c_str());
+}
+
+// --- chunked salvage: one worker and four give the same result -------------
+
+/// 280 events written in seq order through the writer: every third holds two
+/// locks, and every seventh is an MPI call whose callsite string is
+/// journaled just ahead of it (41 string frames with the empty label's, 321
+/// frames in all).
+std::string long_wal_bytes() {
+  const std::string path = testing::TempDir() + "/home_wal_long.bin";
+  {
+    trace::StringTable strings;
+    trace::WalWriter wal(path, &strings);
+    EXPECT_TRUE(wal.ok());
+    for (trace::Seq seq = 1; seq <= 280; ++seq) {
+      trace::Event e = make_event(
+          seq, static_cast<trace::Tid>(seq % 6),
+          seq % 2 == 0 ? trace::EventKind::kMemWrite : trace::EventKind::kMemRead,
+          100 + seq % 11);
+      if (seq % 3 == 0) e.locks_held = {7, 8 + seq % 4};
+      if (seq % 7 == 0) {
+        e.kind = trace::EventKind::kMpiCall;
+        trace::MpiCallInfo info;
+        info.type = trace::MpiCallType::kIsend;
+        info.peer = static_cast<int>(seq % 4);
+        info.tag = static_cast<int>(seq);
+        info.comm = 1;
+        info.request = seq;
+        info.callsite = strings.intern("long.site" + std::to_string(seq));
+        e.mpi = info;
+      }
+      wal.on_event(e);
+    }
+    wal.close();
+  }
+  std::string bytes = slurp(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Where the frames of an undamaged WAL start (the last entry is its end),
+/// and how many event and string frames precede each.
+struct FrameMap {
+  std::vector<std::size_t> start;
+  std::vector<std::size_t> events_before;
+  std::vector<std::size_t> strings_before;
+
+  std::size_t frames() const { return start.size() - 1; }
+  /// The frame holding byte `at` (past the header).
+  std::size_t frame_at(std::size_t at) const {
+    std::size_t f = 0;
+    while (start[f + 1] <= at) ++f;
+    return f;
+  }
+};
+
+FrameMap frame_map(const std::string& bytes) {
+  FrameMap m;
+  std::size_t pos = 8, events = 0, strings = 0;
+  for (;;) {
+    m.start.push_back(pos);
+    m.events_before.push_back(events);
+    m.strings_before.push_back(strings);
+    if (pos >= bytes.size()) break;
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(bytes[pos + 1 + i]))
+             << (8 * i);
+    }
+    events += bytes[pos] == 'E' ? 1 : 0;
+    strings += bytes[pos] == 'S' ? 1 : 0;
+    pos += 9 + len;
+  }
+  return m;
+}
+
+/// One salvage on an explicit worker count, with the bump it gave
+/// trace.corrupt_records.
+struct Salvaged {
+  trace::LoadedTrace trace;
+  trace::WalSalvage stats;
+  std::uint64_t corrupt_bump = 0;
+};
+
+Salvaged salvage_on(const std::string& bytes, std::size_t workers) {
+  obs::Counter& corrupt =
+      obs::Registry::global().counter("trace.corrupt_records");
+  Salvaged out;
+  std::istringstream in(bytes);
+  const std::uint64_t before = corrupt.value();
+  out.trace = trace::salvage_wal_on_workers(in, workers, &out.stats);
+  out.corrupt_bump = corrupt.value() - before;
+  return out;
+}
+
+/// Salvages `bytes` on one worker (one chunk) and on four (many chunks).
+/// Both must give the same trace, accounting and counter bump (one for a
+/// damaged file, none for a clean one), and neither may size its events
+/// past what the file can hold.  Returns the four-worker salvage.
+Salvaged expect_same_on_one_and_four_workers(const std::string& bytes,
+                                             const std::string& what) {
+  const Salvaged one = salvage_on(bytes, 1);
+  Salvaged four = salvage_on(bytes, 4);
+  EXPECT_TRUE(same_salvage(one.stats, four.stats)) << what;
+  EXPECT_EQ(one.corrupt_bump, one.stats.clean() ? 0u : 1u) << what;
+  EXPECT_EQ(four.corrupt_bump, one.corrupt_bump) << what;
+  EXPECT_EQ(four.trace.strings, one.trace.strings) << what;
+  EXPECT_EQ(four.trace.events.size(), one.trace.events.size()) << what;
+  for (std::size_t i = 0;
+       i < std::min(one.trace.events.size(), four.trace.events.size()); ++i) {
+    EXPECT_TRUE(same_event(four.trace.events[i], one.trace.events[i]))
+        << what << ", event " << i;
+  }
+  const std::size_t bound = bytes.size() < 8 ? 0 : (bytes.size() - 8) / 47;
+  EXPECT_LE(one.trace.events.capacity(), bound) << what;
+  EXPECT_LE(four.trace.events.capacity(), bound) << what;
+  return four;
+}
+
+/// `got` kept exactly the first `kept` frames of the undamaged WAL that
+/// `clean` and `map` describe, out of a file of `size` bytes.
+void expect_kept_frames(const Salvaged& got, const trace::LoadedTrace& clean,
+                        const FrameMap& map, std::size_t kept, std::size_t size,
+                        const std::string& what) {
+  EXPECT_EQ(got.stats.frames, kept) << what;
+  EXPECT_EQ(got.stats.bytes_recovered, map.start[kept]) << what;
+  EXPECT_EQ(got.stats.bytes_recovered + got.stats.bytes_discarded, size)
+      << what;
+  EXPECT_EQ(got.stats.clean(), map.start[kept] == size) << what;
+  EXPECT_EQ(got.stats.corrupt_frames, map.start[kept] == size ? 0u : 1u)
+      << what;
+  ASSERT_EQ(got.trace.events.size(), map.events_before[kept]) << what;
+  EXPECT_EQ(got.stats.events, map.events_before[kept]) << what;
+  for (std::size_t i = 0; i < got.trace.events.size(); ++i) {
+    EXPECT_TRUE(same_event(got.trace.events[i], clean.events[i]))
+        << what << ", event " << i;
+  }
+  EXPECT_EQ(got.stats.strings, map.strings_before[kept]) << what;
+  EXPECT_EQ(got.trace.strings,
+            std::vector<std::string>(
+                clean.strings.begin(),
+                clean.strings.begin() +
+                    static_cast<std::ptrdiff_t>(map.strings_before[kept])))
+      << what;
+}
+
+TEST(WalChunks, TheLongWalLoadsWholeAndCleanOnAnyWorkerCount) {
+  const std::string bytes = long_wal_bytes();
+  const FrameMap map = frame_map(bytes);
+  ASSERT_GE(map.frames(), 300u);
+  ASSERT_EQ(map.start.back(), bytes.size());
+  const Salvaged four = expect_same_on_one_and_four_workers(bytes, "clean");
+  ASSERT_TRUE(four.stats.clean());
+  ASSERT_EQ(four.trace.events.size(), 280u);
+  ASSERT_EQ(four.trace.strings.size(), 41u);
+  for (std::size_t workers : {2u, 3u, 7u, 64u}) {
+    const Salvaged got = salvage_on(bytes, workers);
+    expect_kept_frames(got, four.trace, map, map.frames(), bytes.size(),
+                       std::to_string(workers) + " workers");
+  }
+  // The MPI detail, the locks and the callsite labels survive the chunking.
+  const trace::Event& call = four.trace.events[7 * 6 - 1];
+  ASSERT_TRUE(call.mpi.has_value());
+  EXPECT_EQ(call.locks_held, (std::vector<trace::ObjId>{7, 8 + 42 % 4}));
+  EXPECT_EQ(four.trace.label(call.mpi->callsite), "long.site42");
+}
+
+TEST(WalChunks, EveryTruncationSalvagesTheSameOnOneAndFourWorkers) {
+  const std::string bytes = long_wal_bytes();
+  const FrameMap map = frame_map(bytes);
+  const trace::LoadedTrace clean = salvage_on(bytes, 1).trace;
+  std::size_t kept = 0;  // whole frames below the cut.
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    while (kept < map.frames() && map.start[kept + 1] <= cut) ++kept;
+    const std::string what = "cut at byte " + std::to_string(cut);
+    const std::string torn = bytes.substr(0, cut);
+    const Salvaged got = expect_same_on_one_and_four_workers(torn, what);
+    if (cut < 8) {
+      EXPECT_TRUE(got.stats.missing_header) << what;
+      continue;
+    }
+    expect_kept_frames(got, clean, map, kept, cut, what);
+  }
+}
+
+TEST(WalChunks, EveryFlippedByteSalvagesTheSameOnOneAndFourWorkers) {
+  const std::string clean_bytes = long_wal_bytes();
+  const FrameMap map = frame_map(clean_bytes);
+  const trace::LoadedTrace clean = salvage_on(clean_bytes, 1).trace;
+  for (std::size_t at = 0; at < clean_bytes.size(); ++at) {
+    const std::string what = "byte " + std::to_string(at);
+    std::string bytes = clean_bytes;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x5A);
+    const Salvaged got = expect_same_on_one_and_four_workers(bytes, what);
+    if (at < 8) {
+      EXPECT_TRUE(got.stats.missing_header) << what;
+      continue;
+    }
+    // Recovery ends at the frame the flip landed in.
+    expect_kept_frames(got, clean, map, map.frame_at(at), bytes.size(), what);
+  }
+}
+
+TEST(WalChunks, ACrcValidBadFrameAtEveryBoundaryEndsRecoveryThere) {
+  const std::string clean_bytes = long_wal_bytes();
+  const FrameMap map = frame_map(clean_bytes);
+  const trace::LoadedTrace clean = salvage_on(clean_bytes, 1).trace;
+  const auto string_frame = [](std::uint64_t id) {
+    std::string payload;
+    put_le(&payload, id, 4);
+    payload += "label";
+    return make_frame('S', payload);
+  };
+  for (std::size_t f = 0; f <= map.frames(); ++f) {
+    const std::string head = clean_bytes.substr(0, map.start[f]);
+    const std::string tail = clean_bytes.substr(map.start[f]);
+    const std::string kBad[] = {
+        string_frame(map.strings_before[f] + 1),  // the wrong string id
+        make_frame('S', "ab"),                     // shorter than an id
+        make_frame('E', ""),                       // shorter than an event
+        make_frame('E', event_payload(2, 1)),      // one lock short
+    };
+    for (const std::string& bad : kBad) {
+      const std::string bytes = head + bad + tail;
+      const std::string what = "bad frame of " + std::to_string(bad.size()) +
+                               " bytes before frame " + std::to_string(f);
+      const Salvaged got = expect_same_on_one_and_four_workers(bytes, what);
+      expect_kept_frames(got, clean, map, f, bytes.size(), what);
+    }
+    // A frame of a type this version does not know is skipped.
+    const std::string future = make_frame('X', "a frame from a newer writer");
+    const std::string what = "unknown frame before frame " + std::to_string(f);
+    const Salvaged got =
+        expect_same_on_one_and_four_workers(head + future + tail, what);
+    EXPECT_TRUE(got.stats.clean()) << what;
+    EXPECT_EQ(got.stats.frames, map.frames() + 1) << what;
+    EXPECT_EQ(got.trace.strings, clean.strings) << what;
+    ASSERT_EQ(got.trace.events.size(), clean.events.size()) << what;
+  }
+}
+
+TEST(WalChunks, OutOfOrderSeqsOnEitherSideOfEverySeamComeBackSorted) {
+  // Forty frames of one size, cut into chunks of two frames on four
+  // workers.  Swapping every adjacent pair in turn puts an out-of-order seq
+  // inside each chunk and across each seam.
+  constexpr trace::Seq kEvents = 40;
+  const std::string path = testing::TempDir() + "/home_wal_swapped.bin";
+  for (trace::Seq swap = 1; swap < kEvents; ++swap) {
+    std::vector<trace::Seq> order;
+    for (trace::Seq seq = 1; seq <= kEvents; ++seq) order.push_back(seq);
+    std::swap(order[swap - 1], order[swap]);
+    {
+      trace::StringTable strings;
+      trace::WalWriter wal(path, &strings);
+      ASSERT_TRUE(wal.ok());
+      for (const trace::Seq seq : order) {
+        wal.on_event(make_event(seq, static_cast<trace::Tid>(seq % 3),
+                                trace::EventKind::kMemWrite, 100 + seq));
+      }
+      wal.close();
+    }
+    const std::string bytes = slurp(path);
+    const std::string what = "frames " + std::to_string(swap - 1) + " and " +
+                             std::to_string(swap) + " swapped";
+    const Salvaged got = expect_same_on_one_and_four_workers(bytes, what);
+    EXPECT_TRUE(got.stats.clean()) << what;
+    ASSERT_EQ(got.trace.events.size(), kEvents) << what;
+    for (std::size_t i = 0; i < got.trace.events.size(); ++i) {
+      const trace::Event& e = got.trace.events[i];
+      EXPECT_EQ(e.seq, i + 1) << what;
+      EXPECT_EQ(e.obj, 100 + e.seq) << what;  // each payload keeps its seq.
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalChunks, NineByteEventFramesSizeNoEvents) {
+  // An 'E' frame with an empty payload is framed and CRC-valid, but holds
+  // no event: the walk stops at it instead of sizing the event vector by
+  // the count of such headers.
+  const std::string empty_event = make_frame('E', "");
+  ASSERT_EQ(empty_event.size(), 9u);
+  std::string only_empty = "HOMEWAL1";
+  for (int i = 0; i < 500; ++i) only_empty += empty_event;
+  const Salvaged none =
+      expect_same_on_one_and_four_workers(only_empty, "nine-byte frames only");
+  EXPECT_TRUE(none.trace.events.empty());
+  EXPECT_EQ(none.stats.corrupt_frames, 1u);
+  EXPECT_EQ(none.stats.bytes_recovered, 8u);
+  EXPECT_EQ(none.stats.bytes_discarded, 500u * 9u);
+
+  // The same behind a whole WAL: its events load, the empty frames do not.
+  const std::string bytes = long_wal_bytes();
+  std::string padded = bytes;
+  for (int i = 0; i < 3000; ++i) padded += empty_event;
+  const Salvaged got =
+      expect_same_on_one_and_four_workers(padded, "nine-byte frames behind");
+  EXPECT_EQ(got.trace.events.size(), 280u);
+  EXPECT_EQ(got.stats.bytes_recovered, bytes.size());
+  EXPECT_EQ(got.stats.corrupt_frames, 1u);
 }
 
 // --- hardened text loader over the committed corrupted corpus ---------------
