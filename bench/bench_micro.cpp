@@ -3,7 +3,6 @@
 // message matching, collective rendezvous, and full detector passes.
 #include <benchmark/benchmark.h>
 
-#include "src/detect/lockset.hpp"
 #include "src/detect/race_detector.hpp"
 #include "src/detect/vector_clock.hpp"
 #include "src/simmpi/mailbox.hpp"
@@ -90,27 +89,6 @@ void BM_MailboxDeliverMatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MailboxDeliverMatch);
-
-void BM_EraserStateMachine(benchmark::State& state) {
-  util::Rng rng(7);
-  std::vector<trace::Event> events;
-  for (int i = 0; i < 1024; ++i) {
-    trace::Event e;
-    e.seq = static_cast<trace::Seq>(i + 1);
-    e.tid = static_cast<trace::Tid>(rng.next_below(4));
-    e.kind = trace::EventKind::kMemWrite;
-    e.obj = 100 + rng.next_below(16);
-    if (rng.next_bool()) e.locks_held = {10};
-    events.push_back(std::move(e));
-  }
-  for (auto _ : state) {
-    detect::EraserStateMachine machine;
-    for (const auto& e : events) machine.on_access(e);
-    benchmark::DoNotOptimize(machine.reported_variables().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_EraserStateMachine);
 
 void BM_RaceDetectorAnalyze(benchmark::State& state) {
   util::Rng rng(13);

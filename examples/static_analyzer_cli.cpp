@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     std::printf("  %-40s line %-4d %s%s%s%s\n", site.label.c_str(), site.line,
                 site.in_parallel ? "[parallel] " : "[serial]   ",
                 site.locks.empty() ? "" : "[locked] ",
-                site.in_master_or_single ? "[master/single] " : "",
+                site.in_master || site.in_single ? "[master/single] " : "",
                 pruned_tag.c_str());
   }
 

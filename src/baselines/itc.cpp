@@ -9,9 +9,6 @@
 #include "src/util/stats.hpp"
 
 namespace home::baselines {
-
-std::atomic<ItcMemoryTracer*> g_itc_tracer{nullptr};
-
 namespace {
 
 std::uint64_t next_tracer_id() {
@@ -96,21 +93,22 @@ ItcSession::ItcSession()
 void ItcSession::configure(simmpi::UniverseConfig& ucfg) {
   ucfg.log = &log_;
   ucfg.registry = &registry_;
-  ucfg.emit_message_edges = true;
 }
 
 void ItcSession::attach(simmpi::Universe& universe) {
   universe.hooks().add(wrappers_.get());
-  universe.run_context().log = &log_;
-  universe.run_context().registry = &registry_;
-  g_itc_tracer.store(&tracer_);
+  util::RunContext& run = universe.run_context();
+  run.log = &log_;
+  run.registry = &registry_;
+  run.itc_tracer = &tracer_;
 }
 
 void ItcSession::detach(simmpi::Universe& universe) {
-  g_itc_tracer.store(nullptr);
   universe.hooks().remove(wrappers_.get());
-  universe.run_context().log = nullptr;
-  universe.run_context().registry = nullptr;
+  util::RunContext& run = universe.run_context();
+  run.log = nullptr;
+  run.registry = nullptr;
+  run.itc_tracer = nullptr;
 }
 
 Report ItcSession::analyze() {

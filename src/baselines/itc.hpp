@@ -23,6 +23,7 @@
 #include "src/simmpi/universe.hpp"
 #include "src/trace/thread_registry.hpp"
 #include "src/trace/trace_log.hpp"
+#include "src/util/run_context.hpp"
 
 namespace home::baselines {
 
@@ -55,13 +56,12 @@ class ItcMemoryTracer {
   std::atomic<int> threads_seen_{0};
 };
 
-/// Global activation point; null when no ITC session is attached.
-extern std::atomic<ItcMemoryTracer*> g_itc_tracer;
-
-/// The hook applications call on shared stores/loads in their kernels.
-/// Costs one load+branch when no tracer is active (the Base configuration).
+/// The hook applications call on shared stores/loads in their kernels: feeds
+/// the tracer of the run on this thread (ItcSession::attach puts it in the
+/// run context).  Costs one thread-local load and a branch when the run has
+/// none (the Base and HOME configurations).
 inline void itc_trace(const void* addr, bool write = true) {
-  ItcMemoryTracer* tracer = g_itc_tracer.load(std::memory_order_relaxed);
+  ItcMemoryTracer* tracer = util::run_context().itc_tracer;
   if (tracer) tracer->access(addr, write);
 }
 

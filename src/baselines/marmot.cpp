@@ -13,6 +13,11 @@ using trace::MpiCallType;
 
 bool args_equal_overlap(int a, int b) { return a == b || a < 0 || b < 0; }
 
+/// Simulated per-call processing cost of the global analysis (busy
+/// iterations, run while holding the central lock so all ranks serialize
+/// through it — Marmot's debug-server bottleneck).
+constexpr int kAgentCheckIterations = 1100;
+
 }  // namespace
 
 int MarmotChecker::current_tid_key() {
@@ -52,7 +57,7 @@ void MarmotChecker::check_against_active(const simmpi::CallDesc& desc, int tid) 
   // Simulated global-analysis work, performed inside the critical section so
   // concurrent ranks queue behind it.
   volatile std::uint64_t sink = 1;
-  for (int i = 0; i < cfg_.agent_check_iterations; ++i) sink = sink * 31 + 7;
+  for (int i = 0; i < kAgentCheckIterations; ++i) sink = sink * 31 + 7;
 
   auto make = [&](spec::ViolationType type, const ActiveCall* other,
                   const std::string& detail) {
@@ -147,8 +152,8 @@ std::size_t MarmotChecker::calls_checked() const {
   return calls_checked_;
 }
 
-MarmotSession::MarmotSession(MarmotConfig cfg)
-    : checker_(std::make_unique<MarmotChecker>(cfg)) {}
+MarmotSession::MarmotSession()
+    : checker_(std::make_unique<MarmotChecker>()) {}
 
 void MarmotSession::configure(simmpi::UniverseConfig& ucfg) {
   ucfg.registry = &registry_;  // needed for on_main_thread attribution.

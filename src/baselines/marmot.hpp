@@ -26,17 +26,8 @@
 
 namespace home::baselines {
 
-struct MarmotConfig {
-  /// Simulated per-call processing cost of the global analysis (checking
-  /// loop iterations, executed while holding the central lock so all ranks
-  /// serialize through it — Marmot's debug-server bottleneck).
-  int agent_check_iterations = 1100;
-};
-
 class MarmotChecker : public simmpi::MpiHooks {
  public:
-  explicit MarmotChecker(MarmotConfig cfg = {}) : cfg_(cfg) {}
-
   void on_call_begin(const simmpi::CallDesc& desc) override;
   void on_call_end(const simmpi::CallDesc& desc) override;
 
@@ -61,8 +52,6 @@ class MarmotChecker : public simmpi::MpiHooks {
   void add_violation(spec::Violation v);
   static int current_tid_key();
 
-  MarmotConfig cfg_;
-
   mutable std::mutex mu_;  ///< the central debug-server critical section.
   std::map<int, std::vector<ActiveCall>> active_;  ///< rank -> in-flight calls.
   std::vector<spec::Violation> violations_;
@@ -74,7 +63,7 @@ class MarmotChecker : public simmpi::MpiHooks {
 /// Session wrapper mirroring home::Session's shape for the bench drivers.
 class MarmotSession {
  public:
-  explicit MarmotSession(MarmotConfig cfg = {});
+  MarmotSession();
 
   void configure(simmpi::UniverseConfig& ucfg);
   void attach(simmpi::Universe& universe);

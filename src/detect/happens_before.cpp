@@ -569,7 +569,6 @@ void PartitionedReplay::split(std::size_t max_parts) {
         break;
       case trace::EventKind::kMsgSend:
       case trace::EventKind::kMsgRecv: {
-        if (!cfg_.message_edges) break;
         MessageUse& m = messages[e.obj];
         if (m.first == trace::kNoTid) m.first = e.tid;
         if (e.kind == trace::EventKind::kMsgSend) {

@@ -28,8 +28,7 @@
 namespace home::detect {
 
 struct HappensBeforeConfig {
-  bool lock_edges = false;      ///< model release->acquire as an HB edge.
-  bool message_edges = true;    ///< model MsgSend->MsgRcv as an HB edge.
+  bool lock_edges = false;  ///< model release->acquire as an HB edge.
 };
 
 /// The primitive HB edges IncrementalHb::advance applies — the one edge

@@ -29,10 +29,8 @@ StampView IncrementalHb::advance(const trace::Event& e, HbRecorder* rec) {
         }
         break;
       case trace::EventKind::kMsgRecv:
-        if (cfg_.message_edges) {
-          in = message_clock_.find(e.obj);
-          kind = EdgeKind::kMessage;
-        }
+        in = message_clock_.find(e.obj);
+        kind = EdgeKind::kMessage;
         break;
       case trace::EventKind::kThreadJoin: {
         const auto child = static_cast<std::size_t>(e.obj);
@@ -77,10 +75,8 @@ StampView IncrementalHb::advance(const trace::Event& e, HbRecorder* rec) {
       }
       break;
     case trace::EventKind::kMsgSend:
-      if (cfg_.message_edges) {
-        message_clock_[e.obj].join(thread_clock_[ti]);
-        if (rec != nullptr) rec->published(e, EdgeKind::kMessage);
-      }
+      message_clock_[e.obj].join(thread_clock_[ti]);
+      if (rec != nullptr) rec->published(e, EdgeKind::kMessage);
       break;
     case trace::EventKind::kThreadFork: {
       const auto child = static_cast<trace::Tid>(e.obj);

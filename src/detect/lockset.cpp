@@ -1,25 +1,6 @@
 #include "src/detect/lockset.hpp"
 
-#include <algorithm>
-
 namespace home::detect {
-namespace {
-
-std::set<trace::ObjId> to_set(const std::vector<trace::ObjId>& v) {
-  return std::set<trace::ObjId>(v.begin(), v.end());
-}
-
-void intersect_into(std::set<trace::ObjId>& dst, const std::vector<trace::ObjId>& held) {
-  for (auto it = dst.begin(); it != dst.end();) {
-    if (!std::binary_search(held.begin(), held.end(), *it)) {
-      it = dst.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-}  // namespace
 
 bool is_potential_lockset_race(const trace::Event& a, const trace::Event& b) {
   if (a.tid == b.tid) return false;
@@ -27,47 +8,6 @@ bool is_potential_lockset_race(const trace::Event& a, const trace::Event& b) {
   if (!a.is_access() || !b.is_access()) return false;
   if (!a.is_write() && !b.is_write()) return false;
   return trace::locksets_disjoint(a.locks_held, b.locks_held);
-}
-
-bool EraserStateMachine::on_access(const trace::Event& e) {
-  if (!e.is_access()) return false;
-  EraserVariable& v = vars_[e.obj];
-  switch (v.state) {
-    case EraserState::kVirgin:
-      v.state = EraserState::kExclusive;
-      v.owner = e.tid;
-      return false;
-    case EraserState::kExclusive:
-      if (e.tid == v.owner) return false;
-      v.candidate_locks = to_set(e.locks_held);
-      v.state = e.is_write() ? EraserState::kSharedModified : EraserState::kShared;
-      break;
-    case EraserState::kShared:
-      intersect_into(v.candidate_locks, e.locks_held);
-      if (e.is_write()) v.state = EraserState::kSharedModified;
-      break;
-    case EraserState::kSharedModified:
-      intersect_into(v.candidate_locks, e.locks_held);
-      break;
-  }
-  if (v.state == EraserState::kSharedModified && v.candidate_locks.empty() &&
-      !v.reported) {
-    v.reported = true;
-    reported_.push_back(e.obj);
-    return true;
-  }
-  return false;
-}
-
-const EraserVariable& EraserStateMachine::variable(trace::ObjId var) const {
-  static const EraserVariable kEmpty;
-  auto it = vars_.find(var);
-  return it == vars_.end() ? kEmpty : it->second;
-}
-
-void EraserStateMachine::reset() {
-  vars_.clear();
-  reported_.clear();
 }
 
 }  // namespace home::detect

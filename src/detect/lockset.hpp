@@ -1,19 +1,9 @@
-// Eraser-style lockset analysis (Savage et al., TOCS 1997).
-//
-// Two views are provided:
-//  * EraserStateMachine — the classic per-variable state machine
-//    (Virgin -> Exclusive -> Shared -> SharedModified) refining a candidate
-//    lockset; reports when the candidate set becomes empty while the variable
-//    is shared-modified.
-//  * is_potential_lockset_race — the paper's pairwise formulation
-//    IsPotentialLockSetRace(i, j): different threads, same location, at least
-//    one write, disjoint locksets at the two accesses.
+// Eraser-style lockset analysis (Savage et al., TOCS 1997), in the paper's
+// pairwise formulation IsPotentialLockSetRace(i, j): different threads, same
+// location, at least one write, disjoint locksets at the two accesses.  The
+// race detector applies the same lockset test to every candidate pair
+// (trace::locksets_disjoint).
 #pragma once
-
-#include <cstdint>
-#include <map>
-#include <set>
-#include <vector>
 
 #include "src/trace/event.hpp"
 
@@ -21,34 +11,5 @@ namespace home::detect {
 
 /// Pairwise lockset-race check from the paper's Section IV.D.
 bool is_potential_lockset_race(const trace::Event& a, const trace::Event& b);
-
-enum class EraserState : std::uint8_t {
-  kVirgin,
-  kExclusive,
-  kShared,
-  kSharedModified,
-};
-
-struct EraserVariable {
-  EraserState state = EraserState::kVirgin;
-  trace::Tid owner = trace::kNoTid;          ///< valid in Exclusive.
-  std::set<trace::ObjId> candidate_locks;    ///< valid from Shared onward.
-  bool reported = false;                     ///< report once per variable.
-};
-
-class EraserStateMachine {
- public:
-  /// Feed one access event; returns true if this access triggers a report
-  /// (candidate lockset empty in SharedModified, first time).
-  bool on_access(const trace::Event& e);
-
-  const EraserVariable& variable(trace::ObjId var) const;
-  const std::vector<trace::ObjId>& reported_variables() const { return reported_; }
-  void reset();
-
- private:
-  std::map<trace::ObjId, EraserVariable> vars_;
-  std::vector<trace::ObjId> reported_;
-};
 
 }  // namespace home::detect

@@ -41,13 +41,16 @@ Endpoint make_endpoint(const detect::HbIndex& hb, std::size_t idx,
   return ep;
 }
 
-std::vector<ContextEvent> context_window(const detect::HbIndex& hb,
-                                         std::size_t idx, std::size_t window) {
+/// Trace events a certificate keeps on each side of an endpoint, same thread.
+constexpr std::size_t kContextWindow = 5;
+
+std::vector<ContextEvent> endpoint_context(const detect::HbIndex& hb,
+                                          std::size_t idx) {
   const std::vector<trace::Event>& events = hb.events();
   const std::span<const std::uint32_t> mine = hb.events_of(events[idx].tid);
   const std::size_t my_pos = hb.position_of(idx);
-  const std::size_t lo = my_pos > window ? my_pos - window : 0;
-  const std::size_t hi = std::min(mine.size(), my_pos + window + 1);
+  const std::size_t lo = my_pos > kContextWindow ? my_pos - kContextWindow : 0;
+  const std::size_t hi = std::min(mine.size(), my_pos + kContextWindow + 1);
   std::vector<ContextEvent> out;
   out.reserve(hi - lo);
   for (std::size_t p = lo; p < hi; ++p) {
@@ -190,8 +193,7 @@ std::vector<ChainLink> shortest_chain(const detect::HbIndex& hb,
 
 Certificate build_certificate(const detect::HbIndex& hb,
                               const spec::Violation& v,
-                              const trace::StringTable* strings,
-                              const CertificateOptions& opts) {
+                              const trace::StringTable* strings) {
   Certificate cert;
   cert.violation = v;
   cert.key = spec::violation_key(v);
@@ -203,11 +205,11 @@ Certificate build_certificate(const detect::HbIndex& hb,
 
   if (i1 != npos) {
     cert.e1 = make_endpoint(hb, i1, strings);
-    cert.context1 = context_window(hb, i1, opts.context_window);
+    cert.context1 = endpoint_context(hb, i1);
   }
   if (i2 != npos) {
     cert.e2 = make_endpoint(hb, i2, strings);
-    cert.context2 = context_window(hb, i2, opts.context_window);
+    cert.context2 = endpoint_context(hb, i2);
   }
   if (i1 == npos || i2 == npos) return cert;
 
@@ -263,7 +265,7 @@ bool verify_link(const detect::HbIndex& hb, const ChainLink& link,
       }
       break;
     case EdgeKind::kMessage:
-      if (!hb_cfg.message_edges || ea.kind != trace::EventKind::kMsgSend ||
+      if (ea.kind != trace::EventKind::kMsgSend ||
           eb.kind != trace::EventKind::kMsgRecv || ea.obj != eb.obj) {
         return fail(why, "message link is not a send->recv on one object");
       }

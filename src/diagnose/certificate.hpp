@@ -39,13 +39,6 @@
 
 namespace home::diagnose {
 
-struct CertificateOptions {
-  /// Trace events kept on each side of an endpoint, same thread.
-  std::size_t context_window = 5;
-  /// Safety cap on witness-chain length (verification rejects longer).
-  std::size_t max_chain = 1024;
-};
-
 /// The primitive synchronization edges a witness chain may use — exactly the
 /// edges IncrementalHb::advance applies (detect::EdgeKind).
 using EdgeKind = detect::EdgeKind;
@@ -104,6 +97,7 @@ struct Certificate {
   /// and carry only e1 / context1 when a call seq exists).
   bool has_pair = false;
   Endpoint e1, e2;
+  /// Each endpoint with up to 5 events of its thread on either side.
   std::vector<ContextEvent> context1, context2;
 
   /// True when the two endpoints were mutually HB-unordered and both
@@ -142,8 +136,7 @@ std::vector<ChainLink> shortest_chain(const detect::HbIndex& hb,
 /// `strings` resolves callsite labels (may be null).
 Certificate build_certificate(const detect::HbIndex& hb,
                               const spec::Violation& v,
-                              const trace::StringTable* strings,
-                              const CertificateOptions& opts = {});
+                              const trace::StringTable* strings);
 
 /// The verifier's check of one chain hop: `link` is a structurally valid
 /// primitive sync edge of the trace under `hb_cfg` and HB-ordered.  `replay`

@@ -95,9 +95,6 @@ ProvenanceReport diagnose_violations(
   const auto t0 = std::chrono::steady_clock::now();
   obs::Span span("diagnose.provenance");
 
-  CertificateOptions cert_opts;
-  cert_opts.context_window = opts.context_window;
-
   obs::Counter& built = obs::Registry::global().counter("diagnose.certificates");
   obs::Counter& ok = obs::Registry::global().counter("diagnose.verified");
   obs::Counter& bad =
@@ -105,7 +102,7 @@ ProvenanceReport diagnose_violations(
 
   report.certificates.reserve(violations.size());
   for (const spec::Violation& v : violations) {
-    Certificate cert = build_certificate(hb, v, strings, cert_opts);
+    Certificate cert = build_certificate(hb, v, strings);
     built.add(1);
 
     if (schedule != nullptr && !schedule->decisions.empty()) {

@@ -27,8 +27,6 @@ struct Options {
   /// independent HB replay; failures are counted, logged and surfaced in
   /// the report (the runtime self-check mode).
   bool paranoid = false;
-  /// Trace events kept around each endpoint, per thread and side.
-  std::size_t context_window = 5;
   /// Emit Chrome-trace flow events ("s"/"f") linking the two endpoints of
   /// every paired certificate (visible in the --trace-out timeline).
   bool emit_flows = true;
@@ -41,7 +39,7 @@ struct ProvenanceReport {
   std::vector<std::string> verify_failures;  ///< paranoid failures, reasons.
   double build_seconds = 0.0;
   /// Degraded-input tag (ISSUE-10): true when the certificates were built
-  /// over an incomplete event stream (salvaged trace / shed events), so a
+  /// over an incomplete event stream (a salvaged trace), so a
   /// *missing* causal edge may be lost data rather than true concurrency.
   bool degraded = false;
   std::vector<std::string> degraded_reasons;

@@ -44,6 +44,13 @@ double to_unit(std::uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/// Random walk: probability of a delay at a yield point.
+constexpr double kYieldProbability = 0.25;
+/// Ceiling of an injected delay (random walk, PCT, delay injection).
+constexpr std::uint32_t kMaxDelayUs = 200;
+/// PCT: priority change points per run.
+constexpr int kPctInversions = 3;
+
 class NoneStrategy final : public Strategy {
  public:
   const char* name() const override { return "none"; }
@@ -53,17 +60,15 @@ class NoneStrategy final : public Strategy {
 
 class RandomWalkStrategy final : public Strategy {
  public:
-  RandomWalkStrategy(std::uint64_t seed, const StrategyTuning& tuning)
-      : seed_(seed), tuning_(tuning) {}
+  explicit RandomWalkStrategy(std::uint64_t seed) : seed_(seed) {}
 
   const char* name() const override { return "random_walk"; }
 
   std::uint32_t on_yield(const YieldContext& ctx) override {
     const std::uint64_t h =
         context_hash(ctx.kind, ctx.rank, ctx.lane, ctx.site, ctx.occurrence);
-    if (to_unit(draw(seed_, h, 1)) >= tuning_.yield_probability) return 0;
-    return 1 + static_cast<std::uint32_t>(draw(seed_, h, 2) %
-                                          tuning_.max_delay_us);
+    if (to_unit(draw(seed_, h, 1)) >= kYieldProbability) return 0;
+    return 1 + static_cast<std::uint32_t>(draw(seed_, h, 2) % kMaxDelayUs);
   }
 
   std::size_t on_pick(const PickContext& ctx) override {
@@ -74,7 +79,6 @@ class RandomWalkStrategy final : public Strategy {
 
  private:
   std::uint64_t seed_;
-  StrategyTuning tuning_;
 };
 
 /// PCT-style priority scheduling, approximated with delays: every (rank,
@@ -85,8 +89,7 @@ class RandomWalkStrategy final : public Strategy {
 /// static priority order cannot reach.
 class PctStrategy final : public Strategy {
  public:
-  PctStrategy(std::uint64_t seed, const StrategyTuning& tuning)
-      : seed_(seed), tuning_(tuning) {}
+  explicit PctStrategy(std::uint64_t seed) : seed_(seed) {}
 
   const char* name() const override { return "pct"; }
 
@@ -101,14 +104,14 @@ class PctStrategy final : public Strategy {
     }
     // Base priority in [0, 15]; inversion points at seeded hit counts.
     std::uint64_t prio = draw(seed_, thread_key, 10) % 16;
-    for (int i = 0; i < tuning_.pct_inversions; ++i) {
+    for (int i = 0; i < kPctInversions; ++i) {
       const std::uint64_t change_at =
           draw(seed_, thread_key, 20 + static_cast<std::uint64_t>(i)) % 256;
       if (hits >= change_at) prio = (prio + 7 + static_cast<std::uint64_t>(i)) % 16;
     }
     // Priority 15 runs free; priority 0 waits longest.
     const std::uint64_t penalty = 15 - prio;
-    return static_cast<std::uint32_t>(penalty * tuning_.max_delay_us / 16);
+    return static_cast<std::uint32_t>(penalty * kMaxDelayUs / 16);
   }
 
   std::size_t on_pick(const PickContext& ctx) override {
@@ -119,7 +122,6 @@ class PctStrategy final : public Strategy {
 
  private:
   std::uint64_t seed_;
-  StrategyTuning tuning_;
   std::mutex mu_;
   std::unordered_map<std::uint64_t, std::uint64_t> hits_;
 };
@@ -129,8 +131,7 @@ class PctStrategy final : public Strategy {
 /// message matching.
 class DelayInjectionStrategy final : public Strategy {
  public:
-  DelayInjectionStrategy(std::uint64_t seed, const StrategyTuning& tuning)
-      : seed_(seed), tuning_(tuning) {}
+  explicit DelayInjectionStrategy(std::uint64_t seed) : seed_(seed) {}
 
   const char* name() const override { return "delay_injection"; }
 
@@ -148,15 +149,13 @@ class DelayInjectionStrategy final : public Strategy {
     const std::uint64_t h =
         context_hash(ctx.kind, ctx.rank, ctx.lane, ctx.site, ctx.occurrence);
     if (to_unit(draw(seed_, h, 4)) >= 0.5) return 0;
-    return 1 + static_cast<std::uint32_t>(draw(seed_, h, 5) %
-                                          tuning_.max_delay_us);
+    return 1 + static_cast<std::uint32_t>(draw(seed_, h, 5) % kMaxDelayUs);
   }
 
   std::size_t on_pick(const PickContext&) override { return 0; }
 
  private:
   std::uint64_t seed_;
-  StrategyTuning tuning_;
 };
 
 /// Re-picks among eligible senders at wildcard receives (and among matching
@@ -286,17 +285,17 @@ bool parse_strategy_kind(const std::string& name, StrategyKind* out) {
 }
 
 std::unique_ptr<Strategy> make_strategy(
-    StrategyKind kind, std::uint64_t seed, const StrategyTuning& tuning,
+    StrategyKind kind, std::uint64_t seed,
     std::shared_ptr<const StaticGuidance> guidance) {
   switch (kind) {
     case StrategyKind::kNone:
       return std::make_unique<NoneStrategy>();
     case StrategyKind::kRandomWalk:
-      return std::make_unique<RandomWalkStrategy>(seed, tuning);
+      return std::make_unique<RandomWalkStrategy>(seed);
     case StrategyKind::kPct:
-      return std::make_unique<PctStrategy>(seed, tuning);
+      return std::make_unique<PctStrategy>(seed);
     case StrategyKind::kDelayInjection:
-      return std::make_unique<DelayInjectionStrategy>(seed, tuning);
+      return std::make_unique<DelayInjectionStrategy>(seed);
     case StrategyKind::kWildcardReorder:
       return std::make_unique<WildcardReorderStrategy>(seed);
     case StrategyKind::kGuided:

@@ -83,16 +83,8 @@ const char* strategy_kind_name(StrategyKind kind);
 /// on unknown.
 bool parse_strategy_kind(const std::string& name, StrategyKind* out);
 
-/// Tuning knobs shared by the seeded strategies (defaults are what the sweep
-/// driver and benches use).
-struct StrategyTuning {
-  double yield_probability = 0.25;  ///< random walk: P(delay at a yield point).
-  std::uint32_t max_delay_us = 200; ///< ceiling for injected delays.
-  int pct_inversions = 3;           ///< PCT: priority change points per run.
-};
-
 std::unique_ptr<Strategy> make_strategy(
-    StrategyKind kind, std::uint64_t seed, const StrategyTuning& tuning = {},
+    StrategyKind kind, std::uint64_t seed,
     std::shared_ptr<const StaticGuidance> guidance = nullptr);
 
 /// Replay: every decision recorded in `schedule` is re-issued at the same
@@ -107,7 +99,6 @@ struct Options {
   bool enabled = false;
   StrategyKind strategy = StrategyKind::kRandomWalk;
   std::uint64_t seed = 1;
-  StrategyTuning tuning;
   /// When set, the run replays this schedule (strategy/seed are ignored).
   std::shared_ptr<const Schedule> replay;
   /// Static guidance for StrategyKind::kGuided (and the Sweeper's

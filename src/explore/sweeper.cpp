@@ -200,8 +200,6 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
 
   simmpi::UniverseConfig ucfg;
   ucfg.nranks = cfg_.nranks;
-  ucfg.max_thread_level = cfg_.max_thread_level;
-  ucfg.rendezvous_sends = cfg_.rendezvous_sends;
   ucfg.block_timeout_ms = cfg_.block_timeout_ms;
   session.configure(ucfg);
 
@@ -529,7 +527,6 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     step.opts.enabled = true;
     step.opts.strategy = cfg_.strategy;
     step.opts.seed = cfg_.base_seed + static_cast<std::uint64_t>(i);
-    step.opts.tuning = cfg_.tuning;
     step.opts.guidance = cfg_.guidance;
     step.seed = step.opts.seed;
     if (can_prune) {
@@ -541,8 +538,9 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
                       " statically-ordered pair(s)";
       }
     }
-    if (cfg_.vary_fault_seed && cfg_.session.faults.enabled &&
-        !cfg_.session.faults.replay) {
+    // A generating fault spec draws a new fault seed per schedule, so the
+    // sweep explores the fault space alongside the schedule space.
+    if (cfg_.session.faults.enabled && !cfg_.session.faults.replay) {
       step.fault_seed =
           cfg_.session.faults.seed + static_cast<std::uint64_t>(i);
     }
@@ -612,8 +610,6 @@ void Sweeper::minimize_findings(SweepResult& result,
   obs::Span span("explore.minimize");
   for (SweepFinding& f : result.findings) {
     if (f.schedule_index < 0 || f.schedule.empty()) continue;
-    diagnose::MinimizeOptions mopts;
-    mopts.max_replays = cfg_.minimize_max_replays;
     // In a fault-injection sweep the oracle must replay the finding's own
     // faults, not draw fresh ones, or reproduction becomes a coin flip.
     const faults::FaultPlan* fp =
@@ -626,8 +622,7 @@ void Sweeper::minimize_findings(SweepResult& result,
           opts.seed = candidate.seed;
           opts.replay = std::make_shared<Schedule>(candidate);
           return run_once(opts, rank_main, false, 0, fp).keys.count(f.key) > 0;
-        },
-        mopts);
+        });
     f.minimized = min.schedule;
     f.minimized_verified = min.verified;
     f.minimize_replays = min.replays;

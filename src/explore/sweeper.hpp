@@ -35,7 +35,6 @@ struct SweepConfig {
   int schedules = 16;               ///< controlled runs (excl. the baseline).
   std::uint64_t base_seed = 1;      ///< schedule i uses seed base_seed + i.
   StrategyKind strategy = StrategyKind::kRandomWalk;
-  StrategyTuning tuning;
   /// Detection knobs reused for every run (explore fields are overwritten).
   SessionConfig session;
   /// Run one uncontrolled schedule first, as the single-run baseline the
@@ -44,9 +43,7 @@ struct SweepConfig {
   /// When nonempty, the first-seen schedule of every new violation is saved
   /// as <dir>/seed<seed>.schedule (directory must exist).
   std::string schedule_dir;
-  // Forwarded simmpi knobs.
-  simmpi::ThreadLevel max_thread_level = simmpi::ThreadLevel::kMultiple;
-  bool rendezvous_sends = false;
+  /// Forwarded to simmpi::UniverseConfig.
   int block_timeout_ms = 10000;
   /// Static guidance (src/sast/commstat): forwarded to the kGuided strategy
   /// and used to prune schedules whose guided pick fingerprint duplicates an
@@ -60,9 +57,9 @@ struct SweepConfig {
   /// violation each run reports and attach it to the finding.
   diagnose::Options diagnose;
   /// ddmin-minimize the first-seen schedule of every exploration finding
-  /// (replay-driven: up to minimize_max_replays full controlled runs each).
+  /// (replay-driven: up to diagnose::MinimizeOptions::max_replays full
+  /// controlled runs each).
   bool minimize = false;
-  int minimize_max_replays = 48;
   /// When nonempty, minimized schedules are saved as
   /// <dir>/seed<seed>.min.schedule (directory must exist).
   std::string min_schedule_dir;
@@ -86,10 +83,6 @@ struct SweepConfig {
   /// aggregates.  (Certificate *objects* are not journaled — resume a
   /// diagnose sweep only for its key/coverage aggregates.)
   std::string journal_path;
-  /// Vary the fault-injection seed per schedule (faults.seed + index) when
-  /// SessionConfig::faults is enabled in generate mode, so a sweep explores
-  /// the fault space alongside the schedule space.
-  bool vary_fault_seed = true;
 };
 
 /// One unique violation key and the earliest schedule that produced it.

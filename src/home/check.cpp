@@ -13,8 +13,6 @@ CheckResult check_program(const CheckConfig& cfg,
 
   simmpi::UniverseConfig ucfg;
   ucfg.nranks = cfg.nranks;
-  ucfg.max_thread_level = cfg.max_thread_level;
-  ucfg.rendezvous_sends = cfg.rendezvous_sends;
   ucfg.block_timeout_ms = cfg.block_timeout_ms;
   session.configure(ucfg);
 

@@ -18,9 +18,7 @@ struct CheckConfig {
   /// Default OpenMP team size handed to homp (apps may override per region).
   int nthreads = 2;
   SessionConfig session;
-  /// Forwarded simmpi knobs.
-  simmpi::ThreadLevel max_thread_level = simmpi::ThreadLevel::kMultiple;
-  bool rendezvous_sends = false;
+  /// Forwarded to simmpi::UniverseConfig.
   int block_timeout_ms = 10000;
 };
 

@@ -56,7 +56,7 @@ class FinalReport {
   bool clean() const { return entries_.empty(); }
 
   /// Confidence carried over from the dynamic phase: a degraded dynamic
-  /// report (salvaged trace, unrecovered shed events) makes every
+  /// report (a salvaged torn trace) makes every
   /// "not observed at runtime" judgement here inconclusive too.
   Verdict verdict() const { return verdict_; }
   bool degraded() const { return verdict_ == Verdict::kDegraded; }

@@ -13,9 +13,9 @@ namespace home {
 
 /// Confidence tag for an analysis result (ISSUE-10 degraded-mode analysis).
 /// kExact: the analysis saw the complete event stream.  kDegraded: part of
-/// the input was lost (torn/salvaged trace, shed online events without a
-/// recovery trace) — reported violations are real, but *absence* of a
-/// violation is no longer conclusive.
+/// the input was lost (a torn WAL salvaged to its longest valid prefix) —
+/// reported violations are real, but *absence* of a violation is no longer
+/// conclusive.
 enum class Verdict : std::uint8_t {
   kExact,
   kDegraded,

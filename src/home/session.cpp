@@ -1,9 +1,7 @@
 #include "src/home/session.hpp"
 
-#include <sstream>
 #include <string>
 
-#include "src/home/check.hpp"
 #include "src/obs/export.hpp"
 #include "src/obs/span.hpp"
 #include "src/spec/matcher.hpp"
@@ -51,7 +49,6 @@ Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
         cfg_.explore.replay
             ? explore::make_replay_strategy(*cfg_.explore.replay)
             : explore::make_strategy(cfg_.explore.strategy, cfg_.explore.seed,
-                                     cfg_.explore.tuning,
                                      cfg_.explore.guidance);
     explorer_ = std::make_unique<explore::Explorer>(std::move(strategy));
   }
@@ -75,15 +72,11 @@ Session::~Session() {
 void Session::configure(simmpi::UniverseConfig& ucfg) {
   ucfg.log = &log_;
   ucfg.registry = &registry_;
-  ucfg.emit_message_edges = cfg_.message_edges;
   if (cfg_.mode == AnalysisMode::kOnline && !analyzer_) {
     online::OnlineConfig ocfg;
     ocfg.detector = make_detector_config(cfg_);
     ocfg.queue_capacity = cfg_.online.queue_capacity;
-    ocfg.backpressure = cfg_.online.backpressure;
     ocfg.retire_interval = cfg_.online.retire_interval;
-    ocfg.stream.max_live_reports_per_type =
-        cfg_.online.max_live_reports_per_type;
     ocfg.stream.on_violation = cfg_.online.on_violation;
     analyzer_ = std::make_unique<online::OnlineAnalyzer>(
         std::move(ocfg), &log_.strings(), &registry_, injector_.get());
@@ -94,7 +87,7 @@ void Session::configure(simmpi::UniverseConfig& ucfg) {
   }
   // Single sink slot: WAL alone, analyzer alone, or a tee over both.  The
   // WAL comes first in the tee so an event reaches durable storage before
-  // the analyzer's queue can block or shed it.
+  // the analyzer's queue can block on it.
   if (wal_ && analyzer_) {
     if (tee_.size() == 0) {
       tee_.add(wal_.get());
@@ -181,70 +174,24 @@ Report Session::analyze() {
   return Report(std::move(pass.violations), stats);
 }
 
-namespace {
-
-// "shed 120 event(s) in 3 window(s) [seq 17..44, 102..130, 419..441]".
-std::string shed_summary(const std::vector<online::ShedWindow>& shed) {
-  std::size_t total = 0;
-  for (const online::ShedWindow& w : shed) total += w.count;
-  std::ostringstream os;
-  os << "shed " << total << " event(s) in " << shed.size() << " window(s) [";
-  constexpr std::size_t kMaxListed = 8;
-  for (std::size_t i = 0; i < shed.size() && i < kMaxListed; ++i) {
-    if (i > 0) os << ", ";
-    os << "seq " << shed[i].first << ".." << shed[i].last;
-  }
-  if (shed.size() > kMaxListed) os << ", ...";
-  os << "]";
-  return os.str();
-}
-
-}  // namespace
-
 Report Session::analyze_online() {
   obs::Span span("session.analyze");
   util::Stopwatch timer;
 
-  // Stop subscribing and drain the streaming engine.  The WAL (if any) is
-  // complete at this point — close it so the salvage path below sees every
-  // frame, including the events the analyzer's queue shed.
+  // Stop subscribing, close the WAL (the run is over, so it is complete) and
+  // drain the streaming engine.  Its queue blocked instead of dropping, so it
+  // analyzed every event the log holds.
   log_.set_sink(nullptr);
   if (wal_) wal_->close();
   analyzer_->finish();
   std::vector<spec::Violation> violations = analyzer_->violations();
   const online::OnlineStats ostats = analyzer_->stats();
-  const std::vector<online::ShedWindow> shed = analyzer_->shed_windows();
-  std::vector<std::string> degraded_reasons;
 
-  // Online provenance needs a post-mortem pass over the retained trace
-  // (certificates need a full HB index, which the streaming engine retires
-  // incrementally; the pass's violation keys equal the online verdicts', and
-  // its records carry the call seqs the certificates anchor to).  Shed
-  // recovery rides the same pass: the shard append is independent of the
-  // analyzer's queue, so the retained trace holds the shed events and the
-  // pass over it is exact.
-  if ((cfg_.diagnose.enabled || !shed.empty()) && cfg_.online.retain_trace) {
-    PostMortem pass = post_mortem_pass();
-    // Recovery: adopt the post-mortem verdicts, so the report stays kExact.
-    if (!shed.empty()) violations = std::move(pass.violations);
-  } else if (!shed.empty() && wal_) {
-    // No retained trace, but the write-ahead copy has every emitted event,
-    // including the shed ones.  Salvage it and re-analyze; exact when the
-    // salvage is clean, degraded when the WAL itself is torn.
-    const Report recovered = analyze_wal_file(wal_->path(), cfg_);
-    violations = recovered.violations();
-    for (const std::string& reason : recovered.degraded_reasons()) {
-      degraded_reasons.push_back("online " + shed_summary(shed) + "; " +
-                                 reason);
-    }
-  } else if (!shed.empty()) {
-    // Shed events with no recovery source: the findings stand, but absence
-    // of a finding is inconclusive.  Report the exact loss.
-    degraded_reasons.push_back(
-        "online " + shed_summary(shed) +
-        "; no retained trace or WAL to recover from — results are a lower "
-        "bound");
-  }
+  // Certificates need a full HB index, which the streaming engine retires
+  // incrementally, so online provenance runs a post-mortem pass over the
+  // retained trace: its violation keys equal the online verdicts', and its
+  // records carry the call seqs the certificates anchor to.
+  if (cfg_.diagnose.enabled && cfg_.online.retain_trace) post_mortem_pass();
 
   ReportStats stats;
   stats.trace_events = ostats.events_processed;
@@ -254,11 +201,7 @@ Report Session::analyze_online() {
   stats.concurrent_variables = ostats.concurrent_variables;
   stats.concurrent_pairs = ostats.concurrent_pairs;
   stats.analysis_seconds = timer.elapsed_seconds();
-  Report report(std::move(violations), stats);
-  for (std::string& reason : degraded_reasons) {
-    report.mark_degraded(std::move(reason));
-  }
-  return report;
+  return Report(std::move(violations), stats);
 }
 
 std::string Session::telemetry_summary() const { return obs::summary_table(); }

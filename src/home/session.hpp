@@ -38,17 +38,17 @@ enum class AnalysisMode {
   kOnline,      ///< stream events into the OnlineAnalyzer during the run.
 };
 
-/// Knobs for AnalysisMode::kOnline.
+/// Knobs for AnalysisMode::kOnline.  The event queue blocks the emitting
+/// thread when full, so the analyzer sees every event the run logs.
 struct OnlineOptions {
   std::size_t queue_capacity = 4096;
-  online::BackpressurePolicy backpressure = online::BackpressurePolicy::kBlock;
   /// Events between epoch-retirement sweeps; 0 disables retirement.
   std::size_t retire_interval = 1024;
-  /// Keep the trace in the log alongside streaming (needed for diagnosis,
-  /// exact shed recovery and save_trace; turn off for unbounded runs).
+  /// Keep the trace in the log alongside streaming (needed for diagnosis
+  /// and save_trace; turn off for unbounded runs).
   bool retain_trace = true;
-  std::size_t max_live_reports_per_type = 16;
-  /// Live first-occurrence reports, invoked on the analysis thread.
+  /// Live first-occurrence reports (at most 16 per violation type), invoked
+  /// on the analysis thread.
   std::function<void(const spec::Violation&)> on_violation;
 };
 
@@ -71,8 +71,6 @@ struct SessionConfig {
   InstrumentFilter filter = InstrumentFilter::kParallelOnly;
   /// Callsite labels from the static analysis (used with kPlan).
   std::set<std::string> plan;
-  /// Model cross-rank send->recv pairs as happens-before edges.
-  bool message_edges = true;
   std::size_t max_pairs_per_var = 64;
   /// Worker threads for the per-variable analysis; 0 = auto
   /// (hardware_concurrency), 1 = serial.
@@ -102,8 +100,8 @@ detect::RaceDetectorConfig make_detector_config(const SessionConfig& cfg);
 /// One post-mortem pass: detection over a seq-sorted trace, matching, and
 /// the report counts the two yield (trace events, monitored variables,
 /// concurrent variables and pairs).  Every post-mortem entry point — the
-/// Session, the online recovery paths, analyze_trace, the ITC baseline —
-/// runs this one pipeline.
+/// Session, online diagnosis, analyze_trace, the ITC baseline — runs this
+/// one pipeline.
 struct PostMortem {
   detect::ConcurrencyReport concurrency;
   std::vector<spec::Violation> violations;
@@ -132,7 +130,7 @@ class Session {
   /// Produce the violation report.  Post-mortem mode runs the offline
   /// pipeline (race detection over the monitored variables, then matching);
   /// online mode drains the streaming analyzer, and runs a post-mortem pass
-  /// over the retained trace only when diagnosis or shed recovery needs one.
+  /// over the retained trace only when diagnosis needs one.
   Report analyze();
 
   /// Explanation certificates for the last analyze() (empty unless

@@ -41,11 +41,6 @@ struct WrapperConfig {
   InstrumentFilter filter = InstrumentFilter::kParallelOnly;
   /// Callsite labels selected by the static analysis (used with kPlan).
   std::set<std::string> plan;
-  /// Simulated cost of the binary-instrumentation probe around each wrapped
-  /// call (busy iterations).  The paper's dynamic stage runs under Intel Pin,
-  /// whose per-probe overhead dwarfs our native event emission; this knob
-  /// models it so measured overheads land in a comparable regime.
-  int probe_cost_iterations = 1600;
 };
 
 class HomeWrappers : public simmpi::MpiHooks {

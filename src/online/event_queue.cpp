@@ -28,14 +28,6 @@ QueueMetrics& queue_metrics() {
 
 }  // namespace
 
-const char* backpressure_policy_name(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kDropNewest: return "drop-newest";
-  }
-  return "?";
-}
-
 EventQueue::EventQueue(std::size_t capacity, BackpressurePolicy policy)
     : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
 

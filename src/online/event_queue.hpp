@@ -11,8 +11,8 @@
 //     investigations can tell backpressure stalls from analysis cost.
 //   * kDropNewest — the incoming event is discarded and counted.  Keeps the
 //     application unthrottled at the cost of completeness (online verdicts
-//     become a subset); the shed windows report the gap, and Session
-//     recovers it from the retained trace or the WAL.
+//     become a subset).  Only a standalone OnlineAnalyzer or EventQueue runs
+//     it: a home::Session's queue always blocks.
 //
 // Drops are accounted by cause: `capacity` (kDropNewest on a full queue) vs
 // `shutdown` (push after close(), any policy).  The split is mirrored into
@@ -36,11 +36,7 @@ enum class BackpressurePolicy {
   kDropNewest,  ///< discard the incoming event and count it.
 };
 
-const char* backpressure_policy_name(BackpressurePolicy policy);
-
-/// What happened to a pushed event — the cause split the shed-accounting
-/// machinery needs (a capacity shed is recoverable from a retained trace or
-/// WAL; a shutdown drop means the emitter outlived the session).
+/// What happened to a pushed event: accepted, or dropped for which cause.
 enum class PushOutcome : std::uint8_t {
   kAccepted,
   kShedCapacity,     ///< kDropNewest on a full queue.
@@ -57,7 +53,7 @@ class EventQueue {
     return push_accounted(std::move(e)) == PushOutcome::kAccepted;
   }
 
-  /// Enqueue with cause reporting (the shedding path).
+  /// Enqueue with cause reporting.
   PushOutcome push_accounted(trace::Event e);
 
   /// Dequeue one event, blocking while the queue is open and empty.

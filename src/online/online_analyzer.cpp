@@ -64,30 +64,7 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig cfg,
 
 OnlineAnalyzer::~OnlineAnalyzer() { finish(); }
 
-void OnlineAnalyzer::on_event(const trace::Event& e) {
-  switch (queue_.push_accounted(e)) {
-    case PushOutcome::kAccepted:
-      shed_open_ = false;
-      break;
-    case PushOutcome::kShedCapacity: {
-      // Overload shedding with exact accounting: extend the open window or
-      // start a new one.  Safe without ordering tricks — delivery here is
-      // serialized by TraceLog's publish lock in increasing seq order.
-      std::lock_guard<std::mutex> lock(shed_mu_);
-      if (shed_open_ && !shed_.empty()) {
-        shed_.back().last = e.seq;
-        ++shed_.back().count;
-      } else {
-        shed_.push_back(ShedWindow{e.seq, e.seq, 1});
-        shed_open_ = true;
-      }
-      break;
-    }
-    case PushOutcome::kDroppedShutdown:
-      // Emitter outlived the session; not recoverable, counted by the queue.
-      break;
-  }
-}
+void OnlineAnalyzer::on_event(const trace::Event& e) { queue_.push(e); }
 
 void OnlineAnalyzer::run() {
   util::set_current_thread_name("analyzer");
@@ -95,7 +72,7 @@ void OnlineAnalyzer::run() {
   trace::Event e;
   while (queue_.pop(&e)) {
     // Queue-pressure fault: stall the consumer so producers see a full
-    // queue — the overload scenario the shedding machinery must survive.
+    // queue (and block, or drop under kDropNewest).
     faults::queue_consume_point("online.consume");
     process(e);
   }
@@ -245,11 +222,6 @@ OnlineStats OnlineAnalyzer::stats() const {
   out.events_dropped = queue_.dropped();
   out.dropped_capacity = queue_.dropped_capacity();
   out.dropped_shutdown = queue_.dropped_shutdown();
-  {
-    std::lock_guard<std::mutex> lock(shed_mu_);
-    out.shed_windows = shed_.size();
-    for (const ShedWindow& w : shed_) out.events_shed += w.count;
-  }
   out.blocked_ns = queue_.blocked_ns();
   out.max_queue_depth = queue_.max_depth();
   out.violations = stream_.recorded();
@@ -257,11 +229,6 @@ OnlineStats OnlineAnalyzer::stats() const {
   out.live_reports = stream_.live_reports();
   out.suppressed_reports = stream_.suppressed();
   return out;
-}
-
-std::vector<ShedWindow> OnlineAnalyzer::shed_windows() const {
-  std::lock_guard<std::mutex> lock(shed_mu_);
-  return shed_;
 }
 
 std::size_t OnlineAnalyzer::resident_state() const {

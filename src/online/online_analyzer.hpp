@@ -65,23 +65,11 @@ struct OnlineConfig {
   ViolationStreamConfig stream;
 };
 
-/// One contiguous run of shed events (kDropNewest on a full queue), bounded
-/// by trace seqs.  Delivery into on_event is serialized in strictly
-/// increasing seq order, so the windows are exact: every event in
-/// [first, last] that was emitted while the window was open got shed.
-struct ShedWindow {
-  trace::Seq first = 0;
-  trace::Seq last = 0;
-  std::size_t count = 0;
-};
-
 struct OnlineStats {
   std::size_t events_processed = 0;
   std::size_t events_dropped = 0;   ///< total (capacity + shutdown).
   std::size_t dropped_capacity = 0; ///< kDropNewest on a full queue.
   std::size_t dropped_shutdown = 0; ///< emit after session teardown.
-  std::size_t events_shed = 0;      ///< == dropped_capacity (window total).
-  std::size_t shed_windows = 0;     ///< contiguous shed runs.
   std::uint64_t blocked_ns = 0;     ///< producer backpressure stalls (kBlock).
   std::size_t max_queue_depth = 0;
   std::size_t retire_sweeps = 0;
@@ -135,10 +123,6 @@ class OnlineAnalyzer : public trace::EventSink {
   /// Snapshot of the run statistics (safe to call while running).
   OnlineStats stats() const;
 
-  /// Exact shed accounting: the seq windows of every capacity-dropped run
-  /// (empty under kBlock).  Snapshot copy; safe to call while running.
-  std::vector<ShedWindow> shed_windows() const;
-
   /// Current resident record count (exact; call after finish(), or accept a
   /// benign race while the analysis thread runs).
   std::size_t resident_state() const;
@@ -176,12 +160,6 @@ class OnlineAnalyzer : public trace::EventSink {
 
   mutable std::mutex stats_mu_;
   OnlineStats stats_;
-
-  /// Shed-window log.  Mutated only from on_event (serialized by the log's
-  /// publish lock); the mutex covers mutation vs. snapshot reads.
-  mutable std::mutex shed_mu_;
-  std::vector<ShedWindow> shed_;
-  bool shed_open_ = false;  ///< emitter-side only; no lock needed.
 
   util::PooledThread worker_;
   bool finished_ = false;

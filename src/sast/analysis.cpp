@@ -48,12 +48,10 @@ void collect_calls(const Cfg& cfg, const FunctionFacts& ff,
       site.line = call.line;
       site.col = call.col;
       site.in_parallel = nf.in_parallel;
-      site.critical_stack = nf.critical_chain;
       site.locks = nf.locks;
       site.in_master = nf.in_master;
       site.in_single = nf.in_single;
       site.in_section = nf.in_section;
-      site.in_master_or_single = nf.in_master || nf.in_single;
       site.fn_index = fn_index;
       site.node_id = node.id;
       site.label = make_label(function_name, call.line, call.callee);
@@ -268,13 +266,6 @@ bool thread_dependent_arg(const AnalysisResult& result,
   return false;
 }
 
-std::set<std::string> compute_parallel_callees(const TranslationUnit& unit) {
-  std::vector<Cfg> cfgs;
-  cfgs.reserve(unit.functions.size());
-  for (const Function& fn : unit.functions) cfgs.push_back(build_cfg(fn));
-  return compute_program_facts(unit, cfgs).parallel_callees;
-}
-
 AnalysisResult analyze(const TranslationUnit& unit) {
   obs::Span span("sast.analyze");
   AnalysisResult result;
@@ -373,24 +364,15 @@ InstrPlan load_plan_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open plan file " + path);
   std::string line;
-  if (!std::getline(in, line)) {
+  if (!std::getline(in, line) || line.rfind("#home-plan v2", 0) != 0) {
     throw std::runtime_error("bad plan file header in " + path);
   }
   InstrPlan plan;
-  const bool v1 = line.rfind("#home-plan v1", 0) == 0;
-  const bool v2 = line.rfind("#home-plan v2", 0) == 0;
-  if (!v1 && !v2) {
-    throw std::runtime_error("bad plan file header in " + path);
-  }
   const std::string header = line;
 
   while (std::getline(in, line)) {
     const std::string body = util::trim(line);
     if (body.empty() || body[0] == '#') continue;
-    if (v1) {
-      plan.instrument.insert(body);
-      continue;
-    }
     const std::size_t sp = body.find(' ');
     const std::string verb = body.substr(0, sp);
     if (verb == "wrap" && sp != std::string::npos) {
@@ -409,14 +391,10 @@ InstrPlan load_plan_file(const std::string& path) {
 
   plan.instrumented_calls = plan.instrument.size();
   plan.pruned_calls = plan.pruned.size();
-  if (v1) {
-    plan.total_calls = plan.instrument.size();
-  } else {
-    plan.total_calls = header_count(header, "total");
-    plan.filtered_calls = header_count(header, "filtered");
-    if (plan.total_calls == 0) {
-      plan.total_calls = plan.instrumented_calls + plan.pruned_calls;
-    }
+  plan.total_calls = header_count(header, "total");
+  plan.filtered_calls = header_count(header, "filtered");
+  if (plan.total_calls == 0) {
+    plan.total_calls = plan.instrumented_calls + plan.pruned_calls;
   }
   return plan;
 }

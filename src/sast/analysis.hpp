@@ -33,16 +33,14 @@ struct MpiCallSite {
   int line = 0;
   int col = 0;
   bool in_parallel = false;
-  std::vector<std::string> critical_stack;  ///< enclosing critical names
-                                            ///< (canonicalized; unnamed
-                                            ///< criticals share one lock).
-  bool in_master_or_single = false;
   /// Stable callsite label: "<function>:<line>:<routine>" — the same label
   /// scheme the runtime CallOpts uses, so the plan can key dynamic filtering.
   std::string label;
 
   // Dataflow facts at the call node (see mhp.hpp).
-  std::set<std::string> locks;  ///< must-held critical locks (incl. context).
+  /// Must-held critical locks, canonicalized (unnamed criticals share one
+  /// lock), including those the calling context holds.
+  std::set<std::string> locks;
   bool in_master = false;
   bool in_single = false;
   bool in_section = false;
@@ -89,11 +87,6 @@ struct AnalysisResult {
 /// compute_program_facts().
 AnalysisResult analyze(const TranslationUnit& unit);
 
-/// Functions whose call sites appear (transitively) inside parallel regions.
-/// Kept for API compatibility; now answered by the interprocedural context
-/// propagation instead of the old 1-level AST walk.
-std::set<std::string> compute_parallel_callees(const TranslationUnit& unit);
-
 /// Convenience: parse + analyze.
 AnalysisResult analyze_source(const std::string& source);
 
@@ -114,9 +107,9 @@ bool thread_dependent_arg(const AnalysisResult& result,
 
 /// Persist / load an instrumentation plan so the compile-time phase can hand
 /// the callsite list to a separate dynamic-phase process (the
-/// InstrumentFilter::kPlan mode of the runtime wrappers).  Writes the v2
-/// format (`wrap <label>` / `prune <label> <reason>` lines); loads both v2
-/// and the legacy v1 format (bare labels).
+/// InstrumentFilter::kPlan mode of the runtime wrappers).  Writes and loads
+/// the v2 format (`wrap <label>` / `prune <label> <reason>` lines); any other
+/// header, including the bare-label v1 format, is rejected.
 void save_plan_file(const std::string& path, const InstrPlan& plan);
 InstrPlan load_plan_file(const std::string& path);
 

@@ -1,9 +1,9 @@
 // Interprocedural call graph over the translation unit, with per-function
-// calling contexts.  Replaces the 1-level compute_parallel_callees(): the
-// context of a function records not just *whether* it may be called inside a
-// parallel region but also which locks are guaranteed held and whether every
-// parallel call site is master-serialized — facts the MHP/lockset engine
-// propagates into callees to a fixed point (with widening for recursion).
+// calling contexts.  The context of a function records not just *whether* it
+// may be called inside a parallel region but also which locks are guaranteed
+// held and whether every parallel call site is master-serialized — facts the
+// MHP/lockset engine propagates into callees to a fixed point (with widening
+// for recursion).
 #pragma once
 
 #include <map>

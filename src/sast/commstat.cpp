@@ -497,10 +497,12 @@ bool has_future_sender(const std::vector<std::vector<ProjOp>>& prog,
   return false;
 }
 
+/// DFS state budget per universe; exceeding it records imprecision.
+constexpr std::size_t kMaxStates = 4096;
+
 struct Machine {
   const std::vector<std::vector<ProjOp>>& prog;
   int n;
-  std::size_t max_states;
   std::size_t* states_used;
   std::vector<Outcome> outcomes;
   bool budget_exhausted = false;
@@ -690,7 +692,7 @@ struct Machine {
     std::vector<MachineState> stack;
     stack.push_back(std::move(s));
     while (!stack.empty()) {
-      if (*states_used >= max_states) {
+      if (*states_used >= kMaxStates) {
         budget_exhausted = true;
         return;
       }
@@ -917,8 +919,8 @@ CommstatResult analyze_comm(const TranslationUnit& unit,
       }
     }
 
-    Machine machine{prog, n, options.max_states, &result.states, {}, false,
-                    &site_alternatives, &site_occurrences};
+    Machine machine{prog, n, &result.states, {}, false, &site_alternatives,
+                    &site_occurrences};
     MachineState init;
     init.pc.assign(static_cast<std::size_t>(n), 0);
     init.queues.resize(static_cast<std::size_t>(n));

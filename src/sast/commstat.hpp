@@ -82,8 +82,6 @@ struct CommstatOptions {
   /// Universe sizes to instantiate; empty = derived from the program's
   /// rank-guard constants (max guard + 1, plus one extra rank).
   std::vector<int> universes;
-  /// DFS state budget per universe; exceeding it records imprecision.
-  std::size_t max_states = 4096;
 };
 
 struct CommstatResult {

@@ -43,7 +43,6 @@ void structural_pass(const Cfg& cfg, const FnContext& ctx, FunctionFacts& ff) {
   ff.context_master_ = ctx.may_parallel && ctx.always_master;
 
   std::vector<int> parallel_stack;
-  std::vector<std::string> critical_stack;
   struct WsFrame {
     int node;
     std::string label;
@@ -57,9 +56,6 @@ void structural_pass(const Cfg& cfg, const FnContext& ctx, FunctionFacts& ff) {
       case CfgNodeKind::kOmpParallelEnd:
         if (!parallel_stack.empty()) parallel_stack.pop_back();
         break;
-      case CfgNodeKind::kOmpCriticalEnd:
-        if (!critical_stack.empty()) critical_stack.pop_back();
-        break;
       case CfgNodeKind::kOmpWorksharingEnd:
         if (!ws_stack.empty()) ws_stack.pop_back();
         break;
@@ -72,7 +68,6 @@ void structural_pass(const Cfg& cfg, const FnContext& ctx, FunctionFacts& ff) {
     if (ctx.may_parallel) facts.region_chain.push_back(kContextRegion);
     for (int region : parallel_stack) facts.region_chain.push_back(region);
     facts.in_parallel = !facts.region_chain.empty();
-    facts.critical_chain = critical_stack;
 
     // Innermost one-thread construct.  A calling context that is always
     // master-serialized makes everything outside the function's own lexical
@@ -92,9 +87,6 @@ void structural_pass(const Cfg& cfg, const FnContext& ctx, FunctionFacts& ff) {
     switch (node.kind) {
       case CfgNodeKind::kOmpParallelBegin:
         parallel_stack.push_back(node.id);
-        break;
-      case CfgNodeKind::kOmpCriticalBegin:
-        critical_stack.push_back(canonical_critical_name(node.label));
         break;
       case CfgNodeKind::kOmpWorksharing:
         ws_stack.push_back({node.id, node.label});
@@ -360,10 +352,6 @@ ProgramFacts compute_program_facts(const TranslationUnit& unit,
           static_cast<std::size_t>(site.caller_index)];
       const NodeFacts& nf = caller.at(site.node);
       if (!nf.reachable || !nf.in_parallel) continue;
-      if (!util::starts_with(site.callee, "MPI_") &&
-          !util::starts_with(site.callee, "HMPI_")) {
-        facts.parallel_callees.insert(site.callee);
-      }
       if (!graph.defined(site.callee)) continue;
       changed |= facts.contexts[site.callee].join_parallel_site(nf.locks,
                                                                 nf.in_master);

@@ -68,9 +68,6 @@ struct NodeFacts {
   std::map<int, PhaseInterval> phases;
   /// Must-held lock names (dataflow, includes context entry locks).
   std::set<std::string> locks;
-  /// Lexically enclosing critical names, canonicalized (innermost last) —
-  /// back-compat with MpiCallSite::critical_stack.
-  std::vector<std::string> critical_chain;
 };
 
 /// The facts of one function plus the MHP oracle over them.
@@ -112,9 +109,6 @@ class FunctionFacts {
 struct ProgramFacts {
   std::vector<FunctionFacts> functions;
   std::map<std::string, FnContext> contexts;
-  /// Names called (transitively) from inside parallel regions, including
-  /// undefined callees — the old compute_parallel_callees() contract.
-  std::set<std::string> parallel_callees;
 };
 
 /// Runs the full interprocedural fixed point: call-graph context propagation

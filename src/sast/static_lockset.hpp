@@ -1,7 +1,7 @@
 // Static must-lockset analysis over the srcCFG: for every node, the set of
 // `omp critical` names guaranteed to be held whenever the node executes,
 // computed as the intersection over all CFG paths from the function entry
-// (classical forward must-dataflow, not the lexical critical_stack).
+// (classical forward must-dataflow, not the lexical nesting of criticals).
 //
 // Per the OpenMP spec all *unnamed* critical constructs share one global
 // lock; they are canonicalized to kUnnamedCriticalLock so two distinct

@@ -44,10 +44,10 @@ std::shared_ptr<RequestState> recv_state(void* buf, int count, Datatype dt,
 }
 
 /// Log a cross-rank happens-before edge (kMsgSend / kMsgRecv) when the run
-/// records them.
+/// is traced.
 void emit_message_edge(Universe& uni, int rank, trace::EventKind kind,
                        std::uint64_t msg_id) {
-  if (uni.log() == nullptr || !uni.config().emit_message_edges) return;
+  if (uni.log() == nullptr) return;
   trace::Event e;
   e.tid = uni.registry() ? uni.registry()->current_tid() : trace::kNoTid;
   e.rank = rank;

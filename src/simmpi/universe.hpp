@@ -42,9 +42,8 @@ struct UniverseConfig {
   bool rendezvous_sends = false;
   /// Blocking-call timeout standing in for deadlock detection (0 = forever).
   int block_timeout_ms = 10000;
-  /// Emit kMsgSend/kMsgRecv events for cross-rank happens-before edges.
-  bool emit_message_edges = false;
   /// Optional instrumentation sinks (normally installed by a home::Session).
+  /// With a log, every message also logs its kMsgSend/kMsgRecv edge.
   trace::TraceLog* log = nullptr;
   trace::ThreadRegistry* registry = nullptr;
 };

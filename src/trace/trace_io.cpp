@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/obs/telemetry.hpp"
-
 namespace home::trace {
 namespace {
 
@@ -76,80 +74,8 @@ namespace {
 constexpr std::size_t kMaxLocksPerEvent = 1u << 20;
 constexpr std::uint32_t kMaxStringId = 1u << 24;
 
-/// Parse one "S"/"E" line into `result`.  Returns false on any malformation
-/// — short record, bad tag, absurd counts — leaving `result` untouched by
-/// the failed record.  Shared by the strict and lenient loaders so they
-/// accept exactly the same language.
-bool parse_trace_line(const std::string& line, LoadedTrace* result,
-                      std::string* error) {
-  std::istringstream is(line);
-  std::string tag;
-  is >> tag;
-  if (tag == "S") {
-    std::uint32_t id = 0;
-    std::string text;
-    is >> id >> text;
-    if (is.fail() || id > kMaxStringId) {
-      *error = "trace_io: malformed string record";
-      return false;
-    }
-    if (result->strings.size() <= id) result->strings.resize(id + 1);
-    result->strings[id] = unescape(text);
-    return true;
-  }
-  if (tag != "E") {
-    *error = "trace_io: bad record '" + tag + "'";
-    return false;
-  }
-  Event e;
-  int kind = 0;
-  std::size_t nlocks = 0;
-  is >> e.seq >> e.tid >> e.rank >> kind >> e.obj >> e.aux >> nlocks;
-  // A short E line leaves fail+eof set; iostream extraction "succeeding"
-  // with zero-filled fields is exactly the silent corruption this loader
-  // must refuse.
-  if (is.fail() || kind < 0 || kind >= kEventKindCount ||
-      nlocks > kMaxLocksPerEvent) {
-    *error = "trace_io: malformed event line";
-    return false;
-  }
-  e.kind = static_cast<EventKind>(kind);
-  if (!tids_in_range(e)) {
-    *error = "trace_io: thread id out of range";
-    return false;
-  }
-  e.locks_held.resize(nlocks);
-  for (std::size_t i = 0; i < nlocks; ++i) is >> e.locks_held[i];
-  if (is.fail()) {
-    *error = "trace_io: truncated lockset";
-    return false;
-  }
-  std::string marker;
-  if (is >> marker) {
-    if (marker != "M") {
-      *error = "trace_io: bad marker";
-      return false;
-    }
-    MpiCallInfo info;
-    int type = 0, main_thread = 0, provided = 0;
-    is >> type >> info.peer >> info.tag >> info.comm >> info.request >>
-        main_thread >> provided >> info.callsite;
-    if (is.fail()) {
-      *error = "trace_io: truncated MPI record";
-      return false;
-    }
-    // The type indexes the MPI routine table.
-    if (type < 0 || static_cast<std::size_t>(type) >= kMpiCallTypeCount) {
-      *error = "trace_io: unknown MPI call type";
-      return false;
-    }
-    info.type = static_cast<MpiCallType>(type);
-    info.on_main_thread = main_thread != 0;
-    info.provided = static_cast<std::uint8_t>(provided);
-    e.mpi = info;
-  }
-  result->events.push_back(std::move(e));
-  return true;
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::runtime_error("trace_io: " + what);
 }
 
 }  // namespace
@@ -157,51 +83,57 @@ bool parse_trace_line(const std::string& line, LoadedTrace* result,
 LoadedTrace read_trace(std::istream& in) {
   LoadedTrace result;
   std::string line;
-  if (!std::getline(in, line) || line != kHeader) {
-    throw std::runtime_error("trace_io: missing header");
-  }
+  if (!std::getline(in, line) || line != kHeader) malformed("missing header");
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::string error;
-    if (!parse_trace_line(line, &result, &error)) {
-      throw std::runtime_error(error);
+    std::istringstream is(line);
+    std::string tag;
+    is >> tag;
+    if (tag == "S") {
+      std::uint32_t id = 0;
+      std::string text;
+      is >> id >> text;
+      if (is.fail() || id > kMaxStringId) malformed("malformed string record");
+      if (result.strings.size() <= id) result.strings.resize(id + 1);
+      result.strings[id] = unescape(text);
+      continue;
     }
-  }
-  return result;
-}
-
-LoadedTrace read_trace_lenient(std::istream& in, ReadStats* stats) {
-  LoadedTrace result;
-  ReadStats local;
-  obs::Counter& corrupt_counter =
-      obs::Registry::global().counter("trace.corrupt_records");
-  std::string line;
-  if (!std::getline(in, line)) {
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-  if (line != kHeader) {
-    // Missing header counts as damage, but the line itself may still be a
-    // parseable record (a file whose head was torn off) — keep it if so.
-    ++local.corrupt_records;
-    corrupt_counter.add();
-    std::string error;
-    if (!line.empty() && line[0] != '#' &&
-        parse_trace_line(line, &result, &error)) {
-      ++local.records;
+    if (tag != "E") malformed("bad record '" + tag + "'");
+    Event e;
+    int kind = 0;
+    std::size_t nlocks = 0;
+    is >> e.seq >> e.tid >> e.rank >> kind >> e.obj >> e.aux >> nlocks;
+    // A short E line leaves fail+eof set; iostream extraction "succeeding"
+    // with zero-filled fields is exactly the silent corruption this loader
+    // must refuse.
+    if (is.fail() || kind < 0 || kind >= kEventKindCount ||
+        nlocks > kMaxLocksPerEvent) {
+      malformed("malformed event line");
     }
-  }
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::string error;
-    if (parse_trace_line(line, &result, &error)) {
-      ++local.records;
-    } else {
-      ++local.corrupt_records;
-      corrupt_counter.add();
+    e.kind = static_cast<EventKind>(kind);
+    if (!tids_in_range(e)) malformed("thread id out of range");
+    e.locks_held.resize(nlocks);
+    for (std::size_t i = 0; i < nlocks; ++i) is >> e.locks_held[i];
+    if (is.fail()) malformed("truncated lockset");
+    std::string marker;
+    if (is >> marker) {
+      if (marker != "M") malformed("bad marker");
+      MpiCallInfo info;
+      int type = 0, main_thread = 0, provided = 0;
+      is >> type >> info.peer >> info.tag >> info.comm >> info.request >>
+          main_thread >> provided >> info.callsite;
+      if (is.fail()) malformed("truncated MPI record");
+      // The type indexes the MPI routine table.
+      if (type < 0 || static_cast<std::size_t>(type) >= kMpiCallTypeCount) {
+        malformed("unknown MPI call type");
+      }
+      info.type = static_cast<MpiCallType>(type);
+      info.on_main_thread = main_thread != 0;
+      info.provided = static_cast<std::uint8_t>(provided);
+      e.mpi = info;
     }
+    result.events.push_back(std::move(e));
   }
-  if (stats != nullptr) *stats = local;
   return result;
 }
 

@@ -29,22 +29,11 @@ struct LoadedTrace {
 /// Write the log (events + string table) to a stream.
 void write_trace(std::ostream& out, const TraceLog& log);
 
-/// Loader damage accounting (lenient mode).
-struct ReadStats {
-  std::size_t corrupt_records = 0;  ///< malformed/short lines skipped.
-  std::size_t records = 0;          ///< records successfully parsed.
-};
-
-/// Parse a trace written by write_trace. Throws std::runtime_error on
-/// malformed input (including short/truncated event records).
+/// Parse a trace written by write_trace.  Throws std::runtime_error naming
+/// the first malformed record (short or truncated lines, unknown kinds or
+/// MPI types, absurd counts, thread ids outside [0, kMaxTid)).  A damaged
+/// run recovers through its WAL instead (trace::salvage_wal).
 LoadedTrace read_trace(std::istream& in);
-
-/// Lenient parse: malformed or truncated records are *skipped* and counted
-/// (into `stats` and the `trace.corrupt_records` telemetry counter) instead
-/// of aborting the load — the degraded-analysis path for damaged trace
-/// files.  Never throws on content (a missing header just counts as one
-/// corrupt record and parsing continues).
-LoadedTrace read_trace_lenient(std::istream& in, ReadStats* stats = nullptr);
 
 /// Convenience file wrappers.
 void save_trace_file(const std::string& path, const TraceLog& log);

@@ -1,18 +1,22 @@
 // The run context: what one run's runtime hooks consult — its schedule
-// explorer, its fault injector, homp's instrumentation sinks, the default
-// OpenMP team size and its abort signal.
+// explorer, its fault injector, homp's instrumentation sinks, the ITC
+// baseline's access tracer, the default OpenMP team size and its abort
+// signal.
 //
 // A simmpi::Universe holds one per run and binds it on every rank thread;
 // homp hands it to the team threads a rank forks, and the threads a run
 // starts for itself (the injector's redelivery worker, the online analyzer's
 // consumer) are handed theirs.  Each hook reads it with one thread-local load
 // and a branch, so runs on different threads never see each other's
-// explorer, injector, trace log or abort, and any number of them can run at
-// once.  Outside a run every field is null: hooks are no-ops and homp runs
-// uninstrumented.
+// explorer, injector, trace log, tracer or abort, and any number of them can
+// run at once.  Outside a run every field is null: hooks are no-ops and homp
+// runs uninstrumented.
 #pragma once
 
 namespace home {
+namespace baselines {
+class ItcMemoryTracer;
+}
 namespace explore {
 class Explorer;
 }
@@ -36,6 +40,8 @@ struct RunContext {
   /// homp's instrumentation sinks (null = the uninstrumented "Base" run).
   trace::TraceLog* log = nullptr;
   trace::ThreadRegistry* registry = nullptr;
+  /// The ITC baseline's per-access tracer (null = no ITC session attached).
+  baselines::ItcMemoryTracer* itc_tracer = nullptr;
   /// Team size of homp::parallel(n <= 0); 0 = the process default
   /// (homp::set_default_threads).
   int team_size = 0;

@@ -3,7 +3,9 @@
 // matrix at small scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
+#include <ostream>
 
 #include "src/apps/app.hpp"
 #include "src/apps/toolrun.hpp"
@@ -174,6 +176,60 @@ TEST(ItcTracer, ATracerWhereADeadOneLivedStartsItsOwnThreadState) {
   EXPECT_EQ(second->threads_seen(), 1);
   EXPECT_EQ(second->accesses(), 0u);  // one access, not yet folded.
   second->~ItcMemoryTracer();
+}
+
+/// What one ITC tracer saw of one clean LU-MZ 2x2 run.
+struct TracerCounts {
+  int threads = 0;
+  std::uint64_t accesses = 0;
+  bool operator==(const TracerCounts&) const = default;
+};
+
+void PrintTo(const TracerCounts& c, std::ostream* os) {
+  *os << c.threads << " threads, " << c.accesses << " accesses";
+}
+
+TracerCounts counts_of(const baselines::ItcSession& session) {
+  return {session.tracer().threads_seen(), session.tracer().accesses()};
+}
+
+TEST(ItcTracer, EachSessionTracesOnlyItsOwnRun) {
+  // The tracer belongs to the run its session is attached to: two sessions
+  // attached to two universes at once each see exactly their own run, as if
+  // it had been alone, whichever detaches first.
+  const AppConfig cfg = clean_config(AppKind::kLU, 2);
+  const auto rank_main = [&cfg](simmpi::Process& p) { run_app_rank(cfg, p); };
+  simmpi::UniverseConfig ucfg;
+  ucfg.nranks = cfg.nranks;
+  ucfg.block_timeout_ms = cfg.block_timeout_ms;
+
+  baselines::ItcSession solo;
+  simmpi::UniverseConfig solo_cfg = ucfg;
+  solo.configure(solo_cfg);
+  simmpi::Universe solo_uni(solo_cfg);
+  solo.attach(solo_uni);
+  solo_uni.run_context().team_size = cfg.nthreads;
+  ASSERT_TRUE(solo_uni.run(rank_main).ok());
+  solo.detach(solo_uni);
+  const TracerCounts expected = counts_of(solo);
+  EXPECT_EQ(expected.threads, cfg.nranks * cfg.nthreads);
+  EXPECT_GT(expected.accesses, 0u);
+
+  baselines::ItcSession first, second;
+  simmpi::UniverseConfig first_cfg = ucfg, second_cfg = ucfg;
+  first.configure(first_cfg);
+  second.configure(second_cfg);
+  simmpi::Universe first_uni(first_cfg), second_uni(second_cfg);
+  first.attach(first_uni);
+  second.attach(second_uni);
+  first_uni.run_context().team_size = cfg.nthreads;
+  second_uni.run_context().team_size = cfg.nthreads;
+  ASSERT_TRUE(first_uni.run(rank_main).ok());
+  first.detach(first_uni);
+  ASSERT_TRUE(second_uni.run(rank_main).ok());
+  second.detach(second_uni);
+  EXPECT_EQ(counts_of(first), expected);
+  EXPECT_EQ(counts_of(second), expected);
 }
 
 TEST(Injection, MarmotMissesLatentConcurrentRecvOnSp) {

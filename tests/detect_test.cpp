@@ -191,44 +191,6 @@ TEST(Lockset, PairwiseRaceNeedsSameLocation) {
   EXPECT_FALSE(is_potential_lockset_race(a, b));
 }
 
-TEST(EraserMachine, ExclusivePhaseDoesNotReport) {
-  EraserStateMachine machine;
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(machine.on_access(
-        make_event(static_cast<trace::Seq>(i + 1), 0, EventKind::kMemWrite, 7)));
-  }
-  EXPECT_EQ(machine.variable(7).state, EraserState::kExclusive);
-}
-
-TEST(EraserMachine, SharedReadKeepsCandidates) {
-  EraserStateMachine machine;
-  machine.on_access(make_event(1, 0, EventKind::kMemWrite, 7, {1}));
-  EXPECT_FALSE(machine.on_access(make_event(2, 1, EventKind::kMemRead, 7, {1})));
-  EXPECT_EQ(machine.variable(7).state, EraserState::kShared);
-  EXPECT_EQ(machine.variable(7).candidate_locks.size(), 1u);
-}
-
-TEST(EraserMachine, ReportsWhenCandidateSetEmpties) {
-  EraserStateMachine machine;
-  machine.on_access(make_event(1, 0, EventKind::kMemWrite, 7, {1}));
-  EXPECT_FALSE(machine.on_access(make_event(2, 1, EventKind::kMemWrite, 7, {1})));
-  // Thread 2 writes under a different lock: candidate set becomes empty.
-  EXPECT_TRUE(machine.on_access(make_event(3, 2, EventKind::kMemWrite, 7, {2})));
-  ASSERT_EQ(machine.reported_variables().size(), 1u);
-  EXPECT_EQ(machine.reported_variables()[0], 7u);
-  // Only one report per variable.
-  EXPECT_FALSE(machine.on_access(make_event(4, 0, EventKind::kMemWrite, 7, {})));
-}
-
-TEST(EraserMachine, ConsistentLockingNeverReports) {
-  EraserStateMachine machine;
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(machine.on_access(make_event(static_cast<trace::Seq>(i + 1),
-                                              i % 3, EventKind::kMemWrite, 9,
-                                              {42})));
-  }
-}
-
 // ------------------------------------------------------------- Happens-before
 
 TEST(HappensBefore, ProgramOrderWithinThread) {
@@ -304,10 +266,6 @@ TEST(HappensBefore, MessageEdgeOrdersAcrossRanks) {
   };
   HbIndex hb = HappensBeforeAnalysis().run(events);
   EXPECT_TRUE(hb.ordered(0, 3));
-  HappensBeforeConfig no_msg;
-  no_msg.message_edges = false;
-  HbIndex hb2 = HappensBeforeAnalysis(no_msg).run(events);
-  EXPECT_TRUE(hb2.concurrent(0, 3));
 }
 
 TEST(HappensBefore, LockEdgesOnlyInPureHbMode) {

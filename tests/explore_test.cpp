@@ -328,7 +328,7 @@ std::shared_ptr<const StaticGuidance> hidden_guidance() {
 
 TEST(Strategy, GuidedPerturbsOnlyStaticallyAmbiguousSites) {
   const auto guidance = hidden_guidance();
-  const auto s = make_strategy(StrategyKind::kGuided, 11, {}, guidance);
+  const auto s = make_strategy(StrategyKind::kGuided, 11, guidance);
 
   // Guided injects no delays: ordering pressure comes from picks alone.
   YieldContext y;
@@ -353,7 +353,7 @@ TEST(Strategy, GuidedPerturbsOnlyStaticallyAmbiguousSites) {
   // Deterministic in the seed, and two-way picks are seed-independent —
   // the invariant the Sweeper's fingerprint pruning rests on.
   for (const std::uint64_t seed : {11u, 12u, 99u}) {
-    const auto again = make_strategy(StrategyKind::kGuided, seed, {}, guidance);
+    const auto again = make_strategy(StrategyKind::kGuided, seed, guidance);
     EXPECT_EQ(again->on_pick(flagged), 1u) << "seed " << seed;
   }
 }

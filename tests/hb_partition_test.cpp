@@ -66,7 +66,7 @@ bool links_ranks(Shared shared, const HappensBeforeConfig& cfg) {
     case Shared::kLock: return cfg.lock_edges;
     case Shared::kBarrier: return true;
     case Shared::kSentTwice:
-    case Shared::kRecvBeforeSend: return cfg.message_edges;
+    case Shared::kRecvBeforeSend: return true;
   }
   return false;
 }
@@ -263,12 +263,10 @@ std::uint64_t replay_partitions(const HappensBeforeConfig& cfg,
 const HappensBeforeConfig kConfigs[] = {
     {},
     {.lock_edges = true},
-    {.message_edges = false},
 };
 
 std::string config_name(const HappensBeforeConfig& cfg) {
-  return std::string(cfg.lock_edges ? "lock edges" : "no lock edges") +
-         (cfg.message_edges ? ", message edges" : ", no message edges");
+  return cfg.lock_edges ? "lock edges" : "no lock edges";
 }
 
 /// Compares 2..4-partition replays with the one-partition replay over

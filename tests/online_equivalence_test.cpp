@@ -6,12 +6,14 @@
 // independent post-mortem run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "src/apps/app.hpp"
+#include "src/faults/plan.hpp"
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/worksharing.hpp"
@@ -88,6 +90,36 @@ TEST(OnlineAppEquivalenceSuite, BtMzDefaultKnobs) {
 
 TEST(OnlineAppEquivalenceSuite, SpMzTinyQueueSmallEpochs) {
   expect_equivalent(apps::paper_config(AppKind::kSP, 2), 8, 64);
+}
+
+TEST(OnlineQueuePressure, AStalledConsumerLosesNoEvent) {
+  // A Session's queue blocks instead of dropping: with one slot and injected
+  // queue pressure stalling the consumer, the analyzer still sees every
+  // event the run logs, so the streamed report is exact and equals a
+  // post-mortem pass over the retained trace.
+  const AppConfig app = apps::paper_config(AppKind::kLU, 2);
+  CheckConfig cfg = app_check(app);
+  cfg.session.mode = AnalysisMode::kOnline;
+  cfg.session.online.queue_capacity = 1;
+  cfg.session.faults.enabled = true;
+  cfg.session.faults.seed = 7;
+  ASSERT_TRUE(faults::FaultSpec::parse("qpressure=0.5,max_delay_us=50",
+                                       &cfg.session.faults.spec));
+  const oracle::OnlineRun streamed = oracle::run_online(
+      cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
+  ASSERT_TRUE(streamed.run.ok());
+
+  const auto& decisions = streamed.faultplan.decisions;
+  EXPECT_GT(std::count_if(decisions.begin(), decisions.end(),
+                          [](const faults::FaultDecision& d) {
+                            return d.kind == faults::FaultKind::kQueuePressure;
+                          }),
+            0);
+  EXPECT_EQ(streamed.stats.events_dropped, 0u);
+  EXPECT_EQ(streamed.stats.events_processed, streamed.retained_events);
+  EXPECT_FALSE(streamed.report.degraded());
+  EXPECT_FALSE(streamed.post_mortem_keys.empty());
+  EXPECT_EQ(key_set(streamed.report), streamed.post_mortem_keys);
 }
 
 TEST(OnlineAppEquivalenceSuite, CleanRunStaysClean) {

@@ -381,8 +381,6 @@ OnlineRun run_online(const CheckConfig& cfg,
   Session session(cfg.session);
   simmpi::UniverseConfig ucfg;
   ucfg.nranks = cfg.nranks;
-  ucfg.max_thread_level = cfg.max_thread_level;
-  ucfg.rendezvous_sends = cfg.rendezvous_sends;
   ucfg.block_timeout_ms = cfg.block_timeout_ms;
   session.configure(ucfg);
   simmpi::Universe universe(ucfg);
@@ -394,10 +392,13 @@ OnlineRun run_online(const CheckConfig& cfg,
   session.detach(universe);
   out.report = session.analyze();
   out.stats = session.online_analyzer()->stats();
+  out.faultplan = session.recorded_fault_plan();
 
+  std::vector<Event> retained = session.log().sorted_events();
+  out.retained_events = retained.size();
   const detect::ConcurrencyReport concurrency =
       detect::RaceDetector(make_detector_config(cfg.session))
-          .analyze(session.log().sorted_events());
+          .analyze(std::move(retained));
   spec::Matcher matcher(&session.log().strings());
   for (const spec::Violation& v : matcher.match(concurrency)) {
     out.post_mortem_keys.insert(spec::violation_key(v));

@@ -4,7 +4,7 @@
 //  * randomized programs with one planted violation class are always caught,
 //  * the mailbox preserves per-(source, tag) FIFO order under random
 //    interleavings,
-//  * Eraser never reports consistently locked traces,
+//  * the lockset check never reports consistently locked traces,
 //  * barrier-separated accesses are never concurrent under HB.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "src/apps/app.hpp"
 #include "src/apps/toolrun.hpp"
 #include "src/detect/happens_before.hpp"
-#include "src/detect/lockset.hpp"
+#include "src/detect/race_detector.hpp"
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/sync.hpp"
@@ -229,13 +229,13 @@ TEST_P(ScheduleJitterProperty, HomeDetectionStableAcrossInterleavings) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleJitterProperty, ::testing::Range(0, 5));
 
-// ----------------------------------------------------- Eraser & HB invariants
+// ---------------------------------------------------- Lockset & HB invariants
 
 class LockedTraceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(LockedTraceProperty, ConsistentLockingNeverReports) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) + 31);
-  detect::EraserStateMachine machine;
+  std::vector<trace::Event> events;
   for (int i = 0; i < 500; ++i) {
     trace::Event e;
     e.seq = static_cast<trace::Seq>(i + 1);
@@ -248,9 +248,22 @@ TEST_P(LockedTraceProperty, ConsistentLockingNeverReports) {
     e.locks_held = {1000 + e.obj};
     if (rng.next_bool(0.3)) e.locks_held.push_back(2000 + rng.next_below(4));
     std::sort(e.locks_held.begin(), e.locks_held.end());
-    EXPECT_FALSE(machine.on_access(e));
+    events.push_back(std::move(e));
   }
-  EXPECT_TRUE(machine.reported_variables().empty());
+  detect::RaceDetectorConfig cfg;
+  cfg.mode = detect::DetectorMode::kLocksetOnly;
+  const auto any_concurrent = [](const detect::ConcurrencyReport& report) {
+    return std::any_of(report.verdicts().begin(), report.verdicts().end(),
+                       [](const auto& v) { return v.second.concurrent; });
+  };
+  const detect::ConcurrencyReport locked =
+      detect::RaceDetector(cfg).analyze(events);
+  EXPECT_FALSE(locked.verdicts().empty());
+  EXPECT_FALSE(any_concurrent(locked));
+
+  // Control: the same accesses without their locks do race.
+  for (trace::Event& e : events) e.locks_held.clear();
+  EXPECT_TRUE(any_concurrent(detect::RaceDetector(cfg).analyze(events)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LockedTraceProperty, ::testing::Range(0, 8));

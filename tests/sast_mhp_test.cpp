@@ -496,10 +496,8 @@ int main() {
   ASSERT_NE(wait, nullptr);
   ASSERT_NE(test, nullptr);
 
-  EXPECT_EQ(wait->locks.count(kUnnamedCriticalLock), 1u);
-  EXPECT_EQ(test->locks.count(kUnnamedCriticalLock), 1u);
-  ASSERT_FALSE(wait->critical_stack.empty());
-  EXPECT_EQ(wait->critical_stack.back(), kUnnamedCriticalLock);
+  EXPECT_EQ(wait->locks, std::set<std::string>{kUnnamedCriticalLock});
+  EXPECT_EQ(test->locks, std::set<std::string>{kUnnamedCriticalLock});
 
   // Same canonical lock on both sides ⇒ serialized, pruned, and no
   // concurrent-request warning on the shared request.

@@ -1,8 +1,8 @@
 // Trace durability tests: CRC32 against a bitwise reference,
 // CRC32-framed WAL round trips, the salvage loader's longest-valid-prefix
 // discipline over torn/corrupt files and hand-built damaged frames,
-// degraded-mode analysis of salvaged traces, and the hardened (lenient)
-// text-trace loader over the committed corrupted corpus.
+// degraded-mode analysis of salvaged traces, and the strict text-trace
+// loader over the committed corrupted corpus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -991,81 +992,84 @@ TEST(WalChunks, NineByteEventFramesSizeNoEvents) {
   EXPECT_EQ(got.stats.corrupt_frames, 1u);
 }
 
-// --- hardened text loader over the committed corrupted corpus ---------------
+// --- strict text loader over the committed corrupted corpus ----------------
 
+/// One corpus file and the error the strict loader refuses it with (null:
+/// the file loads).
 struct CorpusCase {
   const char* file;
-  std::size_t events;    ///< events the lenient loader must still recover.
-  std::size_t corrupt;   ///< corrupt records it must count.
+  const char* error;
 };
 
-TEST(CorruptCorpus, LenientLoaderSurvivesAllTwentyCases) {
+TEST(CorruptCorpus, StrictLoaderRejectsEveryDamagedCase) {
+  // Every damaged file is refused with the first malformed record's reason,
+  // never loaded with zero-filled events; a header alone is an empty trace.
   const CorpusCase kCases[] = {
-      {"case01_short_event.trace", 4, 1},
-      {"case02_bad_tag.trace", 4, 1},
-      {"case03_truncated_lockset.trace", 4, 1},
-      {"case04_absurd_lock_count.trace", 4, 1},
-      {"case05_negative_kind.trace", 4, 1},
-      {"case06_huge_kind.trace", 4, 1},
-      {"case07_absurd_string_id.trace", 4, 1},
-      {"case08_short_string.trace", 4, 1},
-      {"case09_truncated_mpi.trace", 4, 1},
-      {"case10_bad_marker.trace", 4, 1},
-      {"case11_missing_header.trace", 4, 1},
-      {"case12_wrong_version.trace", 4, 1},
-      {"case13_garbage_line.trace", 4, 1},
-      {"case14_nonnumeric_seq.trace", 4, 1},
-      {"case15_torn_tail.trace", 4, 1},
-      {"case16_empty.trace", 0, 0},
-      {"case17_header_only.trace", 0, 0},
-      {"case18_lone_tag.trace", 1, 1},
-      {"case19_nonnumeric_string_id.trace", 4, 1},
-      {"case20_multi_damage.trace", 3, 4},
+      {"case01_short_event.trace", "malformed event line"},
+      {"case02_bad_tag.trace", "bad record 'X'"},
+      {"case03_truncated_lockset.trace", "truncated lockset"},
+      {"case04_absurd_lock_count.trace", "malformed event line"},
+      {"case05_negative_kind.trace", "malformed event line"},
+      {"case06_huge_kind.trace", "malformed event line"},
+      {"case07_absurd_string_id.trace", "malformed string record"},
+      {"case08_short_string.trace", "malformed string record"},
+      {"case09_truncated_mpi.trace", "truncated MPI record"},
+      {"case10_bad_marker.trace", "bad marker"},
+      {"case11_missing_header.trace", "missing header"},
+      {"case12_wrong_version.trace", "missing header"},
+      {"case13_garbage_line.trace", "bad record '@@##binary?garbage**'"},
+      {"case14_nonnumeric_seq.trace", "malformed event line"},
+      {"case15_torn_tail.trace", "malformed event line"},
+      {"case16_empty.trace", "missing header"},
+      {"case17_header_only.trace", nullptr},
+      {"case18_lone_tag.trace", "malformed event line"},
+      {"case19_nonnumeric_string_id.trace", "malformed string record"},
+      {"case20_multi_damage.trace", "malformed event line"},
+      {"case21_out_of_range_tid.trace", "thread id out of range"},
   };
-  static_assert(sizeof(kCases) / sizeof(kCases[0]) == 20,
-                "the corpus is specified as twenty cases");
+  static_assert(sizeof(kCases) / sizeof(kCases[0]) == 21,
+                "the corpus is specified as twenty-one cases");
 
   for (const CorpusCase& c : kCases) {
+    SCOPED_TRACE(c.file);
     const std::string path = std::string(HOME_CORPUS_DIR) + "/" + c.file;
     std::ifstream in(path);
     ASSERT_TRUE(in.is_open()) << "missing corpus file " << path;
-    trace::ReadStats stats;
-    trace::LoadedTrace loaded;
-    ASSERT_NO_THROW(loaded = trace::read_trace_lenient(in, &stats)) << c.file;
-    EXPECT_EQ(loaded.events.size(), c.events) << c.file;
-    EXPECT_EQ(stats.corrupt_records, c.corrupt) << c.file;
+    if (c.error == nullptr) {
+      trace::LoadedTrace loaded;
+      ASSERT_NO_THROW(loaded = trace::read_trace(in));
+      EXPECT_TRUE(loaded.events.empty());
+      EXPECT_TRUE(loaded.strings.empty());
+      continue;
+    }
+    try {
+      trace::read_trace(in);
+      ADD_FAILURE() << "a damaged trace loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("trace_io: ") + c.error);
+    }
   }
 }
 
 TEST(CorruptCorpus, AnOutOfRangeThreadIdIsOneMalformedLine) {
-  // Case 21: an event of thread -1 among four good ones.  The lenient
-  // loader skips and counts it; the strict one refuses the file.
+  // Case 21: an event of thread -1 among four good ones.  The strict loader
+  // refuses the file for that line alone: without it, the rest loads.
   const std::string path =
       std::string(HOME_CORPUS_DIR) + "/case21_out_of_range_tid.trace";
-  std::ifstream lenient(path);
-  ASSERT_TRUE(lenient.is_open()) << "missing corpus file " << path;
-  trace::ReadStats stats;
-  const trace::LoadedTrace loaded = trace::read_trace_lenient(lenient, &stats);
-  EXPECT_EQ(loaded.events.size(), 4u);
-  EXPECT_EQ(stats.corrupt_records, 1u);
-  for (const trace::Event& e : loaded.events) EXPECT_GE(e.tid, 0);
-  std::ifstream strict(path);
-  EXPECT_THROW(trace::read_trace(strict), std::runtime_error);
-}
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing corpus file " << path;
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  std::istringstream damaged(text);
+  EXPECT_THROW(trace::read_trace(damaged), std::runtime_error);
 
-TEST(CorruptCorpus, StrictLoaderRejectsWhatLenientSkips) {
-  // The strict loader must refuse the same damage the lenient one skips —
-  // silent zero-filled events are the failure mode both guard against.
-  const char* kThrowing[] = {
-      "case01_short_event.trace",  "case03_truncated_lockset.trace",
-      "case09_truncated_mpi.trace", "case11_missing_header.trace",
-      "case15_torn_tail.trace",
-  };
-  for (const char* file : kThrowing) {
-    std::ifstream in(std::string(HOME_CORPUS_DIR) + "/" + file);
-    ASSERT_TRUE(in.is_open()) << file;
-    EXPECT_THROW(trace::read_trace(in), std::runtime_error) << file;
-  }
+  const std::string bad_line = "E 5 -1 0 0 42 0 0\n";
+  const std::size_t at = text.find(bad_line);
+  ASSERT_NE(at, std::string::npos);
+  std::istringstream repaired(text.erase(at, bad_line.size()));
+  const trace::LoadedTrace loaded = trace::read_trace(repaired);
+  EXPECT_EQ(loaded.events.size(), 4u);
+  for (const trace::Event& e : loaded.events) EXPECT_GE(e.tid, 0);
 }
 
 }  // namespace
