@@ -11,8 +11,9 @@
 //   bench_obs --smoke    fast functional pass for ctest: exercises both
 //                        telemetry states, checks counters observe the work
 //                        when enabled and stay silent when disabled, and
-//                        sanity-bounds (20%) the measured overhead so a
-//                        pathological hot-path regression fails the build.
+//                        sanity-bounds (20%) the median overhead of
+//                        alternated pairs so a pathological hot-path
+//                        regression fails the build.
 //
 // Knobs: --events (events-per-variable, default 4000), --threads, --vars,
 // --reps (alternated enabled/disabled pairs, default 15; the gate reads the
@@ -71,9 +72,9 @@ struct OverheadResult {
   double overhead_pct = 0.0;
 };
 
-/// The full gate: `pairs` back-to-back enabled/disabled passes, the order
+/// Both gates: `pairs` back-to-back enabled/disabled passes, the order
 /// flipped every pair, so drift in the machine's speed hits both states
-/// alike; it reads the median of the per-pair overheads.
+/// alike; they read the median of the per-pair overheads.
 OverheadResult measure_paired_overhead(std::size_t events_per_var, int threads,
                                        int vars, int pairs) {
   const auto events = bench::phased_trace(events_per_var, threads, vars);
@@ -93,31 +94,6 @@ OverheadResult measure_paired_overhead(std::size_t events_per_var, int threads,
   obs::set_enabled(true);
   return {util::percentile(disabled, 50), util::percentile(enabled, 50),
           util::percentile(overheads, 50)};
-}
-
-/// The smoke bound: the best of `reps` passes in each state, disabled
-/// first.  A minimum sheds the scheduler spikes of a loaded machine, which
-/// a tiny workload cannot average away.
-OverheadResult measure_best_of_overhead(std::size_t events_per_var,
-                                        int threads, int vars, int reps) {
-  const auto events = bench::phased_trace(events_per_var, threads, vars);
-  const auto best_of = [&](bool enabled) {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      const double seconds = analyze_seconds(events, enabled);
-      if (r == 0 || seconds < best) best = seconds;
-    }
-    return best;
-  };
-  // Warm up caches/allocator on a throwaway pass before either timed state.
-  analyze_seconds(events, false);
-  OverheadResult r;
-  r.disabled_s = best_of(false);
-  r.enabled_s = best_of(true);
-  r.overhead_pct = r.disabled_s > 0.0
-                       ? (r.enabled_s - r.disabled_s) / r.disabled_s * 100.0
-                       : 0.0;
-  return r;
 }
 
 int run_full(const util::Flags& flags) {
@@ -174,6 +150,9 @@ int run_full(const util::Flags& flags) {
 
 // ----------------------------------------------------------------- smoke mode
 
+/// Alternated enabled/disabled pairs the smoke bound reads the median of.
+constexpr int kSmokePairs = 21;
+
 int run_smoke() {
   int failures = 0;
   auto expect = [&failures](bool ok, const char* what) {
@@ -207,7 +186,9 @@ int run_smoke() {
   // Tiny overhead sanity bound: a generous 20% ceiling so a pathological
   // hot-path regression (e.g. an unconditional mutex) fails tier-1 without
   // the smoke becoming timing-flaky; the real < 3% gate is the full mode.
-  const OverheadResult r = measure_best_of_overhead(800, 4, 4, 3);
+  // A pass takes ~1 ms, so a load spike can hit one state of a pair but not
+  // the median of many alternated pairs.
+  const OverheadResult r = measure_paired_overhead(800, 4, 4, kSmokePairs);
   expect(r.overhead_pct < 20.0, "smoke overhead bound (20%) exceeded");
 
   if (failures == 0) std::printf("bench_obs --smoke: ok\n");

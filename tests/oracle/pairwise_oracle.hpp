@@ -33,6 +33,12 @@ class PairwiseOracle {
   /// events[i] happens-before events[j].
   bool ordered(std::size_t i, std::size_t j) const;
 
+  /// Component `tid` of events[i]'s dense stamp.
+  std::uint64_t stamp(std::size_t i, trace::Tid tid) const {
+    const auto t = static_cast<std::size_t>(tid);
+    return t < stamps_[i].size() ? stamps_[i][t] : 0;
+  }
+
   /// events[i] and events[j] are accesses of one variable that race.
   bool racy(std::size_t i, std::size_t j) const;
 
