@@ -11,22 +11,24 @@
 //                     [--expect-violation] [--no-replay-check]
 //                     [--explain] [--paranoid] [--provenance-out=FILE]
 //                     [--minimize] [--min-schedule-out=DIR]
-//                     [--inject=SPEC] [--fault-seed=1] [--faultplan=FILE]
+//                     [--inject=SPEC] [--fault-seed=1]
 //                     [--schedule-timeout-ms=N] [--max-retries=N]
 //                     [--retry-backoff-ms=N] [--quarantine-dir=DIR]
 //                     [--journal=FILE] [--resume] [--wal=FILE]
 //
 // Resilience (ISSUE-10): --inject enables seeded fault injection
-// (FaultSpec "key=value,..." — e.g. "crash=0.01,delay=0.2"); --faultplan
-// replays a recorded *.faultplan instead; --schedule-timeout-ms arms a
-// per-schedule watchdog, --max-retries re-runs hung/crashed schedules with
-// backoff, and schedules that still fail are quarantined into
-// --quarantine-dir with their reproduction artifacts.  --journal checkpoints
-// every completed schedule; with --resume, a rerun replays journaled
-// schedules instead of executing them (without --resume an existing journal
-// is truncated).  --wal streams events to a crash-safe write-ahead log;
-// since every run truncates that file, a --wal sweep runs its schedules on
-// one worker instead of one per core.
+// (FaultSpec "key=value,..." — e.g. "crash=0.01,delay=0.2"), schedule i
+// drawing from fault seed --fault-seed + i; each finding's *.schedule then
+// records its faults too, and the replay check re-applies them.
+// --schedule-timeout-ms arms a per-schedule watchdog, --max-retries re-runs
+// hung/crashed schedules with backoff, and schedules that still fail are
+// quarantined into --quarantine-dir as seed<N>.schedule (the run's record)
+// and seed<N>.reason.txt.  --journal checkpoints every completed schedule;
+// with --resume, a rerun replays journaled schedules instead of executing
+// them (without --resume an existing journal is truncated).  --wal streams
+// events to a crash-safe write-ahead log; since every run truncates that
+// file, a --wal sweep runs its schedules on one worker instead of one per
+// core.
 //
 // Provenance: --explain prints each finding's explanation certificate
 // (causal HB witness chains); --paranoid re-verifies every certificate via
@@ -56,7 +58,7 @@
 #include "src/diagnose/provenance.hpp"
 #include "src/explore/guidance.hpp"
 #include "src/explore/sweeper.hpp"
-#include "src/faults/plan.hpp"
+#include "src/faults/fault.hpp"
 #include "src/sast/commstat.hpp"
 #include "src/util/flags.hpp"
 
@@ -66,7 +68,7 @@ using namespace home;
 
 /// Parse the resilience flags (fault injection, watchdog/retry/quarantine,
 /// journal, WAL) into the sweep config; false (reason printed) on malformed
-/// --inject specs or unloadable --faultplan files.
+/// --inject specs.
 bool apply_resilience_flags(const util::Flags& flags,
                             explore::SweepConfig* cfg) {
   const std::string inject = flags.get("inject", "");
@@ -80,16 +82,6 @@ bool apply_resilience_flags(const util::Flags& flags,
     cfg->session.faults.spec = spec;
     cfg->session.faults.seed =
         static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
-  }
-  const std::string plan_path = flags.get("faultplan", "");
-  if (!plan_path.empty()) {
-    auto plan = std::make_shared<faults::FaultPlan>();
-    if (!faults::FaultPlan::load(plan_path, plan.get())) {
-      std::fprintf(stderr, "cannot load faultplan %s\n", plan_path.c_str());
-      return false;
-    }
-    cfg->session.faults.enabled = true;
-    cfg->session.faults.replay = std::move(plan);
   }
   cfg->schedule_timeout_ms = flags.get_int("schedule-timeout-ms", 0);
   cfg->max_retries = flags.get_int("max-retries", 0);
@@ -243,11 +235,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(f.seed), f.key.c_str());
         continue;
       }
-      // A fault-sweep finding only reproduces under its own fault plan.
-      const faults::FaultPlan* fp =
-          cfg.session.faults.enabled ? &f.faultplan : nullptr;
-      const std::set<std::string> keys =
-          sweeper.replay(f.schedule, rank_main, fp);
+      // The schedule carries the finding's faults, so a fault-sweep finding
+      // replays under exactly the faults that shaped it.
+      const std::set<std::string> keys = sweeper.replay(f.schedule, rank_main);
       const bool reproduced = keys.count(f.key) > 0;
       std::printf("replay seed %llu: %s %s\n",
                   static_cast<unsigned long long>(f.seed), f.key.c_str(),

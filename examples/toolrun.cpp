@@ -6,12 +6,14 @@
 //                            [--seed-base=1] [--schedule-dir=schedules]
 //                            [--guidance=FILE] [--stop-on-first]
 //   Replay:        ./toolrun --app=hidden --replay=schedules/seed5.schedule
-//                            [--faultplan=schedules/seed5.faultplan]
 //
-// Resilience (ISSUE-10; all modes with --tool=home):
+// A replay re-applies the record's scheduling decisions and, for a finding
+// of a fault-injection sweep, exactly the faults its run fired: the one
+// *.schedule file holds both.
+//
+// Resilience (single runs with --tool=home, and exploration):
 //   --inject=SPEC         seeded fault injection (FaultSpec "key=value,...",
 //                         e.g. "crash=0.01,delay=0.2"); --fault-seed=N
-//   --faultplan=FILE      replay a recorded *.faultplan instead
 //   --wal=FILE            stream events to a crash-safe write-ahead log
 //   Exploration only: --schedule-timeout-ms=N --max-retries=N
 //   --retry-backoff-ms=N --quarantine-dir=DIR --journal=FILE --resume
@@ -44,7 +46,7 @@
 #include "src/apps/toolrun.hpp"
 #include "src/explore/guidance.hpp"
 #include "src/explore/sweeper.hpp"
-#include "src/faults/plan.hpp"
+#include "src/faults/fault.hpp"
 #include "src/sast/commstat.hpp"
 #include "src/spec/violations.hpp"
 #include "src/util/flags.hpp"
@@ -60,8 +62,8 @@ struct AppChoice {
   explore::Sweeper::RankMain rank_main;
 };
 
-/// Parse --inject / --fault-seed / --faultplan / --wal into a SessionConfig;
-/// false (reason printed) on malformed specs or unloadable plans.
+/// Parse --inject / --fault-seed / --wal into a SessionConfig; false (reason
+/// printed) on malformed specs.
 bool apply_fault_flags(const util::Flags& flags, SessionConfig* scfg) {
   const std::string inject = flags.get("inject", "");
   if (!inject.empty()) {
@@ -74,16 +76,6 @@ bool apply_fault_flags(const util::Flags& flags, SessionConfig* scfg) {
     scfg->faults.spec = spec;
     scfg->faults.seed =
         static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
-  }
-  const std::string plan_path = flags.get("faultplan", "");
-  if (!plan_path.empty()) {
-    auto plan = std::make_shared<faults::FaultPlan>();
-    if (!faults::FaultPlan::load(plan_path, plan.get())) {
-      std::fprintf(stderr, "cannot load faultplan %s\n", plan_path.c_str());
-      return false;
-    }
-    scfg->faults.enabled = true;
-    scfg->faults.replay = std::move(plan);
   }
   scfg->wal_path = flags.get("wal", "");
   return true;
@@ -238,7 +230,7 @@ int run_single(const util::Flags& flags) {
   }
   if (!apply_fault_flags(flags, &scfg)) return 2;
   if (scfg.faults.enabled && tool != apps::Tool::kHome) {
-    std::fprintf(stderr, "--inject/--faultplan requires --tool=home\n");
+    std::fprintf(stderr, "--inject requires --tool=home\n");
     return 2;
   }
   const apps::ToolRunResult result = apps::run_with_tool(tool, cfg, scfg);
@@ -313,21 +305,11 @@ int run_replay(const util::Flags& flags, const std::string& path) {
   explore::SweepConfig cfg;
   cfg.nranks = choice.nranks;
   cfg.nthreads = choice.nthreads;
-  faults::FaultPlan plan;
-  const faults::FaultPlan* fp = nullptr;
-  const std::string plan_path = flags.get("faultplan", "");
-  if (!plan_path.empty()) {
-    if (!faults::FaultPlan::load(plan_path, &plan)) {
-      std::fprintf(stderr, "cannot load faultplan %s\n", plan_path.c_str());
-      return 2;
-    }
-    fp = &plan;
-  }
   const std::set<std::string> keys =
-      explore::Sweeper(cfg).replay(schedule, choice.rank_main, fp);
-  std::printf("replayed %s (%zu decision(s), strategy %s, seed %llu): %zu "
-              "violation(s)\n",
-              path.c_str(), schedule.decisions.size(),
+      explore::Sweeper(cfg).replay(schedule, choice.rank_main);
+  std::printf("replayed %s (%zu decision(s), %zu fault(s), strategy %s, seed "
+              "%llu): %zu violation(s)\n",
+              path.c_str(), schedule.decisions.size(), schedule.faults.size(),
               schedule.strategy.c_str(),
               static_cast<unsigned long long>(schedule.seed), keys.size());
   for (const std::string& key : keys) std::printf("  %s\n", key.c_str());

@@ -29,20 +29,6 @@ std::vector<double> Zone::east_edge() const {
   return edge;
 }
 
-std::vector<double> Zone::west_edge() const {
-  std::vector<double> edge(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) edge[static_cast<std::size_t>(i)] = at(i, 0);
-  return edge;
-}
-
-void Zone::set_east_halo(const std::vector<double>& values) {
-  for (int i = 0; i < n_ && i < static_cast<int>(values.size()); ++i) {
-    double& cell = at(i, n_);  // halo column just past the interior.
-    cell = values[static_cast<std::size_t>(i)];
-    itc_trace(&cell);
-  }
-}
-
 void Zone::set_west_halo(const std::vector<double>& values) {
   for (int i = 0; i < n_ && i < static_cast<int>(values.size()); ++i) {
     double& cell = at(i, -1);

@@ -34,8 +34,6 @@ class Zone {
 
   /// Boundary rows for halo exchange (interior cells adjacent to the halo).
   std::vector<double> east_edge() const;
-  std::vector<double> west_edge() const;
-  void set_east_halo(const std::vector<double>& values);
   void set_west_halo(const std::vector<double>& values);
 
   /// Sum of squared interior values (residual contribution).

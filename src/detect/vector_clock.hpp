@@ -51,8 +51,6 @@ class VectorClock {
   bool operator==(const VectorClock& other) const;
 
   std::size_t size() const { return c_.size(); }
-  /// Heap bytes held by the component buffer (resident-memory accounting).
-  std::size_t heap_bytes() const { return c_.capacity() * sizeof(std::uint64_t); }
   std::string to_string() const;
 
  private:

@@ -11,10 +11,10 @@ namespace {
 
 using Decisions = std::vector<explore::Decision>;
 
+/// The seed with `d` for its scheduling decisions; its faults ride along
+/// unchanged, so every candidate replays the run's own faults.
 explore::Schedule with_decisions(const explore::Schedule& seed, Decisions d) {
-  explore::Schedule s;
-  s.strategy = seed.strategy;
-  s.seed = seed.seed;
+  explore::Schedule s = seed;
   s.decisions = std::move(d);
   return s;
 }

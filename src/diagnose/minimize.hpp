@@ -1,5 +1,7 @@
 // ddmin schedule minimization (Zeller's delta debugging) over the recorded
-// decision log of a violating run.
+// decision log of a violating run.  Only the scheduling decisions are
+// minimized: the run's injected faults are carried through every candidate
+// unchanged.
 //
 // Removing a Decision from a Schedule is well-defined because the replay
 // strategy defaults every unrecorded hook hit (no delay / pick index 0):

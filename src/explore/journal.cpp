@@ -49,9 +49,6 @@ void SweepJournal::record(const JournalEntry& entry) {
   if (!entry.schedule_path.empty()) {
     out_ << "sched " << entry.index << " " << entry.schedule_path << "\n";
   }
-  if (!entry.faultplan_path.empty()) {
-    out_ << "fault " << entry.index << " " << entry.faultplan_path << "\n";
-  }
   if (entry.certificates != 0 || entry.certificates_verified != 0) {
     out_ << "cert " << entry.index << " " << entry.certificates << " "
          << entry.certificates_verified << "\n";
@@ -91,8 +88,7 @@ bool SweepJournal::load(const std::string& path, const JournalMeta& expect,
       block_open = true;
     } else if (!block_open) {
       continue;  // orphan line after a torn block.
-    } else if (tag == "key" || tag == "err" || tag == "sched" ||
-               tag == "fault") {
+    } else if (tag == "key" || tag == "err" || tag == "sched") {
       int index = 0;
       is >> index;
       if (is.fail() || index != open.index) continue;
@@ -102,8 +98,7 @@ bool SweepJournal::load(const std::string& path, const JournalMeta& expect,
       if (rest.empty()) continue;
       if (tag == "key") open.keys.insert(rest);
       else if (tag == "err") open.errors.push_back(rest);
-      else if (tag == "sched") open.schedule_path = rest;
-      else open.faultplan_path = rest;
+      else open.schedule_path = rest;
     } else if (tag == "cert") {
       int index = 0;
       is >> index >> open.certificates >> open.certificates_verified;

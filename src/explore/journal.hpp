@@ -11,7 +11,6 @@
 //   key <index> <violation key ...rest of line>
 //   err <index> <error text ...rest of line>
 //   sched <index> <saved schedule path>
-//   fault <index> <saved faultplan path>
 //   cert <index> <built> <verified>
 //   end <index>
 //
@@ -19,7 +18,7 @@
 // the kill is discarded and that schedule simply re-runs.  `index` is -1 for
 // the baseline run.  The `meta` line guards against resuming with a
 // different sweep configuration (a resumed journal must describe the same
-// sweep).
+// sweep).  Unknown tags are skipped.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,6 @@ struct JournalEntry {
   std::set<std::string> keys;
   std::vector<std::string> errors;
   std::string schedule_path;   ///< saved *.schedule artifact, if any.
-  std::string faultplan_path;  ///< saved *.faultplan artifact, if any.
   std::size_t certificates = 0;
   std::size_t certificates_verified = 0;
 };

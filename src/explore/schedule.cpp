@@ -14,7 +14,7 @@ constexpr const char* kHookNames[kHookKindCount] = {
     "recv_match",     "wildcard_pick",
 };
 
-constexpr const char* kHeader = "# home explore schedule v1";
+constexpr const char* kHeader = "# home explore schedule v2";
 
 }  // namespace
 
@@ -52,11 +52,20 @@ std::string Schedule::to_string() const {
   os << kHeader << "\n";
   os << "strategy " << (strategy.empty() ? "?" : strategy) << "\n";
   os << "seed " << seed << "\n";
+  if (fault_spec) {
+    os << "fault_spec " << fault_spec->to_string() << "\n";
+    os << "fault_seed " << fault_seed << "\n";
+  }
   for (const Decision& d : decisions) {
     os << (d.is_pick ? "pick" : "yield") << ' ' << hook_kind_name(d.kind) << ' '
        << d.rank << ' ' << d.lane << ' '
        << (d.site.empty() ? "-" : d.site) << ' ' << d.occurrence << ' '
        << d.value << "\n";
+  }
+  for (const faults::FaultDecision& f : faults) {
+    os << "fault " << faults::fault_kind_name(f.kind) << ' ' << f.rank << ' '
+       << (f.site.empty() ? "-" : f.site) << ' ' << f.occurrence << ' '
+       << f.value << "\n";
   }
   return os.str();
 }
@@ -87,6 +96,23 @@ bool Schedule::parse(const std::string& text, Schedule* out) {
       if (ls.fail() || !parse_hook_kind(kind, &d.kind)) return false;
       if (d.site == "-") d.site.clear();
       parsed.decisions.push_back(std::move(d));
+    } else if (word == "fault_spec") {
+      std::string spec;
+      ls >> spec;
+      parsed.fault_spec.emplace();
+      if (ls.fail() || !faults::FaultSpec::parse(spec, &*parsed.fault_spec)) {
+        return false;
+      }
+    } else if (word == "fault_seed") {
+      ls >> parsed.fault_seed;
+      if (ls.fail()) return false;
+    } else if (word == "fault") {
+      faults::FaultDecision f;
+      std::string kind;
+      ls >> kind >> f.rank >> f.site >> f.occurrence >> f.value;
+      if (ls.fail() || !faults::parse_fault_kind(kind, &f.kind)) return false;
+      if (f.site == "-") f.site.clear();
+      parsed.faults.push_back(std::move(f));
     } else {
       return false;  // unknown directive.
     }
@@ -94,6 +120,7 @@ bool Schedule::parse(const std::string& text, Schedule* out) {
   if (!saw_header && parsed.decisions.empty() && parsed.strategy.empty()) {
     return false;
   }
+  if (!parsed.faults.empty() && !parsed.fault_spec) return false;
   *out = std::move(parsed);
   return true;
 }

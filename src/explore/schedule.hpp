@@ -1,23 +1,28 @@
-// Schedule-exploration subsystem (ISSUE-7 tentpole): the replayable decision
-// log.
+// Schedule-exploration subsystem: the replayable record of one run.
 //
-// A Schedule is the compact record of every scheduling decision a strategy
-// made during one controlled run: delays injected at yield points and
-// explicit choices at pick points (wildcard-source message selection,
-// posted-receive matching).  Decisions are keyed by
-// (hook kind, rank, lane, site, per-key occurrence), which is stable across
-// runs for a fixed control flow — each (rank, lane) executes its program in
-// order — so feeding the log back through the Replay strategy re-derives the
-// same choices and therefore the same violating interleaving.
+// A Schedule is the compact record of every nondeterministic choice made
+// during one controlled run: the scheduling decisions a strategy took
+// (delays injected at yield points, explicit choices at pick points such as
+// wildcard-source message selection and posted-receive matching) and the
+// faults a faults::Injector fired.  Scheduling decisions are keyed by
+// (hook kind, rank, lane, site, per-key occurrence) and faults by
+// (kind, rank, site, per-key occurrence); both keys are stable across runs
+// for a fixed control flow — each (rank, lane) executes its program in
+// order — so replaying the record (Options::replay) re-derives the same
+// choices and faults and therefore the same violating interleaving.
 //
-// Serialization is a line-oriented text format (one decision per line, plus
-// strategy/seed metadata) so violating schedules can be attached to bug
-// reports and replayed with `toolrun --replay <file>`.
+// Serialization is a line-oriented text format (one decision or fault per
+// line, plus strategy/seed and fault spec/seed metadata) so violating runs
+// can be attached to bug reports and replayed with
+// `toolrun --replay <file>`.  Version 1 files (no fault lines) still load.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/faults/fault.hpp"
 
 namespace home::explore {
 
@@ -64,13 +69,23 @@ struct Decision {
 std::string decision_key(HookKind kind, int rank, int lane,
                          const std::string& site);
 
-/// A full recorded run: strategy metadata plus the decision log.
+/// A full recorded run: strategy metadata, the scheduling decision log and
+/// the run's injected faults.
 struct Schedule {
   std::string strategy;        ///< strategy name that produced this run.
   std::uint64_t seed = 0;      ///< strategy seed.
   std::vector<Decision> decisions;
+  /// The generating spec and seed of the run's fault injector; unset when
+  /// the run had none.  A record cut short before any fault fired still
+  /// names the faults that re-derive its run.
+  std::optional<faults::FaultSpec> fault_spec;
+  std::uint64_t fault_seed = 0;
+  /// Every fault the injector fired, in firing order (needs fault_spec).
+  /// Replay applies exactly these.
+  std::vector<faults::FaultDecision> faults;
 
-  bool empty() const { return decisions.empty(); }
+  /// True when the record holds neither a decision nor a fault.
+  bool empty() const { return decisions.empty() && faults.empty(); }
 
   std::string to_string() const;
   /// Parse the text produced by to_string; returns false on malformed input.

@@ -99,7 +99,9 @@ struct Options {
   bool enabled = false;
   StrategyKind strategy = StrategyKind::kRandomWalk;
   std::uint64_t seed = 1;
-  /// When set, the run replays this schedule (strategy/seed are ignored).
+  /// When set, the run replays this record: its scheduling decisions
+  /// (strategy/seed are ignored) and, when it injected faults, exactly those
+  /// faults (home::FaultOptions are then ignored).
   std::shared_ptr<const Schedule> replay;
   /// Static guidance for StrategyKind::kGuided (and the Sweeper's
   /// fingerprint pruning); ignored by the other strategies.

@@ -183,19 +183,13 @@ class OrderedRuns {
 Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
                                       const RankMain& rank_main,
                                       bool with_diagnose,
-                                      std::uint64_t fault_seed,
-                                      const faults::FaultPlan* fault_replay) {
+                                      std::uint64_t fault_seed) {
   RunOutcome outcome;
 
   SessionConfig scfg = cfg_.session;
   scfg.explore = opts;
   if (with_diagnose) scfg.diagnose = cfg_.diagnose;
-  if (fault_replay != nullptr) {
-    scfg.faults.enabled = true;
-    scfg.faults.replay = std::make_shared<faults::FaultPlan>(*fault_replay);
-  } else if (scfg.faults.enabled && !scfg.faults.replay && fault_seed != 0) {
-    scfg.faults.seed = fault_seed;
-  }
+  if (fault_seed != 0) scfg.faults.seed = fault_seed;
   Session session(scfg);
 
   simmpi::UniverseConfig ucfg;
@@ -252,12 +246,11 @@ Sweeper::RunOutcome Sweeper::run_once(const Options& opts,
   for (const spec::Violation& v : report.violations()) {
     outcome.keys.insert(spec::violation_key(v));
   }
+  outcome.schedule = session.recorded_schedule();
   if (session.explorer() != nullptr) {
-    outcome.schedule = session.recorded_schedule();
     outcome.signature = session.explorer()->order_signature();
     outcome.hook_hits = session.explorer()->hook_hits();
   }
-  outcome.faultplan = session.recorded_fault_plan();
   if (with_diagnose) outcome.provenance = session.provenance();
   return outcome;
 }
@@ -297,7 +290,8 @@ Sweeper::GuardedRun Sweeper::run_guarded(const Options& opts,
 }
 
 void Sweeper::quarantine(SweepResult& result, const GuardedRun& guard,
-                         int index, std::uint64_t seed, const Options& opts) {
+                         int index, std::uint64_t seed, const Options& opts,
+                         std::uint64_t fault_seed) {
   QuarantinedSchedule q;
   q.index = index;
   q.seed = seed;
@@ -310,20 +304,19 @@ void Sweeper::quarantine(SweepResult& result, const GuardedRun& guard,
   if (!cfg_.quarantine_dir.empty()) {
     const std::string stem =
         cfg_.quarantine_dir + "/seed" + std::to_string(seed);
-    // The recorded decision log when the run got far enough to have one,
-    // else a header-only schedule carrying the seed/strategy needed to
-    // re-derive the failing run.
+    // The run's record as far as it got; a run that recorded nothing (a
+    // crash) leaves a header-only record carrying the strategy, seed, fault
+    // spec and fault seed needed to re-derive it.
     Schedule sched = guard.outcome.schedule;
-    if (sched.empty()) {
+    if (sched.decisions.empty()) {
       sched.seed = opts.seed;
       sched.strategy = strategy_kind_name(cfg_.strategy);
     }
-    if (sched.save(stem + ".schedule")) q.schedule_path = stem + ".schedule";
-    if (!guard.outcome.faultplan.empty() || cfg_.session.faults.enabled) {
-      if (guard.outcome.faultplan.save(stem + ".faultplan")) {
-        q.faultplan_path = stem + ".faultplan";
-      }
+    if (!sched.fault_spec && cfg_.session.faults.enabled) {
+      sched.fault_spec = cfg_.session.faults.spec;
+      sched.fault_seed = fault_seed;
     }
+    if (sched.save(stem + ".schedule")) q.schedule_path = stem + ".schedule";
     std::ofstream reason(stem + ".reason.txt");
     if (reason) {
       reason << "schedule " << index << " seed " << seed << " status "
@@ -363,11 +356,11 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     journal = std::make_unique<SweepJournal>(cfg_.journal_path, meta);
   }
 
-  // Returns the (schedule, faultplan) artifact paths saved for this run's
-  // findings, so the journal record can point resumes at them.
+  // Returns the schedule path saved for this run's findings, so the journal
+  // record can point resumes at it.
   auto note_run = [&](const RunOutcome& outcome, int index,
-                      std::uint64_t seed) -> std::pair<std::string, std::string> {
-    std::pair<std::string, std::string> paths;
+                      std::uint64_t seed) -> std::string {
+    std::string path;
     ++result.schedules_run;
     result.hook_hits += outcome.hook_hits;
     result.certificates += outcome.provenance.certificates.size();
@@ -394,21 +387,11 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
       f.in_baseline = index < 0;
       if (index >= 0) {
         f.schedule = outcome.schedule;
-        f.faultplan = outcome.faultplan;
         if (!cfg_.schedule_dir.empty()) {
           f.schedule_path = cfg_.schedule_dir + "/seed" + std::to_string(seed) +
                             ".schedule";
           if (!f.schedule.save(f.schedule_path)) f.schedule_path.clear();
-          paths.first = f.schedule_path;
-        }
-        if (!outcome.faultplan.empty() && !cfg_.schedule_dir.empty()) {
-          // Replaying the finding needs the faults that shaped it too.
-          f.faultplan_path = cfg_.schedule_dir + "/seed" +
-                             std::to_string(seed) + ".faultplan";
-          if (!outcome.faultplan.save(f.faultplan_path)) {
-            f.faultplan_path.clear();
-          }
-          paths.second = f.faultplan_path;
+          path = f.schedule_path;
         }
       }
       if (const diagnose::Certificate* cert = outcome.provenance.find(key)) {
@@ -417,13 +400,12 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
       result.findings.push_back(std::move(f));
     }
     result.coverage_curve.push_back(seen.size());
-    return paths;
+    return path;
   };
 
   auto journal_record = [&](int index, std::uint64_t seed,
                             const GuardedRun& guard,
-                            const std::string& sched_path,
-                            const std::string& fault_path) {
+                            const std::string& sched_path) {
     if (!journal || !journal->ok()) return;
     JournalEntry e;
     e.index = index;
@@ -435,7 +417,6 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     e.keys = guard.outcome.keys;
     e.errors = guard.outcome.errors;
     e.schedule_path = sched_path;
-    e.faultplan_path = fault_path;
     e.certificates = guard.outcome.provenance.certificates.size();
     e.certificates_verified = guard.outcome.provenance.verified;
     journal->record(e);
@@ -454,9 +435,6 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     if (!e.schedule_path.empty()) {
       Schedule::load(e.schedule_path, &outcome.schedule);
     }
-    if (!e.faultplan_path.empty()) {
-      faults::FaultPlan::load(e.faultplan_path, &outcome.faultplan);
-    }
     note_run(outcome, e.index, e.seed);
     result.certificates += e.certificates;
     result.certificates_verified += e.certificates_verified;
@@ -470,7 +448,6 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
       q.reason = "journaled " + e.status + " (see quarantine artifacts)";
       q.retries = e.retries;
       q.schedule_path = e.schedule_path;
-      q.faultplan_path = e.faultplan_path;
       if (e.status == "timeout") ++result.timeouts;
       else ++result.crashes;
       result.quarantined.push_back(std::move(q));
@@ -480,19 +457,18 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
   // Fold one executed run: aggregates, quarantine of a terminal failure,
   // and the journal checkpoint.
   auto fold_run = [&](const GuardedRun& guard, int index, std::uint64_t seed,
-                      const Options& opts) {
+                      const Options& opts, std::uint64_t fault_seed) {
     result.retries += guard.retries;
     if (index < 0) result.baseline_keys = guard.outcome.keys;
     // A timed-out run still analyzed its partial trace; a crashed one has an
     // empty outcome — note_run keeps the coverage curve aligned either way.
-    auto paths = note_run(guard.outcome, index, seed);
+    std::string path = note_run(guard.outcome, index, seed);
     if (guard.status != "ok") {
-      quarantine(result, guard, index, seed, opts);
+      quarantine(result, guard, index, seed, opts, fault_seed);
       const QuarantinedSchedule& q = result.quarantined.back();
-      if (!q.schedule_path.empty()) paths.first = q.schedule_path;
-      if (!q.faultplan_path.empty()) paths.second = q.faultplan_path;
+      if (!q.schedule_path.empty()) path = q.schedule_path;
     }
-    journal_record(index, seed, guard, paths.first, paths.second);
+    journal_record(index, seed, guard, path);
   };
 
   // The sweep in index order: the uncontrolled baseline, then every
@@ -505,10 +481,12 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     std::string pruned;   ///< nonempty: statically pruned, for this reason.
     std::size_t job = 0;  ///< its run, when it is neither pruned nor resumed.
   };
+  const bool faulted = cfg_.session.faults.enabled;
   std::vector<Step> steps;
   if (cfg_.run_baseline) {
     Step baseline;
     baseline.opts.enabled = false;
+    if (faulted) baseline.fault_seed = cfg_.session.faults.seed;
     steps.push_back(baseline);
   }
 
@@ -538,9 +516,9 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
                       " statically-ordered pair(s)";
       }
     }
-    // A generating fault spec draws a new fault seed per schedule, so the
-    // sweep explores the fault space alongside the schedule space.
-    if (cfg_.session.faults.enabled && !cfg_.session.faults.replay) {
+    // A fault spec draws a new fault seed per schedule, so the sweep
+    // explores the fault space alongside the schedule space.
+    if (faulted) {
       step.fault_seed =
           cfg_.session.faults.seed + static_cast<std::uint64_t>(i);
     }
@@ -583,7 +561,8 @@ SweepResult Sweeper::run(const RankMain& rank_main) {
     } else if (auto it = journaled.find(step.index); it != journaled.end()) {
       resume_entry(it->second);
     } else {
-      fold_run(runs.take(step.job), step.index, step.seed, step.opts);
+      fold_run(runs.take(step.job), step.index, step.seed, step.opts,
+               step.fault_seed);
     }
     // Later runs (possibly finished already) are dropped unfolded, as if
     // never run.
@@ -610,18 +589,12 @@ void Sweeper::minimize_findings(SweepResult& result,
   obs::Span span("explore.minimize");
   for (SweepFinding& f : result.findings) {
     if (f.schedule_index < 0 || f.schedule.empty()) continue;
-    // In a fault-injection sweep the oracle must replay the finding's own
-    // faults, not draw fresh ones, or reproduction becomes a coin flip.
-    const faults::FaultPlan* fp =
-        cfg_.session.faults.enabled ? &f.faultplan : nullptr;
+    // Every candidate carries the finding's own faults, so in a
+    // fault-injection sweep the oracle replays them instead of drawing fresh
+    // ones (which would make reproduction a coin flip).
     const diagnose::MinimizeResult min = diagnose::ddmin_schedule(
-        f.schedule,
-        [&](const Schedule& candidate) {
-          Options opts;
-          opts.enabled = true;
-          opts.seed = candidate.seed;
-          opts.replay = std::make_shared<Schedule>(candidate);
-          return run_once(opts, rank_main, false, 0, fp).keys.count(f.key) > 0;
+        f.schedule, [&](const Schedule& candidate) {
+          return replay(candidate, rank_main).count(f.key) > 0;
         });
     f.minimized = min.schedule;
     f.minimized_verified = min.verified;
@@ -640,13 +613,12 @@ void Sweeper::minimize_findings(SweepResult& result,
 }
 
 std::set<std::string> Sweeper::replay(const Schedule& schedule,
-                                      const RankMain& rank_main,
-                                      const faults::FaultPlan* faultplan) {
+                                      const RankMain& rank_main) {
   Options opts;
   opts.enabled = true;
   opts.seed = schedule.seed;
   opts.replay = std::make_shared<Schedule>(schedule);
-  return run_once(opts, rank_main, false, 0, faultplan).keys;
+  return run_once(opts, rank_main, false).keys;
 }
 
 }  // namespace home::explore

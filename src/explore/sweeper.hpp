@@ -23,7 +23,6 @@
 #include "src/explore/hooks.hpp"
 #include "src/explore/journal.hpp"
 #include "src/explore/strategy.hpp"
-#include "src/faults/plan.hpp"
 #include "src/home/session.hpp"
 #include "src/simmpi/universe.hpp"
 
@@ -73,8 +72,9 @@ struct SweepConfig {
   int max_retries = 0;
   int retry_backoff_ms = 50;
   /// When nonempty, schedules that still fail after the retries get their
-  /// reproduction artifacts persisted here (seed<seed>.schedule /
-  /// .faultplan / .reason.txt; directory must exist).
+  /// reproduction artifacts persisted here (seed<seed>.schedule, the run's
+  /// record with its faults, and seed<seed>.reason.txt; directory must
+  /// exist).
   std::string quarantine_dir;
   /// When nonempty, every completed schedule is checkpointed to this
   /// append-only journal, and a rerun with the same journal *resumes*:
@@ -102,11 +102,6 @@ struct SweepFinding {
   bool minimized_verified = false;
   int minimize_replays = 0;
   std::string min_schedule_path;  ///< set when saved to min_schedule_dir.
-  /// Fault plan of the first-seen run (saved to schedule_dir as
-  /// seed<seed>.faultplan when fault injection was on) — replaying the
-  /// finding needs the schedule AND the faults that shaped it.
-  faults::FaultPlan faultplan;
-  std::string faultplan_path;
 };
 
 /// A schedule that kept failing (hang or crash) through all retries; its
@@ -118,7 +113,6 @@ struct QuarantinedSchedule {
   std::string reason;  ///< watchdog diagnosis or exception message.
   int retries = 0;     ///< attempts beyond the first.
   std::string schedule_path;
-  std::string faultplan_path;
 };
 
 /// A schedule the sweep skipped without running, with the static reason.
@@ -174,14 +168,11 @@ class Sweeper {
   /// Minimization stays serial.
   SweepResult run(const RankMain& rank_main);
 
-  /// Replay one recorded schedule; returns the run's violation key set.
-  /// When `faultplan` is non-null the run replays exactly those faults (an
-  /// empty plan replays none) instead of generating from the session spec —
-  /// a finding from a fault-injection sweep only reproduces with both its
-  /// schedule and its faultplan.
+  /// Replay one recorded run — its scheduling decisions and, when it
+  /// injected faults, exactly those faults; returns the run's violation key
+  /// set.
   std::set<std::string> replay(const Schedule& schedule,
-                               const RankMain& rank_main,
-                               const faults::FaultPlan* faultplan = nullptr);
+                               const RankMain& rank_main);
 
  private:
   struct RunOutcome {
@@ -191,7 +182,6 @@ class Sweeper {
     std::uint64_t hook_hits = 0;
     std::vector<std::string> errors;
     diagnose::ProvenanceReport provenance;
-    faults::FaultPlan faultplan;  ///< injected faults (empty when off).
     bool timed_out = false;       ///< watchdog aborted this run.
     std::string hang_diagnosis;   ///< DeadlockMonitor classification.
   };
@@ -207,15 +197,14 @@ class Sweeper {
 
   /// `with_diagnose` lets the minimization-replay oracle skip certificate
   /// construction (a replay only needs the key set).  `fault_seed` overrides
-  /// SessionConfig::faults.seed when nonzero (generate mode only);
-  /// `fault_replay` forces fault-replay mode with exactly that plan.
+  /// SessionConfig::faults.seed when nonzero.
   RunOutcome run_once(const Options& opts, const RankMain& rank_main,
-                      bool with_diagnose, std::uint64_t fault_seed = 0,
-                      const faults::FaultPlan* fault_replay = nullptr);
+                      bool with_diagnose, std::uint64_t fault_seed = 0);
   GuardedRun run_guarded(const Options& opts, const RankMain& rank_main,
                          bool with_diagnose, std::uint64_t fault_seed);
   void quarantine(SweepResult& result, const GuardedRun& guard, int index,
-                  std::uint64_t seed, const Options& opts);
+                  std::uint64_t seed, const Options& opts,
+                  std::uint64_t fault_seed);
   void minimize_findings(SweepResult& result, const RankMain& rank_main);
 
   SweepConfig cfg_;

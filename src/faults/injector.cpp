@@ -73,9 +73,7 @@ std::string site_key(FaultKind kind, int rank, const char* site) {
 }  // namespace
 
 Injector::Injector(const FaultSpec& spec, std::uint64_t seed)
-    : spec_(spec), seed_(seed), replay_(false) {
-  recorded_.seed = seed;
-  recorded_.spec = spec;
+    : spec_(spec), seed_(seed) {
   auto& reg = obs::Registry::global();
   c_injected_ = &reg.counter("faults.injected");
   for (int i = 0; i < kFaultKindCount; ++i) {
@@ -85,21 +83,14 @@ Injector::Injector(const FaultSpec& spec, std::uint64_t seed)
   c_redelivered_ = &reg.counter("faults.redelivered");
 }
 
-Injector::Injector(FaultPlan replay)
-    : spec_(replay.spec), seed_(replay.seed), replay_(true) {
-  recorded_.seed = replay.seed;
-  recorded_.spec = replay.spec;
-  for (const FaultDecision& d : replay.decisions) {
+Injector::Injector(const FaultSpec& spec, std::uint64_t seed,
+                   const std::vector<FaultDecision>& replay)
+    : Injector(spec, seed) {
+  replay_ = true;
+  for (const FaultDecision& d : replay) {
     replay_index_[decision_key(d.kind, d.rank, d.site.c_str(), d.occurrence)] =
         d.value;
   }
-  auto& reg = obs::Registry::global();
-  c_injected_ = &reg.counter("faults.injected");
-  for (int i = 0; i < kFaultKindCount; ++i) {
-    c_kind_[i] = &reg.counter(std::string("faults.") +
-                              fault_kind_name(static_cast<FaultKind>(i)));
-  }
-  c_redelivered_ = &reg.counter("faults.redelivered");
 }
 
 Injector::~Injector() { quiesce(); }
@@ -136,7 +127,7 @@ void Injector::record(FaultKind kind, int rank, const char* site,
   d.site = site;
   d.occurrence = occurrence;
   d.value = value;
-  recorded_.decisions.push_back(std::move(d));
+  recorded_.push_back(std::move(d));
 }
 
 bool Injector::decide(FaultKind kind, double p, int rank, const char* site,
@@ -290,7 +281,7 @@ void Injector::quiesce() {
   }
 }
 
-FaultPlan Injector::plan() const {
+std::vector<FaultDecision> Injector::decisions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_;
 }

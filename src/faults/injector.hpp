@@ -9,10 +9,10 @@
 // explore:: and obs:: — so the <5% overhead budget in bench_faults holds
 // trivially.  With an Injector bound, every hook draws deterministically from
 // splitmix64(seed ^ context ^ salt) keyed by (kind, rank, site, per-key
-// occurrence), applies the fault, and records it into a replayable
-// FaultPlan.  Replay mode applies a recorded plan exactly and draws nothing.
-// Each run binds its own Injector, so a faulted run never perturbs a run
-// beside it.
+// occurrence), applies the fault, and records it.  Replay mode applies the
+// faults a run recorded (explore::Schedule::faults) exactly and draws
+// nothing.  Each run binds its own Injector, so a faulted run never perturbs
+// a run beside it.
 #pragma once
 
 #include <atomic>
@@ -26,7 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/faults/plan.hpp"
+#include "src/faults/fault.hpp"
 #include "src/util/run_context.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -59,8 +59,10 @@ class Injector {
  public:
   /// Generate mode: draw faults per `spec` from `seed`.
   Injector(const FaultSpec& spec, std::uint64_t seed);
-  /// Replay mode: apply exactly the recorded decisions; no draws.
-  explicit Injector(FaultPlan replay);
+  /// Replay mode: apply exactly the recorded `replay` decisions; no draws.
+  /// `spec` and `seed` only label what this injector records.
+  Injector(const FaultSpec& spec, std::uint64_t seed,
+           const std::vector<FaultDecision>& replay);
   ~Injector();
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
@@ -89,9 +91,11 @@ class Injector {
   /// destroyed; idempotent (the destructor also calls it).
   void quiesce();
 
-  /// The faults injected so far (copy; safe while running).  In replay mode
-  /// this re-records the decisions actually applied.
-  FaultPlan plan() const;
+  /// The faults injected so far, in firing order (copy; safe while
+  /// running).  In replay mode these are the recorded decisions applied.
+  std::vector<FaultDecision> decisions() const;
+  const FaultSpec& spec() const { return spec_; }
+  std::uint64_t seed() const { return seed_; }
 
   std::uint64_t injected_count() const {
     return injected_.load(std::memory_order_relaxed);
@@ -116,13 +120,13 @@ class Injector {
 
   const FaultSpec spec_;
   const std::uint64_t seed_;
-  const bool replay_;
+  bool replay_ = false;
   /// Replay index: "kind|rank|site#occurrence" -> value.
   std::unordered_map<std::string, std::uint64_t> replay_index_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::uint64_t> occurrences_;
-  FaultPlan recorded_;
+  std::vector<FaultDecision> recorded_;
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<int> crashes_{0};
 

@@ -32,12 +32,6 @@ struct FinalEntry {
   std::string static_severity;
   std::string detail;
 
-  /// Cross-check verdict for dynamic findings: was this class anticipated by
-  /// the static engine?  (False for static-only entries too.)
-  bool statically_anticipated() const {
-    return confirmation == Confirmation::kBoth;
-  }
-
   std::string to_string() const;
 };
 

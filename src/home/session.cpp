@@ -52,13 +52,17 @@ Session::Session(SessionConfig cfg) : cfg_(std::move(cfg)) {
                                      cfg_.explore.guidance);
     explorer_ = std::make_unique<explore::Explorer>(std::move(strategy));
   }
-  if (cfg_.faults.enabled) {
-    // Replay precedence mirrors the explorer: a recorded plan is applied
-    // exactly and the generating spec/seed are ignored.
-    injector_ = cfg_.faults.replay
-                    ? std::make_unique<faults::Injector>(*cfg_.faults.replay)
-                    : std::make_unique<faults::Injector>(cfg_.faults.spec,
-                                                         cfg_.faults.seed);
+  // A replayed record that injected faults re-applies exactly those, and
+  // the generating fault options are ignored, as the explorer ignores its
+  // strategy.
+  const explore::Schedule* replay =
+      explorer_ ? cfg_.explore.replay.get() : nullptr;
+  if (replay != nullptr && replay->fault_spec) {
+    injector_ = std::make_unique<faults::Injector>(
+        *replay->fault_spec, replay->fault_seed, replay->faults);
+  } else if (cfg_.faults.enabled) {
+    injector_ = std::make_unique<faults::Injector>(cfg_.faults.spec,
+                                                   cfg_.faults.seed);
   }
 }
 
@@ -123,16 +127,18 @@ void Session::detach(simmpi::Universe& universe) {
 }
 
 explore::Schedule Session::recorded_schedule() const {
-  if (!explorer_) return explore::Schedule{};
-  explore::Schedule schedule = explorer_->schedule();
-  schedule.strategy = explorer_->strategy().name();
-  schedule.seed = cfg_.explore.seed;
+  explore::Schedule schedule;
+  if (explorer_) {
+    schedule = explorer_->schedule();
+    schedule.strategy = explorer_->strategy().name();
+    schedule.seed = cfg_.explore.seed;
+  }
+  if (injector_) {
+    schedule.fault_spec = injector_->spec();
+    schedule.fault_seed = injector_->seed();
+    schedule.faults = injector_->decisions();
+  }
   return schedule;
-}
-
-faults::FaultPlan Session::recorded_fault_plan() const {
-  if (!injector_) return faults::FaultPlan{};
-  return injector_->plan();
 }
 
 void Session::save_trace(const std::string& path) const {

@@ -53,17 +53,15 @@ struct OnlineOptions {
 };
 
 /// Seeded fault injection (off by default).  When enabled the session's run
-/// carries a faults::Injector from attach() to detach(); the decisions it
-/// takes are recorded as a replayable FaultPlan
-/// (Session::recorded_fault_plan()).
+/// carries a faults::Injector from attach() to detach(); the faults it fires
+/// are part of the run's record (Session::recorded_schedule()).  A replayed
+/// record that injected faults (explore::Options::replay) re-applies exactly
+/// those instead.
 struct FaultOptions {
   bool enabled = false;
-  /// Per-kind probabilities and magnitudes (generate mode).
+  /// Per-kind probabilities and magnitudes.
   faults::FaultSpec spec;
   std::uint64_t seed = 1;
-  /// Replay a recorded plan exactly instead of drawing fresh decisions
-  /// (takes precedence over spec/seed, mirroring explore::Options::replay).
-  std::shared_ptr<const faults::FaultPlan> replay;
 };
 
 struct SessionConfig {
@@ -144,17 +142,14 @@ class Session {
   /// long as the Session — decisions survive detach()).
   explore::Explorer* explorer() { return explorer_.get(); }
 
-  /// The decision log recorded so far, stamped with the strategy/seed from
-  /// the config (empty Schedule when exploration is off).
+  /// The run's replayable record so far: the scheduling decisions, stamped
+  /// with the strategy/seed from the config, and the injected faults with
+  /// their spec/seed (each part empty when its controller is off).
   explore::Schedule recorded_schedule() const;
 
-  /// The fault injector (null unless config().faults.enabled; lives as long
-  /// as the Session — the recorded plan survives detach()).
+  /// The fault injector (null unless the run injects or replays faults;
+  /// lives as long as the Session — its faults survive detach()).
   faults::Injector* injector() { return injector_.get(); }
-
-  /// The faults actually injected so far (empty FaultPlan when injection is
-  /// off) — save() it to get a replayable *.faultplan artifact.
-  faults::FaultPlan recorded_fault_plan() const;
 
   /// The write-ahead trace writer (null unless config().wal_path is set).
   const trace::WalWriter* wal() const { return wal_.get(); }

@@ -17,8 +17,7 @@ bool ViolationStream::offer(spec::Violation&& v) {
     }
     spec::note_first_sighting(v, key);
     auto& live_count = live_per_type_[static_cast<std::size_t>(v.type)];
-    const bool within_budget = cfg_.max_live_reports_per_type == 0 ||
-                               live_count < cfg_.max_live_reports_per_type;
+    const bool within_budget = live_count < kMaxLiveReportsPerType;
     violations_.push_back(std::move(v));
     if (cfg_.on_violation && within_budget) {
       ++live_count;

@@ -17,10 +17,11 @@
 
 namespace home::online {
 
+/// Live on_violation callbacks per violation type.  Suppressed reports are
+/// still recorded, just not surfaced live.
+inline constexpr std::size_t kMaxLiveReportsPerType = 16;
+
 struct ViolationStreamConfig {
-  /// Live on_violation callbacks per violation type; 0 = unlimited.
-  /// Suppressed reports are still recorded, just not surfaced live.
-  std::size_t max_live_reports_per_type = 16;
   /// Invoked on the analysis thread for each new (non-duplicate,
   /// non-rate-limited) violation while the program is still running.
   std::function<void(const spec::Violation&)> on_violation;

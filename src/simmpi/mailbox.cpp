@@ -151,14 +151,4 @@ void Mailbox::probe(int src, int tag, CommId comm, Status* status, int timeout_m
   }
 }
 
-std::size_t Mailbox::unexpected_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unexpected_.size();
-}
-
-std::size_t Mailbox::posted_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return posted_.size();
-}
-
 }  // namespace home::simmpi

@@ -18,7 +18,6 @@ class Mailbox {
   /// World rank this mailbox belongs to (set by the Universe); identifies
   /// the mailbox's matching decisions in exploration schedules.
   void set_owner_rank(int rank) { owner_rank_ = rank; }
-  int owner_rank() const { return owner_rank_; }
 
   /// An envelope arrives: match against posted receives in post order, else
   /// queue as unexpected. Completes the matched receive (copy + notify).
@@ -40,9 +39,6 @@ class Mailbox {
 
   /// Blocking probe with timeout (0 = forever). Throws TimeoutError.
   void probe(int src, int tag, CommId comm, Status* status, int timeout_ms);
-
-  std::size_t unexpected_count() const;
-  std::size_t posted_count() const;
 
  private:
   static bool matches(const Envelope& msg, int src, int tag, CommId comm);

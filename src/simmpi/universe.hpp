@@ -56,8 +56,7 @@ struct RunResult {
 
 class Universe;
 
-/// One MPI "process" (a rank). All MPI operations are methods here; the
-/// flat functions in api.hpp forward to the calling thread's current Process.
+/// One MPI "process" (a rank). All MPI operations are methods here.
 class Process {
  public:
   int rank() const { return rank_; }
@@ -154,30 +153,6 @@ class Process {
   Comm comm_split(Comm comm, int color, int key, const CallOpts& opts = {});
   int comm_rank(Comm comm) const;
   int comm_size(Comm comm) const;
-
-  // --- typed conveniences ---------------------------------------------------
-  template <typename T>
-  Err send_value(const T& value, int dest, int tag, Comm comm = kCommWorld) {
-    return send(&value, 1, datatype_of<T>(), dest, tag, comm);
-  }
-  template <typename T>
-  Err recv_value(T& value, int src, int tag, Comm comm = kCommWorld,
-                 Status* status = nullptr) {
-    return recv(&value, 1, datatype_of<T>(), src, tag, comm, status);
-  }
-
-  template <typename T>
-  static constexpr Datatype datatype_of() {
-    if constexpr (std::is_same_v<T, int>) return Datatype::kInt;
-    else if constexpr (std::is_same_v<T, long>) return Datatype::kLong;
-    else if constexpr (std::is_same_v<T, float>) return Datatype::kFloat;
-    else if constexpr (std::is_same_v<T, double>) return Datatype::kDouble;
-    else if constexpr (std::is_same_v<T, char>) return Datatype::kChar;
-    else return Datatype::kByte;
-  }
-
-  /// Main-thread tid of this rank (the thread that ran rank_main).
-  trace::Tid main_tid() const { return main_tid_; }
 
   /// The lock object behind homp's `critical(name)` on this rank, built by
   /// `make` on first use (simmpi does not know homp's lock type).  OpenMP

@@ -101,9 +101,4 @@ void ThreadRegistry::reset() {
   id_.store(next_registry_id(), std::memory_order_relaxed);
 }
 
-ThreadRegistry& ThreadRegistry::global() {
-  static ThreadRegistry registry;
-  return registry;
-}
-
 }  // namespace home::trace

@@ -53,9 +53,6 @@ class ThreadRegistry {
   /// Drop all registrations (between independent tool sessions/tests).
   void reset();
 
-  /// The registry used by the substrates unless a session installs another.
-  static ThreadRegistry& global();
-
  private:
   mutable std::mutex mu_;
   std::vector<ThreadInfo> threads_;

@@ -132,10 +132,6 @@ void TraceLog::set_sink(EventSink* sink) {
   sink_.store(sink, std::memory_order_release);
 }
 
-bool TraceLog::has_sink() const {
-  return sink_.load(std::memory_order_acquire) != nullptr;
-}
-
 void TraceLog::set_streaming_only(bool on) {
   streaming_only_.store(on, std::memory_order_relaxed);
 }
@@ -233,11 +229,6 @@ void TraceLog::clear() {
     shard->events.clear();
   }
   seq_.store(1, std::memory_order_relaxed);
-}
-
-std::size_t TraceLog::shard_count() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
-  return shards_.size();
 }
 
 std::string TraceLog::dump() const {

@@ -96,7 +96,6 @@ class TraceLog {
   /// ordering guarantee covers events emitted while the sink is set, and the
   /// sink object must outlive any in-flight emit().
   void set_sink(EventSink* sink);
-  bool has_sink() const;
 
   /// Streaming-only mode: emit() delivers to the sink but skips the shard
   /// append, so the log itself stays empty on unbounded runs.  Only
@@ -114,9 +113,6 @@ class TraceLog {
 
   std::size_t size() const;
   void clear();
-
-  /// Number of per-thread append shards currently registered (diagnostic).
-  std::size_t shard_count() const;
 
   StringTable& strings() { return strings_; }
   const StringTable& strings() const { return strings_; }

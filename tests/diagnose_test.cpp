@@ -503,12 +503,29 @@ bool contains_occurrence(const explore::Schedule& s, std::uint64_t occ) {
 }
 
 TEST(Minimize, DdminConvergesToTheCulpritPair) {
-  const explore::Schedule seed = synthetic_schedule(8);
+  explore::Schedule seed = synthetic_schedule(8);
+  // A fault-sweep finding: its faults ride through every candidate as-is.
+  seed.fault_spec.emplace();
+  seed.fault_spec->rank_stall_p = 0.25;
+  seed.fault_seed = 12;
+  faults::FaultDecision fault;
+  fault.kind = faults::FaultKind::kRankStall;
+  fault.site = "ddmin.stall";
+  fault.value = 30;
+  seed.faults = {fault, fault};
+  seed.faults[1].occurrence = 1;
+  // Everything but the scheduling decisions, as text.
+  auto all_but_decisions = [](explore::Schedule s) {
+    s.decisions.clear();
+    return s.to_string();
+  };
+  const std::string seed_rest = all_but_decisions(seed);
   int calls = 0;
   const MinimizeResult result = ddmin_schedule(
       seed,
       [&](const explore::Schedule& c) {
         ++calls;
+        EXPECT_EQ(all_but_decisions(c), seed_rest);
         return contains_occurrence(c, 2) && contains_occurrence(c, 5);
       });
   EXPECT_TRUE(result.verified);
@@ -516,6 +533,7 @@ TEST(Minimize, DdminConvergesToTheCulpritPair) {
   ASSERT_EQ(result.schedule.decisions.size(), 2u);
   EXPECT_TRUE(contains_occurrence(result.schedule, 2));
   EXPECT_TRUE(contains_occurrence(result.schedule, 5));
+  EXPECT_EQ(all_but_decisions(result.schedule), seed_rest);
   EXPECT_EQ(result.replays, calls);
   EXPECT_GT(calls, 0);
 }

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/apps/app.hpp"
-#include "src/faults/plan.hpp"
+#include "src/faults/fault.hpp"
 #include "src/home/check.hpp"
 #include "src/homp/runtime.hpp"
 #include "src/homp/worksharing.hpp"
@@ -109,7 +109,7 @@ TEST(OnlineQueuePressure, AStalledConsumerLosesNoEvent) {
       cfg, [&app](Process& p) { apps::run_app_rank(app, p); });
   ASSERT_TRUE(streamed.run.ok());
 
-  const auto& decisions = streamed.faultplan.decisions;
+  const auto& decisions = streamed.faults;
   EXPECT_GT(std::count_if(decisions.begin(), decisions.end(),
                           [](const faults::FaultDecision& d) {
                             return d.kind == faults::FaultKind::kQueuePressure;

@@ -99,14 +99,14 @@ spec::Violation make_violation(spec::ViolationType type,
 
 TEST(ViolationStream, DeduplicatesByKeyAndRateLimitsLiveReports) {
   ViolationStreamConfig cfg;
-  cfg.max_live_reports_per_type = 2;
   std::vector<std::string> live;
   cfg.on_violation = [&live](const spec::Violation& v) {
     live.push_back(v.callsite1);
   };
   ViolationStream stream(cfg);
 
-  for (int i = 0; i < 5; ++i) {
+  const std::size_t probes = kMaxLiveReportsPerType + 3;
+  for (std::size_t i = 0; i < probes; ++i) {
     EXPECT_TRUE(stream.offer(make_violation(spec::ViolationType::kProbe,
                                             "site" + std::to_string(i))));
   }
@@ -117,17 +117,19 @@ TEST(ViolationStream, DeduplicatesByKeyAndRateLimitsLiveReports) {
   EXPECT_TRUE(stream.offer(
       make_violation(spec::ViolationType::kConcurrentRecv, "siteX")));
 
-  EXPECT_EQ(stream.recorded(), 6u);
+  EXPECT_EQ(stream.recorded(), probes + 1);
   EXPECT_EQ(stream.duplicates(), 1u);
-  EXPECT_EQ(stream.live_reports(), 3u);  // 2 probes + 1 recv.
+  // 16 probes + 1 recv live; the 3 probes past the budget are suppressed.
+  EXPECT_EQ(stream.live_reports(), kMaxLiveReportsPerType + 1);
   EXPECT_EQ(stream.suppressed(), 3u);
-  ASSERT_EQ(live.size(), 3u);
+  ASSERT_EQ(live.size(), kMaxLiveReportsPerType + 1);
   EXPECT_EQ(live[0], "site0");
-  EXPECT_EQ(live[1], "site1");
-  EXPECT_EQ(live[2], "siteX");
+  EXPECT_EQ(live[kMaxLiveReportsPerType - 1],
+            "site" + std::to_string(kMaxLiveReportsPerType - 1));
+  EXPECT_EQ(live.back(), "siteX");
 
   const std::vector<spec::Violation> all = stream.take();
-  ASSERT_EQ(all.size(), 6u);  // rate limiting never drops from the record.
+  ASSERT_EQ(all.size(), probes + 1);  // rate limiting never drops the record.
   EXPECT_EQ(all.front().callsite1, "site0");
   EXPECT_EQ(all.back().callsite1, "siteX");
 }

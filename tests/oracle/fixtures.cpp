@@ -392,7 +392,7 @@ OnlineRun run_online(const CheckConfig& cfg,
   session.detach(universe);
   out.report = session.analyze();
   out.stats = session.online_analyzer()->stats();
-  out.faultplan = session.recorded_fault_plan();
+  out.faults = session.recorded_schedule().faults;
 
   std::vector<Event> retained = session.log().sorted_events();
   out.retained_events = retained.size();

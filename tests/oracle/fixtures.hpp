@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/detect/race_detector.hpp"
-#include "src/faults/plan.hpp"
+#include "src/faults/fault.hpp"
 #include "src/home/check.hpp"
 #include "src/spec/violations.hpp"
 #include "src/trace/event.hpp"
@@ -128,7 +128,7 @@ struct OnlineRun {
   online::OnlineStats stats;
   std::set<std::string> post_mortem_keys;
   std::size_t retained_events = 0;  ///< events in the run's retained trace.
-  faults::FaultPlan faultplan;      ///< faults the run injected.
+  std::vector<faults::FaultDecision> faults;  ///< faults the run injected.
 };
 OnlineRun run_online(const CheckConfig& cfg,
                      const std::function<void(simmpi::Process&)>& rank_main);

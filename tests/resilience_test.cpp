@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <latch>
@@ -134,10 +135,16 @@ TEST(Journal, RecordsRoundTripAndTornTrailingBlocksAreDiscarded) {
     sched.retries = 3;
     sched.errors = {"rank 0: watchdog"};
     sched.schedule_path = "/tmp/seed11.schedule";
-    sched.faultplan_path = "/tmp/seed11.faultplan";
     sched.certificates = 2;
     sched.certificates_verified = 1;
     journal.record(sched);
+  }
+  // A block from a journal of an older format, whose `fault` line named a
+  // separate fault artifact: the retired tag is skipped as unknown.
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "run 1 10 5 6 ok 0\nsched 1 /tmp/seed10.schedule\n"
+           "fault 1 /tmp/seed10.faultplan\nend 1\n";
   }
   // A block torn by a kill: `run` without its closing `end`.
   {
@@ -149,7 +156,10 @@ TEST(Journal, RecordsRoundTripAndTornTrailingBlocksAreDiscarded) {
   std::size_t torn = 0;
   ASSERT_TRUE(SweepJournal::load(path, test_meta(), &entries, &torn));
   EXPECT_EQ(torn, 1u);
-  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_TRUE(entries.count(1));
+  EXPECT_EQ(entries[1].seed, 10u);
+  EXPECT_EQ(entries[1].schedule_path, "/tmp/seed10.schedule");
   ASSERT_TRUE(entries.count(-1));
   EXPECT_EQ(entries[-1].hook_hits, 11u);
   EXPECT_EQ(entries[-1].keys, std::set<std::string>{"1|0|a|a|c0"});
@@ -162,7 +172,6 @@ TEST(Journal, RecordsRoundTripAndTornTrailingBlocksAreDiscarded) {
   ASSERT_EQ(got.errors.size(), 1u);
   EXPECT_EQ(got.errors[0], "rank 0: watchdog");
   EXPECT_EQ(got.schedule_path, "/tmp/seed11.schedule");
-  EXPECT_EQ(got.faultplan_path, "/tmp/seed11.faultplan");
   EXPECT_EQ(got.certificates, 2u);
   EXPECT_EQ(got.certificates_verified, 1u);
   // The torn index-3 block must NOT surface.
@@ -255,6 +264,51 @@ TEST(SweepResilience, ACrashingScheduleIsQuarantinedAsACrash) {
   EXPECT_FALSE(result.quarantined[0].reason.empty());
 }
 
+/// A fresh, empty directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+std::set<std::string> file_names(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(SweepResilience, AQuarantinedFaultedScheduleLeavesOneRecordOfItsFaults) {
+  SweepConfig cfg;
+  cfg.nranks = 0;  // Universe rejects nranks=0: a crash before any record.
+  cfg.schedules = 1;
+  cfg.base_seed = 3;
+  cfg.run_baseline = false;
+  cfg.session.faults.enabled = true;
+  cfg.session.faults.seed = 40;
+  cfg.session.faults.spec.rank_stall_p = 0.25;
+  cfg.quarantine_dir = fresh_dir("home_quarantine_faulted");
+
+  const SweepResult result = Sweeper(cfg).run([](simmpi::Process&) {});
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(file_names(cfg.quarantine_dir),
+            (std::set<std::string>{"seed3.schedule", "seed3.reason.txt"}));
+  // The header alone re-derives the run: strategy and seed, fault spec and
+  // the schedule's own fault seed.
+  Schedule record;
+  ASSERT_TRUE(Schedule::load(result.quarantined[0].schedule_path, &record));
+  EXPECT_TRUE(record.empty());
+  EXPECT_EQ(record.seed, 3u);
+  EXPECT_EQ(record.strategy, strategy_kind_name(cfg.strategy));
+  ASSERT_TRUE(record.fault_spec.has_value());
+  EXPECT_DOUBLE_EQ(record.fault_spec->rank_stall_p, 0.25);
+  EXPECT_EQ(record.fault_seed, 40u);
+  std::filesystem::remove_all(cfg.quarantine_dir);
+}
+
 // ------------------------------------------------------- kill and resume
 
 Sweeper::RankMain hidden_main() {
@@ -277,6 +331,39 @@ std::set<std::string> finding_keys(const SweepResult& r) {
   std::set<std::string> keys;
   for (const SweepFinding& f : r.findings) keys.insert(f.key);
   return keys;
+}
+
+TEST(SweepResilience, AFaultSweepFindingIsOneScheduleThatReplaysItsFaults) {
+  SweepConfig cfg = hidden_config("");
+  cfg.schedules = 8;
+  cfg.schedule_dir = fresh_dir("home_fault_findings");
+  cfg.session.faults.enabled = true;
+  cfg.session.faults.seed = 1;
+  ASSERT_TRUE(faults::FaultSpec::parse("delay=0.3,stall=0.2,max_delay_us=200",
+                                       &cfg.session.faults.spec));
+  Sweeper sweeper(cfg);
+  const SweepResult result = sweeper.run(hidden_main());
+
+  std::set<std::string> expected_files;
+  std::size_t faulted = 0;
+  for (const SweepFinding& f : result.findings) {
+    if (f.schedule_index < 0) continue;
+    const std::string name = "seed" + std::to_string(f.seed) + ".schedule";
+    EXPECT_EQ(f.schedule_path, cfg.schedule_dir + "/" + name);
+    expected_files.insert(name);
+    Schedule loaded;
+    ASSERT_TRUE(Schedule::load(f.schedule_path, &loaded));
+    EXPECT_EQ(loaded.to_string(), f.schedule.to_string());
+    ASSERT_TRUE(loaded.fault_spec.has_value());
+    EXPECT_EQ(loaded.fault_seed, f.seed) << "schedule i draws fault seed 1 + i";
+    if (!loaded.faults.empty()) ++faulted;
+    EXPECT_EQ(sweeper.replay(loaded, hidden_main()).count(f.key), 1u)
+        << f.key << " from seed " << f.seed;
+  }
+  ASSERT_FALSE(expected_files.empty());
+  EXPECT_GT(faulted, 0u);
+  EXPECT_EQ(file_names(cfg.schedule_dir), expected_files);
+  std::filesystem::remove_all(cfg.schedule_dir);
 }
 
 TEST(SweepResilience, ResumeReproducesTheUninterruptedSweepByteIdentically) {
@@ -357,8 +444,7 @@ TEST(SweepResilience, AMidSweepKillResumesAndCompletesTheRemainder) {
 struct RunRecord {
   simmpi::RunResult run;
   std::set<std::string> keys;
-  Schedule schedule;
-  faults::FaultPlan faults;
+  Schedule schedule;  ///< scheduling decisions and injected faults.
 };
 
 /// One checked run of `rank_main` on its own Session and Universe.  `ready`
@@ -381,7 +467,6 @@ RunRecord checked_run(const SessionConfig& scfg, int nranks,
     rec.keys.insert(spec::violation_key(v));
   }
   rec.schedule = session.recorded_schedule();
-  rec.faults = session.recorded_fault_plan();
   return rec;
 }
 
@@ -501,14 +586,14 @@ TEST(ConcurrentRuns, AFaultedRunNeverInjectsIntoTheRunBesideIt) {
   other.join();
 
   EXPECT_TRUE(faulted_run.run.ok());
-  ASSERT_FALSE(faulted_run.faults.empty());
-  for (const faults::FaultDecision& d : faulted_run.faults.decisions) {
+  ASSERT_FALSE(faulted_run.schedule.faults.empty());
+  for (const faults::FaultDecision& d : faulted_run.schedule.faults) {
     EXPECT_EQ(d.site.rfind("clean.", 0), std::string::npos)
         << "the faulted run's injector fired in the clean run at " << d.site;
   }
   EXPECT_TRUE(clean_run.run.ok())
       << (clean_run.run.errors.empty() ? "" : clean_run.run.errors[0]);
-  EXPECT_TRUE(clean_run.faults.empty());
+  EXPECT_TRUE(clean_run.schedule.faults.empty());
 }
 
 std::set<std::string> report_keys(const Report& report) {
