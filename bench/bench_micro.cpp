@@ -64,9 +64,11 @@ BENCHMARK(BM_TraceEmit);
 void BM_MailboxDeliverMatch(benchmark::State& state) {
   simmpi::Mailbox mailbox;
   int payload = 7;
+  std::uint64_t id = 0;
   for (auto _ : state) {
+    ++id;
     auto recv = std::make_shared<simmpi::RequestState>(
-        simmpi::RequestKind::kRecv, simmpi::next_request_id());
+        simmpi::RequestKind::kRecv, id);
     recv->match_src = 0;
     recv->match_tag = 3;
     recv->match_comm = 1;
@@ -81,7 +83,7 @@ void BM_MailboxDeliverMatch(benchmark::State& state) {
     msg.comm = 1;
     msg.dt = simmpi::Datatype::kInt;
     msg.count = 1;
-    msg.msg_id = simmpi::next_message_id();
+    msg.msg_id = id;
     msg.payload.resize(sizeof(int));
     mailbox.deliver(std::move(msg));
     benchmark::DoNotOptimize(recv->done());

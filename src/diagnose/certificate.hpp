@@ -121,7 +121,7 @@ struct Certificate {
   /// The minimized schedule was replay-verified to reproduce `key`.
   bool minimized_verified = false;
 
-  /// Human rendering: the "Causal chain" block the CLIs and html_report show.
+  /// Human rendering: the "Causal chain" block the CLIs show.
   std::string to_string() const;
 };
 

@@ -44,9 +44,11 @@ Report analyze_trace_file(const std::string& path, const SessionConfig& cfg) {
   return analyze_trace(trace::load_trace_file(path), cfg);
 }
 
-Report analyze_salvaged_trace(trace::LoadedTrace loaded,
-                              const trace::WalSalvage& salvage,
-                              const SessionConfig& cfg) {
+Report analyze_wal_file(const std::string& path, const SessionConfig& cfg,
+                        trace::WalSalvage* salvage_out) {
+  trace::WalSalvage salvage;
+  trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
+  if (salvage_out != nullptr) *salvage_out = salvage;
   Report report = analyze_trace(std::move(loaded), cfg);
   if (!salvage.clean()) {
     std::ostringstream reason;
@@ -58,14 +60,6 @@ Report analyze_salvaged_trace(trace::LoadedTrace loaded,
     report.mark_degraded(reason.str());
   }
   return report;
-}
-
-Report analyze_wal_file(const std::string& path, const SessionConfig& cfg,
-                        trace::WalSalvage* salvage_out) {
-  trace::WalSalvage salvage;
-  trace::LoadedTrace loaded = trace::salvage_wal_file(path, &salvage);
-  if (salvage_out != nullptr) *salvage_out = salvage;
-  return analyze_salvaged_trace(std::move(loaded), salvage, cfg);
 }
 
 }  // namespace home

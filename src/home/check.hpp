@@ -44,16 +44,11 @@ Report analyze_trace(trace::LoadedTrace loaded, const SessionConfig& cfg = {});
 Report analyze_trace_file(const std::string& path,
                           const SessionConfig& cfg = {});
 
-/// Degraded-mode analysis over a trace recovered by the WAL salvage loader:
-/// runs the normal pipeline over whatever survived, then tags the report
+/// Degraded-mode analysis: salvage a (possibly torn) WAL file, run the
+/// normal pipeline over the longest valid prefix, then tag the report
 /// Verdict::kDegraded (with exact damage accounting in the reasons) unless
-/// the salvage was clean.
-Report analyze_salvaged_trace(trace::LoadedTrace loaded,
-                              const trace::WalSalvage& salvage,
-                              const SessionConfig& cfg = {});
-
-/// Convenience: salvage a (possibly torn) WAL file and analyze the longest
-/// valid prefix.  `salvage_out` (may be null) receives the damage report.
+/// the salvage was clean.  `salvage_out` (may be null) receives the damage
+/// report.
 Report analyze_wal_file(const std::string& path, const SessionConfig& cfg = {},
                         trace::WalSalvage* salvage_out = nullptr);
 

@@ -5,10 +5,6 @@
 
 namespace home {
 
-const char* verdict_name(Verdict verdict) {
-  return verdict == Verdict::kDegraded ? "degraded" : "exact";
-}
-
 void Report::mark_degraded(std::string reason) {
   verdict_ = Verdict::kDegraded;
   degraded_reasons_.push_back(std::move(reason));

@@ -21,8 +21,6 @@ enum class Verdict : std::uint8_t {
   kDegraded,
 };
 
-const char* verdict_name(Verdict verdict);
-
 struct ReportStats {
   std::size_t trace_events = 0;
   std::size_t instrumented_calls = 0;

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "src/obs/export.hpp"
 #include "src/obs/span.hpp"
 #include "src/spec/matcher.hpp"
 #include "src/spec/monitored.hpp"
@@ -145,13 +144,6 @@ void Session::save_trace(const std::string& path) const {
   trace::save_trace_file(path, log_);
 }
 
-std::vector<spec::MessageRace> Session::message_races() {
-  detect::ConcurrencyReport concurrency =
-      detect::RaceDetector(make_detector_config(cfg_))
-          .analyze(log_.sorted_events());
-  return spec::find_message_races(concurrency, &log_.strings());
-}
-
 PostMortem Session::post_mortem_pass() {
   PostMortem pass = analyze_post_mortem(log_.sorted_events(), log_.strings(),
                                         make_detector_config(cfg_));
@@ -209,7 +201,5 @@ Report Session::analyze_online() {
   stats.analysis_seconds = timer.elapsed_seconds();
   return Report(std::move(violations), stats);
 }
-
-std::string Session::telemetry_summary() const { return obs::summary_table(); }
 
 }  // namespace home

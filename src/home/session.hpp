@@ -27,7 +27,6 @@
 #include "src/home/wrappers.hpp"
 #include "src/online/online_analyzer.hpp"
 #include "src/simmpi/universe.hpp"
-#include "src/spec/message_race.hpp"
 #include "src/trace/wal.hpp"
 
 namespace home {
@@ -156,15 +155,6 @@ class Session {
 
   /// Persist this session's execution log for later offline analysis.
   void save_trace(const std::string& path) const;
-
-  /// Human-readable end-of-run telemetry: counters/gauges/histograms from
-  /// the global registry plus a per-span-name duration table ("Pipeline
-  /// health").  Cheap; empty-ish when telemetry is disabled.
-  std::string telemetry_summary() const;
-
-  /// Informational message-race findings (wildcard receives with multiple
-  /// concurrent candidate senders) — separate from the violation report.
-  std::vector<spec::MessageRace> message_races();
 
   trace::TraceLog& log() { return log_; }
   trace::ThreadRegistry& registry() { return registry_; }

@@ -34,8 +34,8 @@ bool HomeWrappers::should_instrument(const simmpi::CallDesc& desc) const {
       return true;
     case InstrumentFilter::kParallelOnly:
       // Inside an OpenMP parallel region — or on any thread that is not the
-      // rank's main thread (raw homp::Thread workers of the pthreads
-      // backend): both mean hybrid concurrency is possible.
+      // rank's main thread (an MPI call from a thread the program started
+      // outside homp): both mean hybrid concurrency is possible.
       return homp::in_parallel() || !desc.on_main_thread;
     case InstrumentFilter::kPlan:
       return desc.callsite != nullptr && cfg_.plan.count(desc.callsite) > 0;

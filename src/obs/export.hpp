@@ -4,8 +4,7 @@
 //     ring on one timeline, violations as instant events;
 //   * a machine-readable JSON snapshot (`--telemetry-json`);
 //   * Prometheus-style text exposition;
-//   * a human end-of-run summary table (Session::telemetry_summary, the
-//     bench drivers, and html_report's "Pipeline health" section).
+//   * a human end-of-run summary table (live_monitor prints it).
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 #include <mutex>
 
 #include "src/obs/telemetry.hpp"
-#include "src/util/log.hpp"
+#include "src/util/thread_name.hpp"
 
 namespace home::obs {
 

@@ -7,8 +7,8 @@
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/spec/monitored.hpp"
-#include "src/util/log.hpp"
 #include "src/util/run_context.hpp"
+#include "src/util/thread_name.hpp"
 
 namespace home::online {
 

@@ -10,16 +10,17 @@
 namespace home::simmpi {
 namespace {
 
-/// A message from comm rank `src` carrying a copy of the send buffer.
-Envelope make_envelope(int src, int tag, CommId comm, const void* buf,
-                       int count, Datatype dt) {
+/// A message from comm rank `src` carrying a copy of the send buffer, with
+/// the next message id of `uni`'s run.
+Envelope make_envelope(Universe& uni, int src, int tag, CommId comm,
+                       const void* buf, int count, Datatype dt) {
   Envelope msg;
   msg.src = src;
   msg.tag = tag;
   msg.comm = comm;
   msg.dt = dt;
   msg.count = count;
-  msg.msg_id = next_message_id();
+  msg.msg_id = uni.next_message_id();
   msg.payload.resize(static_cast<std::size_t>(count) * datatype_size(dt));
   if (!msg.payload.empty()) {
     std::memcpy(msg.payload.data(), buf, msg.payload.size());
@@ -27,12 +28,13 @@ Envelope make_envelope(int src, int tag, CommId comm, const void* buf,
   return msg;
 }
 
-/// A receive request matching (src, tag, comm) into `buf`, not yet posted.
-std::shared_ptr<RequestState> recv_state(void* buf, int count, Datatype dt,
-                                         int src, int tag, CommId comm,
-                                         const CallOpts& opts) {
+/// A receive request matching (src, tag, comm) into `buf`, not yet posted,
+/// with the next request id of `uni`'s run.
+std::shared_ptr<RequestState> recv_state(Universe& uni, void* buf, int count,
+                                         Datatype dt, int src, int tag,
+                                         CommId comm, const CallOpts& opts) {
   auto state = std::make_shared<RequestState>(RequestKind::kRecv,
-                                              next_request_id());
+                                              uni.next_request_id());
   state->match_src = src;
   state->match_tag = tag;
   state->match_comm = comm;
@@ -85,7 +87,7 @@ Err Process::send(const void* buf, int count, Datatype dt, int dest, int tag,
         const int dest_world = impl.world_rank_of(dest);
 
         Envelope msg =
-            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
+            make_envelope(*uni_, my_comm_rank, tag, comm.id, buf, count, dt);
 
         std::shared_ptr<SendToken> token;
         if (uni_->config().rendezvous_sends) {
@@ -115,7 +117,7 @@ Request Process::irecv(void* buf, int count, Datatype dt, int src, int tag,
       make_desc(trace::logged_as("MPI_Irecv"), src, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         resolve(comm, &my_comm_rank);
-        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
+        auto state = recv_state(*uni_, buf, count, dt, src, tag, comm.id, opts);
         uni_->mailbox(rank_).post_recv(state);
         return Request(state);
       });
@@ -127,7 +129,7 @@ Err Process::recv(void* buf, int count, Datatype dt, int src, int tag, Comm comm
       make_desc(trace::logged_as("MPI_Recv"), src, tag, comm.id, 0, opts), [&] {
         int my_comm_rank = -1;
         resolve(comm, &my_comm_rank);
-        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
+        auto state = recv_state(*uni_, buf, count, dt, src, tag, comm.id, opts);
         uni_->mailbox(rank_).post_recv(state);
         const Err err = state->wait(uni_->config().block_timeout_ms);
         const Status st = state->status();
@@ -146,14 +148,14 @@ Request Process::isend(const void* buf, int count, Datatype dt, int dest, int ta
         const int dest_world = impl.world_rank_of(dest);
 
         Envelope msg =
-            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
+            make_envelope(*uni_, my_comm_rank, tag, comm.id, buf, count, dt);
 
         emit_message_edge(*uni_, rank_, trace::EventKind::kMsgSend, msg.msg_id);
 
         // Eager semantics: the buffer is copied, so the send completes
         // immediately from the caller's point of view.
         auto state = std::make_shared<RequestState>(RequestKind::kSend,
-                                                    next_request_id());
+                                                    uni_->next_request_id());
         deliver_faulted(*uni_, rank_, "isend", dest_world, std::move(msg));
         state->complete(Status{}, Err::kOk);
         return Request(state);
@@ -215,7 +217,7 @@ Err Process::ssend(const void* buf, int count, Datatype dt, int dest, int tag,
         const int dest_world = impl.world_rank_of(dest);
 
         Envelope msg =
-            make_envelope(my_comm_rank, tag, comm.id, buf, count, dt);
+            make_envelope(*uni_, my_comm_rank, tag, comm.id, buf, count, dt);
         // Synchronous mode: always rendezvous.
         auto token = std::make_shared<SendToken>();
         msg.token = token;
@@ -297,7 +299,7 @@ Request Process::send_init(const void* buf, int count, Datatype dt, int dest,
         int my_comm_rank = -1;
         CommImpl& impl = resolve(comm, &my_comm_rank);
         auto state = std::make_shared<RequestState>(RequestKind::kSend,
-                                                    next_request_id());
+                                                    uni_->next_request_id());
         PersistentInfo info;
         info.is_send = true;
         info.send_buf = buf;
@@ -318,7 +320,7 @@ Request Process::recv_init(void* buf, int count, Datatype dt, int src, int tag,
   return hooked(
       make_desc(trace::logged_as("MPI_Irecv"), src, tag, comm.id, 0, opts), [&] {
         resolve(comm, nullptr);
-        auto state = recv_state(buf, count, dt, src, tag, comm.id, opts);
+        auto state = recv_state(*uni_, buf, count, dt, src, tag, comm.id, opts);
         PersistentInfo info;
         info.is_send = false;
         info.count = count;
@@ -346,7 +348,7 @@ void Process::start(Request& request, const CallOpts& opts) {
            state.reset_for_restart();
            if (info.is_send) {
              deliver_faulted(*uni_, rank_, "start", info.peer_world,
-                             make_envelope(info.my_comm_rank, info.tag,
+                             make_envelope(*uni_, info.my_comm_rank, info.tag,
                                            info.comm, info.send_buf,
                                            info.count, info.dt));
              state.complete(Status{}, Err::kOk);  // eager send semantics.

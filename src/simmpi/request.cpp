@@ -1,6 +1,5 @@
 #include "src/simmpi/request.hpp"
 
-#include <atomic>
 #include <chrono>
 
 #include "src/simmpi/abort.hpp"
@@ -54,16 +53,6 @@ Status RequestState::status() const {
 Err RequestState::error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return err_;
-}
-
-std::uint64_t next_request_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t next_message_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace home::simmpi

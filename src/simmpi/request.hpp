@@ -118,8 +118,4 @@ class Request {
   std::shared_ptr<RequestState> state_;
 };
 
-/// Allocates process-unique request and message ids.
-std::uint64_t next_request_id();
-std::uint64_t next_message_id();
-
 }  // namespace home::simmpi

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "src/obs/span.hpp"
-#include "src/util/log.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace home::simmpi {

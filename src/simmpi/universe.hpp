@@ -218,6 +218,15 @@ class Universe {
   void request_abort(const std::string& reason) { abort_.raise(reason); }
   bool abort_requested() const { return abort_.raised(); }
 
+  /// Request and message ids count from 1 in every universe, so a run's ids
+  /// do not depend on the runs before or beside it.  Thread-safe.
+  std::uint64_t next_request_id() {
+    return next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::uint64_t next_message_id() {
+    return next_message_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// The calling thread's rank context (nullptr outside a run).
   static Process* current();
   /// Install the rank context on the calling thread (used by homp workers).
@@ -232,6 +241,8 @@ class Universe {
   HookRegistry hooks_;
   util::RunContext ctx_;
   AbortSignal abort_;
+  std::atomic<std::uint64_t> next_request_id_{1};
+  std::atomic<std::uint64_t> next_message_id_{1};
 };
 
 /// Exploration hook kind for an MPI routine: blocking/matching calls get

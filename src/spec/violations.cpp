@@ -41,18 +41,6 @@ const char* violation_type_name(ViolationType type) {
   return "?";
 }
 
-const char* violation_predicate_name(ViolationType type) {
-  switch (type) {
-    case ViolationType::kInitialization: return "isInitializationViolation";
-    case ViolationType::kFinalization: return "isMPIFinalizationVoilation";
-    case ViolationType::kConcurrentRecv: return "isConcurrentRecvVoilation";
-    case ViolationType::kConcurrentRequest: return "isConcurrentRequestViolation";
-    case ViolationType::kProbe: return "isProbeViolation";
-    case ViolationType::kCollectiveCall: return "isCollectiveCallViolation";
-  }
-  return "?";
-}
-
 std::string Violation::to_string() const {
   std::ostringstream os;
   os << violation_type_name(type) << " @ rank " << rank;

@@ -23,7 +23,6 @@ enum class ViolationType : std::uint8_t {
 inline constexpr int kViolationTypeCount = 6;
 
 const char* violation_type_name(ViolationType type);
-const char* violation_predicate_name(ViolationType type);  ///< paper spelling.
 
 struct Violation {
   ViolationType type = ViolationType::kInitialization;

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <string>
 
-#include "src/util/log.hpp"
+#include "src/util/thread_name.hpp"
 
 namespace home::trace {
 namespace {
@@ -43,7 +43,7 @@ Tid ThreadRegistry::register_thread(Tid parent, int rank, bool is_rank_main) {
 
 void ThreadRegistry::bind_current_thread(Tid tid) {
   tls_slot = LocalSlot{id_.load(std::memory_order_relaxed), tid};
-  // Name the thread for log lines and the telemetry span timeline:
+  // Name the thread for the telemetry span timeline:
   // "rank0.main" / "rank1.w3" for rank-attached threads, "t<tid>" otherwise.
   const ThreadInfo ti = info(tid);
   std::string name;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/telemetry.hpp"
@@ -136,12 +135,9 @@ void TraceLog::set_streaming_only(bool on) {
   streaming_only_.store(on, std::memory_order_relaxed);
 }
 
-std::vector<Event> TraceLog::sorted_events() const { return drain_since(0); }
-
-std::vector<Event> TraceLog::drain_since(Seq after) const {
-  // Snapshot every shard's suffix past `after`.  Each run is seq-sorted by
-  // construction: a shard is only appended to by its owning thread, which
-  // stamps and pushes in order — so the cut point is a binary search.
+std::vector<Event> TraceLog::sorted_events() const {
+  // Snapshot every shard.  Each run is seq-sorted by construction: a shard is
+  // only appended to by its owning thread, which stamps and pushes in order.
   std::vector<std::vector<Event>> runs;
   std::size_t total = 0;
   {
@@ -149,15 +145,8 @@ std::vector<Event> TraceLog::drain_since(Seq after) const {
     runs.reserve(shards_.size());
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> slock(shard->mu);
-      const auto& events = shard->events;
-      auto first = after == 0
-                       ? events.begin()
-                       : std::upper_bound(events.begin(), events.end(), after,
-                                          [](Seq s, const Event& e) {
-                                            return s < e.seq;
-                                          });
-      if (first == events.end()) continue;
-      runs.emplace_back(first, events.end());
+      if (shard->events.empty()) continue;
+      runs.push_back(shard->events);
       total += runs.back().size();
     }
   }
@@ -229,12 +218,6 @@ void TraceLog::clear() {
     shard->events.clear();
   }
   seq_.store(1, std::memory_order_relaxed);
-}
-
-std::string TraceLog::dump() const {
-  std::ostringstream os;
-  for (const Event& e : sorted_events()) os << event_to_string(e) << "\n";
-  return os.str();
 }
 
 }  // namespace home::trace

@@ -102,23 +102,16 @@ class TraceLog {
   /// meaningful while a sink is installed; without one, events are dropped.
   void set_streaming_only(bool on);
 
-  /// Snapshot of all events sorted by seq (stable order for replay).
+  /// Snapshot of all events sorted by seq (stable order for replay): the
+  /// shards' runs concatenated when their seq ranges are disjoint, k-way
+  /// merged otherwise — no re-sort of the whole log.
   std::vector<Event> sorted_events() const;
-
-  /// Events with seq > after, sorted by seq.  Incremental read path for
-  /// consumers that poll: per-shard binary search for the cut point, then the
-  /// same disjoint-concat / k-way merge as sorted_events() over the suffixes
-  /// — no re-sort of the whole log.
-  std::vector<Event> drain_since(Seq after) const;
 
   std::size_t size() const;
   void clear();
 
   StringTable& strings() { return strings_; }
   const StringTable& strings() const { return strings_; }
-
-  /// Human-readable dump (debugging aid, used by example binaries).
-  std::string dump() const;
 
  private:
   /// One append buffer per emitting thread.  Only the owning thread writes;

@@ -416,11 +416,7 @@ void WalWriter::write_frame() {
   // Flush per frame: the journal's whole point is that the OS has the bytes
   // before the run advances past the emit.
   out_.flush();
-  if (!out_) {
-    ok_ = false;
-    return;
-  }
-  ++frames_;
+  if (!out_) ok_ = false;
 }
 
 void WalWriter::sync_strings() {

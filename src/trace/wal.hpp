@@ -70,7 +70,6 @@ class WalWriter : public EventSink {
   /// Flush and close the file; idempotent.
   void close();
 
-  std::uint64_t frames_written() const { return frames_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -83,7 +82,6 @@ class WalWriter : public EventSink {
   std::string frame_;  ///< the frame being encoded, reused across frames.
   const StringTable* strings_;
   std::uint32_t next_string_id_ = 0;
-  std::uint64_t frames_ = 0;
   bool ok_ = false;
   std::mutex mu_;
 };

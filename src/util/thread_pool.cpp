@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/util/log.hpp"
+#include "src/util/thread_name.hpp"
 
 namespace home::util {
 

@@ -30,7 +30,6 @@
 #include "src/diagnose/provenance.hpp"
 #include "src/explore/sweeper.hpp"
 #include "src/home/check.hpp"
-#include "src/home/html_report.hpp"
 #include "src/spec/matcher.hpp"
 #include "src/spec/monitored.hpp"
 #include "src/spec/violations.hpp"
@@ -594,21 +593,6 @@ TEST(Provenance, FlowIdsAreStableAndNonZero) {
   EXPECT_NE(a, 0u);
   EXPECT_EQ(a, flow_id_for_key("2|0|x|y|comm1"));
   EXPECT_NE(a, flow_id_for_key("2|0|x|y|comm2"));
-}
-
-TEST(Provenance, HtmlReportRendersCausalChain) {
-  TraceBuilder tb;
-  unsynchronized_recvs(tb);
-  const Built b = build_recv_certificate(tb);
-  ProvenanceReport report;
-  report.certificates.push_back(b.cert);
-  const FinalReport empty_final(std::vector<FinalEntry>{});
-  const std::string html = render_html(empty_final, ReportStats{}, "test", &report);
-  EXPECT_NE(html.find("Causal chain"), std::string::npos);
-  EXPECT_NE(html.find("prov.r1"), std::string::npos);
-  // Without a provenance report the section is absent.
-  const std::string plain = render_html(empty_final, ReportStats{}, "test");
-  EXPECT_EQ(plain.find("Causal chain"), std::string::npos);
 }
 
 // ------------------------------------------------- end-to-end (hidden app)

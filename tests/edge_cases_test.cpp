@@ -1,6 +1,6 @@
 // Second-round edge cases across the substrates: matching precedence,
 // reduction operators, communicator corner cases, worksharing corner cases,
-// parser additions (do-while/switch), logging, and the semantic-preservation
+// parser additions (do-while/switch), and the semantic-preservation
 // property that instrumentation must not perturb the computation.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@
 #include "src/homp/worksharing.hpp"
 #include "src/sast/analysis.hpp"
 #include "src/simmpi/universe.hpp"
-#include "src/spec/message_race.hpp"
-#include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
 namespace home {
@@ -334,19 +332,6 @@ TEST(ParserFuzz, GarbageNeverCrashes) {
     const auto analysis = sast::analyze_source(source);
     (void)analysis;
   }
-}
-
-// -------------------------------------------------------------------- logging
-
-TEST(Log, LevelGatesOutput) {
-  using util::LogLevel;
-  const LogLevel old = util::log_level();
-  util::set_log_level(LogLevel::kError);
-  EXPECT_EQ(util::log_level(), LogLevel::kError);
-  // Below-threshold logging must be a cheap no-op (no crash, no output check
-  // needed — the call itself is the contract).
-  HOME_INFO() << "suppressed " << 42;
-  util::set_log_level(old);
 }
 
 // --------------------------------------------- instrumentation is transparent

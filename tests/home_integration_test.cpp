@@ -467,6 +467,34 @@ TEST(Pipeline, CleanHybridProgramReportsNothing) {
   EXPECT_TRUE(result.report.clean()) << result.report.to_string();
 }
 
+TEST(Pipeline, JoinThenForkOrdersSameTagReceives) {
+  // Two regions in sequence, each with a worker receiving on one shared tag:
+  // the first region's join and the second's fork order the two receives,
+  // so the shared tag is fine — no false positive.
+  auto result = check_program(two_by_two(), [](Process& p) {
+    p.init_thread(ThreadLevel::kMultiple);
+    const int peer = 1 - p.rank();
+    if (p.rank() == 0) {
+      for (int i = 0; i < 2; ++i) {
+        const int v = i;
+        p.send(&v, 1, Datatype::kInt, peer, 3, kCommWorld);
+      }
+    } else {
+      for (int region = 0; region < 2; ++region) {
+        homp::parallel(2, [&] {
+          if (homp::thread_num() == 1) {
+            int v = 0;
+            p.recv(&v, 1, Datatype::kInt, peer, 3, kCommWorld);
+          }
+        });
+      }
+    }
+    p.finalize();
+  });
+  EXPECT_TRUE(result.run.ok());
+  EXPECT_TRUE(result.report.clean()) << result.report.to_string();
+}
+
 TEST(Pipeline, SelectiveFilterSkipsSerialCalls) {
   CheckConfig cfg = two_by_two();
   cfg.session.filter = InstrumentFilter::kParallelOnly;

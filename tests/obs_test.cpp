@@ -19,7 +19,7 @@
 #include "src/obs/span.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/online/event_queue.hpp"
-#include "src/util/log.hpp"
+#include "src/util/thread_name.hpp"
 
 namespace home::obs {
 namespace {

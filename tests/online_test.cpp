@@ -2,7 +2,7 @@
 //  * EventQueue backpressure (lossless kBlock ordering, kDropNewest counting),
 //  * ViolationStream dedup + live rate limiting,
 //  * TraceLog streaming sink (strictly increasing seq under concurrent
-//    emitters, drain_since incremental reads, streaming-only mode),
+//    emitters, streaming-only mode),
 //  * IncrementalHb == HappensBeforeAnalysis stamps; watermark soundness
 //    around silent and joined threads,
 //  * the streamed frontier reports the post-mortem detector's pairs
@@ -176,29 +176,6 @@ TEST(TraceLogStreaming, SinkSeesStrictlyIncreasingSeqUnderConcurrentEmit) {
   }
   // And the log retained the trace alongside (for post-mortem passes).
   EXPECT_EQ(log.size(), static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-TEST(TraceLogStreaming, DrainSinceReturnsExactlyTheSuffix) {
-  trace::TraceLog log;
-  for (int i = 0; i < 10; ++i) {
-    Event e;
-    e.kind = EventKind::kMemWrite;
-    e.obj = static_cast<trace::ObjId>(i);
-    log.emit(std::move(e));
-  }
-  const std::vector<Event> all = log.sorted_events();
-  ASSERT_EQ(all.size(), 10u);
-
-  const std::vector<Event> tail = log.drain_since(all[4].seq);
-  ASSERT_EQ(tail.size(), 5u);
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(tail[i].seq, all[5 + i].seq);
-    EXPECT_EQ(tail[i].obj, all[5 + i].obj);
-  }
-  EXPECT_TRUE(log.drain_since(all.back().seq).empty());
-  // Incremental polling: drain in two halves, reassemble the full order.
-  const std::vector<Event> head = log.drain_since(0);
-  ASSERT_EQ(head.size(), 10u);
 }
 
 TEST(TraceLogStreaming, StreamingOnlyModeSkipsTheShardAppend) {

@@ -180,7 +180,7 @@ TEST_P(MailboxFifoProperty, PerTagOrderPreserved) {
     msg.comm = 1;
     msg.dt = Datatype::kInt;
     msg.count = 1;
-    msg.msg_id = next_message_id();
+    msg.msg_id = static_cast<std::uint64_t>(i + 1);
     msg.payload.resize(sizeof(int));
     const int value = next_per_tag[tag]++;
     std::memcpy(msg.payload.data(), &value, sizeof(int));
@@ -194,8 +194,8 @@ TEST_P(MailboxFifoProperty, PerTagOrderPreserved) {
     int tag = rng.next_int(0, 2);
     while (seen_per_tag[tag] >= next_per_tag[tag]) tag = (tag + 1) % 3;
     int value = -1;
-    auto recv = std::make_shared<RequestState>(RequestKind::kRecv,
-                                               next_request_id());
+    auto recv = std::make_shared<RequestState>(
+        RequestKind::kRecv, static_cast<std::uint64_t>(i + 1));
     recv->match_src = kAnySource;
     recv->match_tag = tag;
     recv->match_comm = 1;

@@ -794,7 +794,9 @@ void check_against_enumeration(const std::string& source, bool exact) {
     int lo = seen.barrier_counts.front(), hi = seen.barrier_counts.front();
     for (int c : seen.barrier_counts) {
       EXPECT_GE(c, pi.min) << "node " << node;
-      if (!pi.unbounded) EXPECT_LE(c, pi.max) << "node " << node;
+      if (!pi.unbounded) {
+        EXPECT_LE(c, pi.max) << "node " << node;
+      }
       lo = std::min(lo, c);
       hi = std::max(hi, c);
     }

@@ -403,6 +403,23 @@ void f() {
   EXPECT_TRUE(result.calls[0].in_master || result.calls[0].in_single);
 }
 
+TEST(ParallelSections, CombinedDirectiveIsAParallelRegion) {
+  const auto analysis = sast::analyze_source(R"(
+void f() {
+  #pragma omp parallel sections
+  {
+    #pragma omp section
+    { MPI_Send(&a, 1, MPI_INT, 1, 0, MPI_COMM_WORLD); }
+    #pragma omp section
+    { MPI_Recv(&a, 1, MPI_INT, 1, 0, MPI_COMM_WORLD, st); }
+  }
+  MPI_Barrier(MPI_COMM_WORLD);
+}
+)");
+  EXPECT_EQ(analysis.plan.instrumented_calls, 2u);
+  EXPECT_EQ(analysis.plan.filtered_calls, 1u);
+}
+
 // -------------------------------------------------------------------- rewriter
 
 TEST(Rewriter, ReplacesOnlyPlannedCalls) {

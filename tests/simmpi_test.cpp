@@ -653,6 +653,48 @@ TEST(Universe, RunIsSingleShot) {
   EXPECT_THROW(uni.run([](Process&) {}), UsageError);
 }
 
+TEST(Universe, RequestAndMessageIdsCountFromOneInEveryRun) {
+  // A run's ids must not depend on the runs before it.  A receive nothing
+  // matches times out with its request id in the error...
+  auto hang = [] {
+    Universe uni(config(2, /*timeout_ms=*/50));
+    return uni.run([](Process& p) {
+      if (p.rank() == 1) {
+        int v = 0;
+        p.recv(&v, 1, Datatype::kInt, 0, 9, kCommWorld);
+      }
+    });
+  };
+  const RunResult first = hang();
+  ASSERT_EQ(first.errors.size(), 1u);
+  EXPECT_EQ(first.errors, hang().errors);
+
+  // ...and a traced run logs the same message ids each time.
+  auto sent_ids = [] {
+    trace::TraceLog log;
+    UniverseConfig cfg = config(2);
+    cfg.log = &log;
+    Universe uni(cfg);
+    uni.run([](Process& p) {
+      for (int i = 0; i < 3; ++i) {
+        int v = i;
+        if (p.rank() == 0) {
+          p.send(&v, 1, Datatype::kInt, 1, 0, kCommWorld);
+        } else {
+          p.recv(&v, 1, Datatype::kInt, 0, 0, kCommWorld);
+        }
+      }
+    });
+    std::vector<trace::ObjId> ids;
+    for (const trace::Event& e : log.sorted_events()) {
+      if (e.kind == trace::EventKind::kMsgSend) ids.push_back(e.obj);
+    }
+    return ids;
+  };
+  EXPECT_EQ(sent_ids(), (std::vector<trace::ObjId>{1, 2, 3}));
+  EXPECT_EQ(sent_ids(), sent_ids());
+}
+
 TEST(Types, DatatypeSizes) {
   EXPECT_EQ(datatype_size(Datatype::kInt), sizeof(int));
   EXPECT_EQ(datatype_size(Datatype::kDouble), sizeof(double));

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "src/util/flags.hpp"
-#include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/strings.hpp"
+#include "src/util/thread_name.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace home::util {
@@ -117,28 +117,6 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("MPI_Recv(MPI_Recv)", "MPI_Recv", "HMPI_Recv"),
             "HMPI_Recv(HMPI_Recv)");
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
-}
-
-TEST(Log, ParseLogLevelNamesDigitsAndRejects) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("Trace"), LogLevel::kTrace);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("4"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("bogus"), std::nullopt);
-  EXPECT_EQ(parse_log_level(""), std::nullopt);
-  EXPECT_EQ(parse_log_level("9"), std::nullopt);
-}
-
-TEST(Log, FormatLineCarriesTimestampLevelAndThreadName) {
-  set_current_thread_name("util-test");
-  const std::string line = format_log_line(LogLevel::kWarn, "queue full");
-  EXPECT_NE(line.find("[WARN]"), std::string::npos);
-  EXPECT_NE(line.find("[util-test]"), std::string::npos);
-  EXPECT_NE(line.find("queue full"), std::string::npos);
-  // Uptime timestamp: the line starts with "[  <seconds>.xxx]".
-  EXPECT_EQ(line.front(), '[');
-  EXPECT_NE(line.find('.'), std::string::npos);
 }
 
 TEST(Log, ThreadNameVersionBumpsOnRename) {
